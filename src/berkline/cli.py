@@ -2,18 +2,22 @@
 
 Exit codes: 0 success, 2 malformed input (argument, JSON, or schema errors),
 3 domain errors, which print a machine-readable {"error": ..., "witness": ...}
-object.  Payloads are validated against the schemas shipped with the package
-before dispatch.
+object, 1 when stdout is closed before the output is written (say, piped into
+`head`).  Payloads are validated before dispatch against the command's entry
+in ``schemas/berkline.schema.json``, shipped with the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from importlib import resources
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import serialize as ser
 from .cancel import SectionComponent, SectionData, splitting_delta, y1_divisor, y2_divisor
@@ -32,16 +36,23 @@ class SchemaError(Exception):
     pass
 
 
-def _load_schema(name):
-    text = resources.files("berkline").joinpath(f"schemas/{name}.schema.json").read_text()
-    return json.loads(text)
+@functools.cache
+def _schema_defs():
+    text = resources.files("berkline").joinpath("schemas/berkline.schema.json").read_text()
+    return json.loads(text)["$defs"]
+
+
+@functools.cache
+def _validator(name):
+    # the document itself is checked against the meta-schema by the tests,
+    # not on every call
+    return Draft202012Validator({"$ref": f"#/$defs/{name}", "$defs": _schema_defs()})
 
 
 def _validate(name, payload):
-    try:
-        jsonschema.validate(payload, _load_schema(name))
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{name}: {exc.message}") from exc
+    error = best_match(_validator(name).iter_errors(payload))
+    if error is not None:
+        raise SchemaError(f"{name}: {error.message}")
 
 
 def _read_json_arg(text):
@@ -264,6 +275,20 @@ def _assemble_payload(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send the rest of the output, and the
+        # interpreter's final flush, to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(args) -> int:
     try:
         payload = _assemble_payload(args)
         _validate(args.command, payload)

@@ -21,6 +21,10 @@ class BackendMismatch(BerkError):
     pass
 
 
+class NotPrime(BerkError):
+    """A field characteristic that is not a prime, or too large to prove one."""
+
+
 class DivisionByZero(BerkError):
     pass
 

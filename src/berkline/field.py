@@ -17,9 +17,37 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendMismatch, DivisionByZero, PrecisionExhausted
+from .errors import BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted
 
 INF = math.inf
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above: below it, Miller-Rabin
+# with those bases decides primality exactly
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _require_prime(n: int):
+    """Raise NotPrime unless n is a prime (deterministic Miller-Rabin)."""
+    if n >= _MR_EXACT_BELOW:
+        raise NotPrime(f"{n} is too large to be proven prime", witness=n)
+    if n in _MR_BASES:
+        return
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        raise NotPrime(f"{n} is not a prime", witness=n)
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            raise NotPrime(f"{n} is not a prime", witness=n)
 
 
 def _frac(x):
@@ -42,6 +70,8 @@ class PuiseuxField:
     def __init__(self, char: int = 0, working_prec=Fraction(32)):
         if char < 0 or char == 1:
             raise ValueError("char must be 0 or a prime")
+        if char:
+            _require_prime(char)
         self.char = char
         self.working_prec = _frac(working_prec)
 
@@ -123,6 +153,7 @@ class PadicField:
     def __init__(self, p: int):
         if p < 2:
             raise ValueError("p must be a prime")
+        _require_prime(p)
         self.p = p
 
     def __eq__(self, other):

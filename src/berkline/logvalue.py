@@ -49,6 +49,17 @@ class LogValue:
     def is_infinite(self) -> bool:
         return isinstance(self.q, float)
 
+    def __eq__(self, other):
+        if not isinstance(other, LogValue):
+            if not isinstance(other, (int, Fraction)) and other != math.inf:
+                return NotImplemented
+            other = as_logvalue(other)
+        return self.q == other.q and self.e == other.e
+
+    def __hash__(self):
+        # equal to hash(q) when e == 0, as LogValue(q) == q
+        return hash(self.q) if self.e == 0 else hash((self.q, self.e))
+
     def _key(self):
         if self.is_infinite:
             return (1, Fraction(0), Fraction(0))

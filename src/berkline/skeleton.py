@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateCenters
+from .errors import DuplicateCenters, PointOutsideDisc
 from .logvalue import INFINITY, ZERO, LogValue
 from .points import DiscPoint, _dist
 
@@ -75,12 +75,16 @@ def _sort_key(pt: DiscPoint):
 def build_skeleton(A, s_floor=INFINITY) -> Skeleton:
     """Skeleton spanned by the centers A, leaves truncated at s_floor.
 
-    Centers must stay distinct at the leaf depth: v(a - b) < s_floor for all
-    pairs, else the leaf discs coincide as points.
+    Centers must lie in the unit disc, v(a) >= 0, and stay distinct at the
+    leaf depth: v(a - b) < s_floor for all pairs, else the leaf discs
+    coincide as points.
     """
     A = list(A)
     if not A:
         raise DuplicateCenters("need at least one center")
+    for i, a in enumerate(A):
+        if a.valuation_lower_bound() < 0:
+            raise PointOutsideDisc(f"center {a!r} outside the unit disc", witness=i)
     for i in range(len(A)):
         for j in range(i + 1, len(A)):
             d = _dist(A[i], A[j])

@@ -1,14 +1,19 @@
 """CLI dispatch, schema validation, exit codes, output stability."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from berkline import serialize as ser
-from berkline.cli import main
+from berkline.cli import _PAYLOAD_FLAGS, COMMANDS, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = "src/berkline/schemas/berkline.schema.json"
 
 FIELD_Q = '{"backend":"puiseux","char":0}'
 FIELD_F2 = '{"backend":"puiseux","char":2}'
@@ -233,6 +238,27 @@ class TestErrors:
         code, _, _ = run(capsys, ["skeleton", "--problem", str(prob)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,witness", [
+        (["cancel", "--field", '{"backend":"padic","p":4}', "--g", "1",
+          "--N", "3"], 4),
+        (["np", "--field", '{"backend":"puiseux","char":4}', "--poly",
+          '{"center":0,"coeffs":[2,1]}'], 4),
+        (["skeleton", "--field", '{"backend":"puiseux","char":15}',
+          "--centers", "[0]"], 15),
+    ])
+    def test_composite_characteristic_exit_3(self, capsys, argv, witness):
+        code, out, _ = run(capsys, argv)
+        assert code == 3
+        doc = json.loads(out)
+        assert (doc["error"], doc["witness"]) == ("NotPrime", witness)
+
+    def test_center_outside_disc_exit_3(self, capsys):
+        code, out, _ = run(capsys, ["skeleton", "--field", FIELD_Q,
+                                    "--centers", '[0,"t^-1"]'])
+        assert code == 3
+        doc = json.loads(out)
+        assert (doc["error"], doc["witness"]) == ("PointOutsideDisc", 1)
+
 
 def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "berkline.cli", "cancel",
@@ -242,14 +268,148 @@ def test_console_script_installed():
     assert json.loads(out.stdout)["delta"] == [{"u": "*", "coef": 1}]
 
 
-def test_repo_schemas_match_package_data():
-    repo = Path(__file__).resolve().parent.parent / "schemas"
-    pkg = Path(__file__).resolve().parent.parent / "src" / "berkline" / "schemas"
-    repo_files = sorted(p.name for p in repo.glob("*.schema.json"))
-    pkg_files = sorted(p.name for p in pkg.glob("*.schema.json"))
-    assert repo_files == pkg_files and repo_files
-    for name in repo_files:
-        assert (repo / name).read_bytes() == (pkg / name).read_bytes()
+def test_closed_stdout_exits_cleanly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "berkline.cli", "cancel",
+                              "--field", FIELD_F2, "--g", "t", "--N", "5"],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
+
+
+def _schema_doc():
+    return json.loads((ROOT / SCHEMA_PATH).read_text())
+
+
+def test_schema_document():
+    doc = _schema_doc()
+    # the CLI trusts its shipped schema; the meta-schema check lives here
+    Draft202012Validator.check_schema(doc)
+    assert set(COMMANDS) <= set(doc["$defs"])
+    assert [p.name for p in (ROOT / SCHEMA_PATH).parent.iterdir()] == \
+        ["berkline.schema.json"]
+    assert f"]({SCHEMA_PATH})" in (ROOT / "README.md").read_text()
+    manifest = (ROOT / "MANIFEST.in").read_text().splitlines()
+    assert [line for line in manifest if "schema" in line] == \
+        [f"include {SCHEMA_PATH}"]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_payload_flags_match_schema_properties(name):
+    assert sorted(_PAYLOAD_FLAGS[name]) == \
+        sorted(_schema_doc()["$defs"][name]["properties"])
+
+
+POLY = {"center": 0, "coeffs": [0, 1]}
+RF = {"num": POLY, "den": {"center": 0, "coeffs": [1]}}
+DOM = {"bound": {"center": 0, "s": {"q": "-1"}}}
+DISC = {"kind": "disc", "center": 0, "s": {"q": "1"}}
+
+# (command, payload, exit code, stderr detail), the details as the CLI
+# printed them when each command still had its own fully inlined schema
+INVALID_PAYLOADS = [
+    ("eval", {"point": DISC},
+     2, "eval: 'poly' is a required property"),
+    ("eval", {"poly": POLY, "point": DISC, "extra": 1},
+     2, "eval: Additional properties are not allowed ('extra' was unexpected)"),
+    ("eval", {"poly": {"center": 0}, "point": DISC},
+     2, "eval: 'coeffs' is a required property"),
+    ("eval", {"poly": POLY, "point": {"kind": "disc", "center": 0, "s": "x"}},
+     2, "eval: 'chain' was expected"),
+    ("eval", {"poly": POLY, "point": {"kind": "disc", "center": 1.5, "s": "inf"}},
+     2, 'eval: 1.5 is not valid under any of the given schemas'),
+    ("eval", {"poly": {"center": 0, "coeffs": [{"backend": "puiseux", "terms": [[1, 2]]}]}, "point": DISC},
+     2, 'eval: [1, 2] is too short'),
+    ("classify", {"point": {"kind": "circle"}},
+     2, "classify: {'kind': 'circle'} is not valid under any of the given schemas"),
+    ("classify", {"point": {"kind": "chain", "discs": [DISC]}},
+     2, "classify: [{'kind': 'disc', 'center': 0, 's': {'q': '1'}}] is too short"),
+    ("classify", {"field": {"backend": "padic"}, "point": DISC},
+     2, "classify: 'puiseux' was expected"),
+    ("classify", {"field": {"backend": "puiseux", "char": -1}, "point": DISC},
+     2, "classify: 'padic' was expected"),
+    ("classify", {"field": {"backend": "gf", "p": 2}, "point": DISC},
+     2, "classify: {'backend': 'gf', 'p': 2} is not valid under any of the given schemas"),
+    ("classify", {"field": {"backend": "puiseux", "char": 1}, "point": DISC},
+     2, 'char must be 0 or a prime'),
+    ("skeleton", {"centers": []},
+     2, 'skeleton: [] should be non-empty'),
+    ("skeleton", {"centers": [0], "format": "svg"},
+     2, "skeleton: 'svg' is not one of ['json', 'dot']"),
+    ("skeleton", {"centers": [0], "s_floor": {"e": "1"}},
+     2, "skeleton: 'q' is a required property"),
+    ("skeleton", {"centers": [{"backend": "padic", "p": 1, "value": "1"}]},
+     2, "skeleton: 'puiseux' was expected"),
+    ("skeleton", {"centers": "0"},
+     2, "skeleton: '0' is not of type 'array'"),
+    ("skeleton", {},
+     2, "skeleton: 'centers' is a required property"),
+    ("np", {"poly": POLY, "count": {"lo": "1/2", "hi_open": "yes"}},
+     2, "np: 'yes' is not of type 'boolean'"),
+    ("np", {"poly": POLY, "count": {"mid": 1}},
+     2, "np: Additional properties are not allowed ('mid' was unexpected)"),
+    ("np", {"poly": [0, 1]},
+     2, "np: [0, 1] is not of type 'object'"),
+    ("np", {"poly": {"center": {"backend": "padic", "p": 3, "value": "1/x"}, "coeffs": []}},
+     2, "np: 'puiseux' was expected"),
+    ("sheaf", {"n": 1, "sheaf": {"kind": "kummer"}},
+     2, 'sheaf: 1 is less than the minimum of 2'),
+    ("sheaf", {"n": 4, "sheaf": {"kind": "weird"}},
+     2, "sheaf: 'weird' is not one of ['kummer', 'constant', 'explicit']"),
+    ("sheaf", {"n": 4},
+     2, "sheaf: 'sheaf' is a required property"),
+    ("sheaf", {"n": "4", "sheaf": {"kind": "constant"}},
+     2, "sheaf: '4' is not of type 'integer'"),
+    ("sheaf", {"n": 4, "sheaf": {"kind": "explicit", "vertices": "ab"}},
+     2, "sheaf: 'ab' is not of type 'array'"),
+    ("balance", {"f": RF},
+     2, "balance: {'f': {'num': {'center': 0, 'coeffs': [0, 1]}, 'den': {'center': 0, 'coeffs': [1]}}, 'field': {'backend': 'puiseux', 'char': 0}} is not valid under any of the given schemas"),
+    ("balance", {"f": {"num": POLY}, "domain": DOM},
+     2, "balance: 'den' is a required property"),
+    ("balance", {"f": RF, "domain": {"bound": {"center": 0}}},
+     2, "balance: 's' is a required property"),
+    ("balance", {"f": RF, "domain": DOM, "directions": [None]},
+     2, 'balance: None is not valid under any of the given schemas'),
+    ("balance", {"f": RF, "point": DISC, "domain": {"bound": {"center": 0, "s": "inf"}, "excluded": [{"center": 0, "s": "1", "closed": "no"}]}},
+     2, "balance: 'no' is not of type 'boolean'"),
+    ("homotopy", {"f0": RF, "f1": RF},
+     2, "homotopy: 'domain' is a required property"),
+    ("homotopy", {"f0": RF, "f1": {**RF, "reduced": 1}, "domain": DOM},
+     2, "homotopy: 1 is not of type 'boolean'"),
+    ("homotopy", {"f0": RF, "f1": RF, "domain": DOM, "g": "t"},
+     2, "homotopy: Additional properties are not allowed ('g' was unexpected)"),
+    ("homotopy", {"f0": {"num": POLY, "den": POLY, "num_roots": [[0]]}, "f1": RF, "domain": DOM},
+     2, 'homotopy: [0] is not valid under any of the given schemas'),
+    ("cancel", {"N": 5},
+     2, "cancel: {'N': 5, 'field': {'backend': 'puiseux', 'char': 0}} is not valid under any of the given schemas"),
+    ("cancel", {"N": 0, "g": "t"},
+     2, 'cancel: 0 is less than the minimum of 1'),
+    ("cancel", {"N": 5, "g": 1.5},
+     2, "cancel: 1.5 is not of type 'string', 'integer', 'object'"),
+    ("cancel", {"N": 5, "section": {"k": 1, "components": [{"u": "a"}]}},
+     2, "cancel: 'g' is a required property"),
+    ("cancel", {"N": 5, "g": "t", "annulus": {"s_lo": {"q": "1"}}},
+     2, "cancel: 's_hi' is a required property"),
+    ("cancel", {"g": "t"},
+     2, "cancel: 'N' is a required property"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,payload,code,detail", INVALID_PAYLOADS,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(INVALID_PAYLOADS)])
+def test_invalid_payload_detail(capsys, tmp_path, command, payload, code,
+                                detail):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({"version": 1, "command": command,
+                                "payload": payload}))
+    got, out, err = run(capsys, [command, "--problem", str(prob)])
+    assert (got, out) == (code, "")
+    assert json.loads(err) == {"error": "schema", "detail": detail}
 
 
 class TestBalancePoint:

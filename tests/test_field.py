@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from berkline import INF, PadicField, Polynomial, PuiseuxField, rat_normalize, valuation
-from berkline.errors import (BackendMismatch, DivisionByZero,
+from berkline.errors import (BackendMismatch, DivisionByZero, NotPrime,
                              PrecisionExhausted, ZeroDenominator)
 from conftest import (rand_padic, rand_padic_nonzero, rand_puiseux,
                       rand_puiseux_nonzero)
@@ -85,6 +85,46 @@ class TestPadicBasics:
         assert valuation(Q2.zero()) == INF
         with pytest.raises(DivisionByZero):
             Q2.zero().inverse()
+
+
+class TestCharacteristic:
+    @staticmethod
+    def _trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    def test_small_values_match_trial_division(self):
+        for n in range(2, 1500):
+            if self._trial_division(n):
+                assert PuiseuxField(n).char == n and PadicField(n).p == n
+            else:
+                for make in (PuiseuxField, PadicField):
+                    with pytest.raises(NotPrime) as exc:
+                        make(n)
+                    assert exc.value.witness == n
+
+    @pytest.mark.parametrize("n", [
+        561,                          # Carmichael number
+        3215031751,                   # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,          # strong pseudoprime to bases 2..23
+        318665857834031151167461,     # strong pseudoprime to bases 2..37
+    ])
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(NotPrime):
+            PuiseuxField(n)
+        with pytest.raises(NotPrime):
+            PadicField(n)
+
+    def test_large_primes(self):
+        assert PadicField(2**61 - 1).p == 2**61 - 1
+        # a prime beyond the bound where the primality test is exact
+        with pytest.raises(NotPrime) as exc:
+            PuiseuxField(2**89 - 1)
+        assert exc.value.witness == 2**89 - 1
+
+    def test_char_4_no_longer_kills_units(self):
+        with pytest.raises(NotPrime):
+            PuiseuxField(4)
+        assert PuiseuxField(0).char == 0
 
 
 @pytest.mark.parametrize("backend", ["puiseux2", "puiseux0", "padic3"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from berkline import DiscPoint, INFINITY, LogValue, build_skeleton
-from berkline.errors import DuplicateCenters
+from berkline.errors import DuplicateCenters, PointOutsideDisc
 from conftest import rand_puiseux
 
 lv = lambda q, e=0: LogValue(Fraction(q), Fraction(e))
@@ -52,6 +52,13 @@ class TestBuild:
         t = FQ.t()
         with pytest.raises(DuplicateCenters):
             build_skeleton([FQ.zero(), FQ.t(5)], s_floor=lv(3))
+
+    def test_center_outside_disc(self, FQ, Q2):
+        with pytest.raises(PointOutsideDisc) as exc:
+            build_skeleton([FQ.zero(), FQ.t(-1)])
+        assert exc.value.witness == 1
+        with pytest.raises(PointOutsideDisc):
+            build_skeleton([Q2.elem(Fraction(1, 2))])
 
     def test_finite_floor_leaves(self, FQ):
         sk = build_skeleton([FQ.zero(), FQ.one()], s_floor=lv(4))
