@@ -1,10 +1,10 @@
-"""Pure-Python reference implementation of the hot convolution kernel.
+"""The convolution kernel of exact F_p polynomial products, in pure Python.
 
-Both kernel backends share one contract: polynomials whose coefficients are
-sparse series on a common integer exponent lattice, coefficients reduced mod
-p, encoded as flat arrays.  ``counts[i]`` is the number of terms of the i-th
-polynomial coefficient; ``exps``/``cofs`` concatenate the terms in order,
-exponents strictly increasing within each coefficient.
+Inputs are polynomials whose coefficients are sparse series on a common
+integer exponent lattice, coefficients reduced mod p, encoded as flat
+arrays.  ``counts[i]`` is the number of terms of the i-th polynomial
+coefficient; ``exps``/``cofs`` concatenate the terms in order, exponents
+strictly increasing within each coefficient.
 """
 
 

@@ -187,22 +187,24 @@ def _cmd_cancel(payload):
     ann = ser.annulus_from_json(payload.get(
         "annulus", {"s_lo": {"q": "1"}, "s_hi": {"q": "-1"}}))
     N = int(payload["N"])
+    out = {}
     if "section" in payload:
         comps = tuple(
             SectionComponent(c["u"], ser.parse_ratfunc_flexible(fld, c["g"]),
                              int(c.get("mult", 1)))
             for c in payload["section"]["components"]
         )
-        section = SectionData(int(payload["section"]["k"]), comps)
-    else:
-        g = ser.parse_ratfunc_flexible(fld, payload["g"])
-        section = SectionData(1, (SectionComponent("*", g, 1),))
-    delta = splitting_delta(section, N, ann)
-    out = {"delta": [{"u": u, "coef": c} for u, c in delta]}
+        delta = splitting_delta(
+            SectionData(int(payload["section"]["k"]), comps), N, ann)
     if "g" in payload:
         g = ser.parse_ratfunc_flexible(fld, payload["g"])
-        out["y1"] = ser.divisor_to_json(y1_divisor(N, fld))
-        out["y2"] = ser.divisor_to_json(y2_divisor(g, N, ann))
+        y1, y2 = y1_divisor(N, fld), y2_divisor(g, N, ann)
+        out["y1"], out["y2"] = ser.divisor_to_json(y1), ser.divisor_to_json(y2)
+        if "section" not in payload:
+            # splitting_delta of the one-component section ("*", g, 1)
+            coef = y1.total_mass - y2.total_mass
+            delta = (("*", coef),) if coef else ()
+    out["delta"] = [{"u": u, "coef": c} for u, c in delta]
     _emit(out)
 
 

@@ -68,8 +68,6 @@ class PuiseuxField:
     backend = "puiseux"
 
     def __init__(self, char: int = 0, working_prec=Fraction(32)):
-        if char < 0 or char == 1:
-            raise ValueError("char must be 0 or a prime")
         if char:
             _require_prime(char)
         self.char = char
@@ -151,8 +149,6 @@ class PadicField:
     backend = "padic"
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("p must be a prime")
         _require_prime(p)
         self.p = p
 

@@ -1,24 +1,11 @@
-"""Hot-kernel selection: compiled extension when available, else pure Python.
+"""The convolution kernel behind exact F_p polynomial products.
 
-Set BERKLINE_PURE=1 in the environment to force the pure backend (used by the
-benchmark and by differential tests).
+There is one implementation, the pure-Python one in ``_purekernel``.  Both
+names stay: ``poly`` calls through the module attribute ``poly_mul_modp`` so
+that a tracer can patch it in one place, and ``BACKEND`` (re-exported as
+``berkline.KERNEL_BACKEND``) is what benchmark records report.
 """
 
-import os
+from ._purekernel import poly_mul_modp
 
-from . import _purekernel
-
-if os.environ.get("BERKLINE_PURE"):
-    _impl = _purekernel
-    BACKEND = "pure"
-else:
-    try:
-        from . import _convkernel as _impl
-
-        BACKEND = "cython"
-    except ImportError:  # extension not built; semantics are identical
-        _impl = _purekernel
-        BACKEND = "pure"
-
-poly_mul_modp = _impl.poly_mul_modp
-pure_poly_mul_modp = _purekernel.poly_mul_modp
+BACKEND = "pure"

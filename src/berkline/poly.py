@@ -16,11 +16,6 @@ from . import kernel
 from .errors import BackendMismatch, ZeroDenominator
 from .field import INF, PuiseuxField
 
-# eligibility caps for the compiled convolution path
-_MAX_LATTICE_DEN = 512
-_MAX_SCALED_EXP = 1 << 40
-_MAX_SCRATCH_WIDTH = 1 << 21
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -186,27 +181,14 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial):
     if not isinstance(fld, PuiseuxField) or fld.char == 0:
         return None
     dens = set()
-    lo = hi = Fraction(0)
     for poly in (f, g):
-        plo = phi = None
+        if not any(c.terms for c in poly.coeffs):
+            return None
         for c in poly.coeffs:
             if c.prec != INF:
                 return None
-            for e, _ in c.terms:
-                dens.add(e.denominator)
-                plo = e if plo is None or e < plo else plo
-                phi = e if phi is None or e > phi else phi
-        if plo is None:
-            return None
-        lo += plo
-        hi += phi
-    lat = math.lcm(*dens) if dens else 1
-    if lat > _MAX_LATTICE_DEN:
-        return None
-    if max(abs(lo), abs(hi)) * lat > _MAX_SCALED_EXP:
-        return None
-    if (hi - lo) * lat + 1 > _MAX_SCRATCH_WIDTH:
-        return None
+            dens.update(e.denominator for e, _ in c.terms)
+    lat = math.lcm(*dens)
 
     def encode(poly):
         counts, exps, cofs = [], [], []

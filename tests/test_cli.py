@@ -191,6 +191,30 @@ class TestCancel:
         assert sum(e["mult"] for e in doc["y1"]) == 5
         assert sum(e["mult"] for e in doc["y2"]) == 4
 
+    def test_y2_built_once(self, capsys, monkeypatch):
+        import berkline.cancel
+        import berkline.cli
+
+        real, calls = berkline.cancel.y2_divisor, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(berkline.cancel, "y2_divisor", counted)
+        monkeypatch.setattr(berkline.cli, "y2_divisor", counted)
+        code, _, _ = run(capsys, ["cancel", "--field", FIELD_F2,
+                                  "--g", "t", "--N", "5"])
+        assert (code, len(calls)) == (0, 1)
+
+    def test_unit_g_has_empty_delta(self, capsys):
+        code, out, _ = run(capsys, ["cancel", "--field", FIELD_F2,
+                                    "--g", "1", "--N", "5"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["delta"] == []
+        assert sum(e["mult"] for e in doc["y2"]) == 5
+
 
 class TestErrors:
     def test_malformed_json_exit_2(self, capsys):
@@ -245,6 +269,8 @@ class TestErrors:
           '{"center":0,"coeffs":[2,1]}'], 4),
         (["skeleton", "--field", '{"backend":"puiseux","char":15}',
           "--centers", "[0]"], 15),
+        (["classify", "--field", '{"backend":"puiseux","char":1}',
+          "--point", '{"kind":"disc","center":0,"s":{"q":"1"}}'], 1),
     ])
     def test_composite_characteristic_exit_3(self, capsys, argv, witness):
         code, out, _ = run(capsys, argv)
@@ -334,8 +360,6 @@ INVALID_PAYLOADS = [
      2, "classify: 'padic' was expected"),
     ("classify", {"field": {"backend": "gf", "p": 2}, "point": DISC},
      2, "classify: {'backend': 'gf', 'p': 2} is not valid under any of the given schemas"),
-    ("classify", {"field": {"backend": "puiseux", "char": 1}, "point": DISC},
-     2, 'char must be 0 or a prime'),
     ("skeleton", {"centers": []},
      2, 'skeleton: [] should be non-empty'),
     ("skeleton", {"centers": [0], "format": "svg"},
@@ -401,7 +425,9 @@ INVALID_PAYLOADS = [
 
 @pytest.mark.parametrize(
     "command,payload,code,detail", INVALID_PAYLOADS,
-    ids=[f"{case[0]}-{i}" for i, case in enumerate(INVALID_PAYLOADS)])
+    # numbered as first recorded; case 11 (char 1) now exits 3, see
+    # test_composite_characteristic_exit_3
+    ids=[f"{case[0]}-{i + (i >= 11)}" for i, case in enumerate(INVALID_PAYLOADS)])
 def test_invalid_payload_detail(capsys, tmp_path, command, payload, code,
                                 detail):
     prob = tmp_path / "p.json"

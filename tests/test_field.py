@@ -93,7 +93,7 @@ class TestCharacteristic:
         return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
     def test_small_values_match_trial_division(self):
-        for n in range(2, 1500):
+        for n in range(1, 1500):
             if self._trial_division(n):
                 assert PuiseuxField(n).char == n and PadicField(n).p == n
             else:

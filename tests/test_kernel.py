@@ -1,32 +1,10 @@
-"""The compiled kernel and the pure fallback must agree bit for bit."""
+"""Exact F_p products through the integer-lattice kernel route."""
 
 import random
 from fractions import Fraction
 
 from berkline import Polynomial, PuiseuxField
-from berkline import kernel as kmod
-from berkline._purekernel import poly_mul_modp as pure_mul
-
-
-def random_encoding(rng, ncoeffs, p, max_terms=3):
-    counts, exps, cofs = [], [], []
-    for _ in range(ncoeffs):
-        terms = sorted(rng.sample(range(-20, 40), rng.randint(0, max_terms)))
-        counts.append(len(terms))
-        for e in terms:
-            exps.append(e)
-            cofs.append(rng.randint(1, p - 1))
-    return counts, exps, cofs
-
-
-def test_selected_kernel_matches_pure():
-    rng = random.Random(77)
-    for _ in range(60):
-        p = rng.choice([2, 3, 5, 7])
-        a = random_encoding(rng, rng.randint(1, 9), p)
-        b = random_encoding(rng, rng.randint(1, 9), p)
-        assert kmod.poly_mul_modp(*a, *b, p) == tuple(pure_mul(*a, *b, p)) \
-            or kmod.poly_mul_modp(*a, *b, p) == pure_mul(*a, *b, p)
+from berkline import poly as poly_mod
 
 
 def reference_poly_mul(f, g):
@@ -56,6 +34,25 @@ def test_fast_path_matches_reference():
             if f.is_zero() or g.is_zero():
                 continue
             assert (f * g).coeffs == reference_poly_mul(f, g).coeffs
+    # lattices far above 512 (lcm(1024, 3) here) and exponents far above
+    # 2**40 / lattice, which once sent products to the generic route
+    wide = [Fraction(1, 1024), Fraction(2, 3), Fraction(-5, 3), Fraction(0),
+            Fraction(2**40), Fraction(2**41 + 1, 1024), Fraction(3**30, 7)]
+    for char in (2, 3, 5):
+        fld = PuiseuxField(char)
+        for _ in range(20):
+            def mk():
+                return Polynomial.from_coeffs(fld, [
+                    fld.elem([(rng.choice(wide), rng.randint(1, char - 1))
+                              for _ in range(rng.randint(1, 3))])
+                    for _ in range(rng.randint(1, 4))])
+
+            f, g = mk(), mk()
+            if f.is_zero() or g.is_zero():
+                continue
+            fast = poly_mod._try_kernel_mul(f, g)
+            assert fast is not None
+            assert fast.coeffs == reference_poly_mul(f, g).coeffs
 
 
 def test_power_tower_consistency():
