@@ -2,8 +2,9 @@
 
 A polynomial stores its coefficients in the variable (T - center); recentering
 is an exact Taylor shift.  Rational functions keep numerator and denominator
-over the same center and may carry the root lists they were built from, which
-later drives exact divisor bookkeeping without any root finding.
+over the same center and may carry the root lists they were built from.  Once
+proven complete by exact division (``RationalFunction.certified_roots``), those
+lists answer divisor bookkeeping directly, without any root finding.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernel
-from .errors import BackendMismatch, ZeroDenominator
+from .errors import BackendMismatch, NotCertified, ZeroDenominator
 from .field import INF, PuiseuxField
 
 
@@ -243,6 +245,33 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @cached_property
+    def certified_roots(self):
+        """(num_roots, den_roots) once proven to be the complete root lists.
+
+        Proven means: each list is as long as its polynomial's degree, every
+        coefficient and root is exact, and dividing out the listed roots one
+        by one leaves an exact zero remainder each time.  Returns None when a
+        list is partial or something is inexact; raises NotCertified, with
+        the side and the index of the first failing root as witness, when a
+        remainder is provably nonzero.  Computed once per instance.
+        """
+        sides = (("num", self.num, self.num_roots),
+                 ("den", self.den, self.den_roots))
+        for _, poly, roots in sides:
+            if len(roots) != poly.degree:
+                return None
+            if not all(c.is_exact for c in (*poly.coeffs, *roots)):
+                return None
+        for which, poly, roots in sides:
+            for i, r in enumerate(roots):
+                poly, rem = poly.divide_linear(r)
+                if not rem.is_zero():
+                    raise NotCertified(
+                        f"{which}_roots[{i}] is not a root of the {which}",
+                        witness={"which": which, "index": i})
+        return self.num_roots, self.den_roots
+
     def recenter(self, a):
         return RationalFunction(
             self.num.recenter(a), self.den.recenter(a), self.reduced,
@@ -292,18 +321,22 @@ def rat_normalize(num: Polynomial, den: Polynomial,
     num_roots = list(num_roots or ())
     den_roots = list(den_roots or ())
     lists_given = bool(num_roots or den_roots)
-    remaining_den = list(den_roots)
+    remaining_den = list(enumerate(den_roots))
     kept_num = []
-    for r in num_roots:
-        hit = next((i for i, s in enumerate(remaining_den) if s.agrees_with(r)), None)
+    for i, r in enumerate(num_roots):
+        hit = next((k for k, (_, s) in enumerate(remaining_den)
+                    if s.agrees_with(r)), None)
         if hit is None:
             kept_num.append(r)
             continue
-        remaining_den.pop(hit)
+        j, _ = remaining_den.pop(hit)
         num, rem_n = num.divide_linear(r)
         den, rem_d = den.divide_linear(r)
-        if not rem_n.is_zero() or not rem_d.is_zero():
-            raise ValueError("supplied root does not divide exactly")
+        for which, index, rem in (("num", i, rem_n), ("den", j, rem_d)):
+            if not rem.is_zero():
+                raise NotCertified(
+                    f"{which}_roots[{index}] does not divide the {which} "
+                    "exactly", witness={"which": which, "index": index})
     return RationalFunction(num, den, reduced=lists_given,
                             num_roots=tuple(kept_num),
-                            den_roots=tuple(remaining_den))
+                            den_roots=tuple(s for _, s in remaining_den))

@@ -3,7 +3,8 @@
 A domain here is a closed bounding disc minus finitely many pairwise disjoint
 excluded discs (each open or closed).  Certification that a rational function
 is a unit on a domain, boundary degrees, direction slopes at type-2 points and
-the 1-unit homotopy decision all reduce to Newton-polygon root counting after
+the 1-unit homotopy decision all reduce to counting roots in discs: counted
+from certified complete root lists when present, else by Newton polygons after
 recentering, so every answer is exact; no roots are ever computed.
 """
 
@@ -128,10 +129,29 @@ class Domain:
         return self.center.field
 
 
-def _roots_inside_domain(g: Polynomial, dom: Domain) -> int:
-    total = roots_in_disc(g, dom.center, dom.s, closed=True)
+def _sides(f: RationalFunction):
+    """((num, its roots), (den, its roots)), each root list None unless f
+    carries certified complete lists; raises NotCertified on a wrong list."""
+    lists = f.certified_roots
+    if lists is None:
+        return (f.num, None), (f.den, None)
+    return (f.num, lists[0]), (f.den, lists[1])
+
+
+def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
+    """Roots of g with v(z - center) >= s (closed) or > s (open): counted from
+    its certified root list when given, else from a Newton polygon."""
+    if roots is None:
+        return roots_in_disc(g, center, s, closed=closed)
+    if closed:
+        return sum(1 for r in roots if _dist(r, center) >= s)
+    return sum(1 for r in roots if _dist(r, center) > s)
+
+
+def _roots_inside_domain(g: Polynomial, roots, dom: Domain) -> int:
+    total = _count_in_disc(g, roots, dom.center, dom.s)
     for d in dom.excluded:
-        total -= roots_in_disc(g, d.center, d.s, closed=d.closed)
+        total -= _count_in_disc(g, roots, d.center, d.s, d.closed)
     return total
 
 
@@ -146,8 +166,8 @@ def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
     """Certify that f has neither zeros nor poles on the domain."""
     if f.is_zero():
         raise ZeroElement("the zero function is not a unit anywhere")
-    for which, poly in (("num", f.num), ("den", f.den)):
-        count = _roots_inside_domain(poly, dom)
+    for which, (poly, roots) in zip(("num", "den"), _sides(f)):
+        count = _roots_inside_domain(poly, roots, dom)
         if count > 0:
             raise VanishesOnDomain(
                 f"{which} has {count} root(s) on the domain",
@@ -179,24 +199,25 @@ def boundary_degrees(f: RationalFunction, dom: Domain):
         reduced_unit(f, dom)
     except VanishesOnDomain as exc:
         raise NotCertified(str(exc), witness=exc.witness) from exc
-    out = []
-    for d in dom.excluded:
-        z = roots_in_disc(f.num, d.center, d.s, closed=d.closed)
-        p = roots_in_disc(f.den, d.center, d.s, closed=d.closed)
-        out.append(z - p)
-    return tuple(out)
+    (num, zeros), (den, poles) = _sides(f)
+    return tuple(_count_in_disc(num, zeros, d.center, d.s, d.closed)
+                 - _count_in_disc(den, poles, d.center, d.s, d.closed)
+                 for d in dom.excluded)
 
 
 def exterior_degree(f: RationalFunction, dom: Domain) -> int:
     """(zeros - poles) beyond the bounding disc, with the point at infinity
     contributing deg(den) - deg(num)."""
-    def beyond(poly):
+    def beyond(poly, roots):
+        if roots is not None:
+            return sum(1 for r in roots if _dist(r, dom.center) < dom.s)
         g = poly.recenter(dom.center)
         np_ = newton_polygon(g)
         return sum(w for sigma, w in np_.root_valuations()
                    if LogValue(sigma) < dom.s)
 
-    return (beyond(f.num) - beyond(f.den)) + (f.den.degree - f.num.degree)
+    (num, zeros), (den, poles) = _sides(f)
+    return (beyond(num, zeros) - beyond(den, poles)) + (den.degree - num.degree)
 
 
 def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
@@ -209,6 +230,7 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
     """
     if classify(x).type != 2:
         raise ValueError("direction slopes are defined at type-2 points")
+    (num, zeros), (den, poles) = _sides(f)
     if directions is None:
         directions = list(f.num_roots) + list(f.den_roots)
         if f.num.degree > len(f.num_roots) or f.den.degree > len(f.den_roots):
@@ -225,20 +247,20 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
             reps.append(b)
     reps.sort(key=lambda b: b.canonical_str())
 
-    def count(poly, center, strict_inside):
-        return roots_in_disc(poly, center, x.s, closed=not strict_inside)
+    def count(poly, roots, center, strict_inside):
+        return _count_in_disc(poly, roots, center, x.s, not strict_inside)
 
     slopes = {}
     assigned_z = assigned_p = 0
     for b in reps:
-        z = count(f.num, b, True)
-        p = count(f.den, b, True)
+        z = count(num, zeros, b, True)
+        p = count(den, poles, b, True)
         assigned_z += z
         assigned_p += p
         slopes[f"dir:{b.canonical_str()}"] = z - p
     # "up" holds everything at distance < s from the center, plus infinity
-    in_closed_z = count(f.num, x.center, False)
-    in_closed_p = count(f.den, x.center, False)
+    in_closed_z = count(num, zeros, x.center, False)
+    in_closed_p = count(den, poles, x.center, False)
     up = ((f.num.degree - in_closed_z) - (f.den.degree - in_closed_p)
           + (f.den.degree - f.num.degree))
     slopes["up"] = up
@@ -318,46 +340,40 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
     h_den = n0 * d1
     if h_num.is_zero():
         return True
+    zero = LogValue(Fraction(0))
 
-    def v_at(center, s: LogValue) -> LogValue:
-        return (gauss_valuation(h_num, center, s)
-                - gauss_valuation(h_den, center, s))
+    def positive(gn: Polynomial, gd: Polynomial, s: LogValue) -> bool:
+        """v(h) > 0 at D(center, s), for gn/gd = h written at that center."""
+        return gauss_valuation(gn, None, s) - gauss_valuation(gd, None, s) > zero
 
-    # bounding point is part of the (closed) domain
-    if not v_at(c0, dom.s) > LogValue(Fraction(0)):
+    # bounding point is part of the (closed) domain; h is written at c0
+    if not positive(h_num, h_den, dom.s):
         return False
 
     for d in dom.excluded:
-        breaks = set()
-        for poly in (h_num, h_den):
-            g = poly.recenter(d.center)
-            for sigma, _ in newton_polygon(g).root_valuations():
-                lv = LogValue(sigma)
-                if dom.s < lv < d.s:
-                    breaks.add(lv)
+        gn, gd = h_num.recenter(d.center), h_den.recenter(d.center)
+        np_n, np_d = newton_polygon(gn), newton_polygon(gd)
+        sigmas = [LogValue(sigma) for np_ in (np_n, np_d)
+                  for sigma, _ in np_.root_valuations()]
+        breaks = {lv for lv in sigmas if dom.s < lv < d.s}
         for lv in breaks:
-            if not v_at(d.center, lv) > LogValue(Fraction(0)):
+            if not positive(gn, gd, lv):
                 return False
         if d.s.is_infinite:
             # half-open ray toward a removed classical point: positivity at a
             # witness depth plus a nonnegative terminal slope
-            gn = h_num.recenter(d.center)
-            gd = h_den.recenter(d.center)
-            finite = [LogValue(s) for s, _ in newton_polygon(gn).root_valuations()]
-            finite += [LogValue(s) for s, _ in newton_polygon(gd).root_valuations()]
-            finite = [lv for lv in finite if lv > dom.s] or [dom.s]
+            finite = [lv for lv in sigmas if lv > dom.s] or [dom.s]
             smax = max(finite)
             probe = LogValue(smax.q + 1, smax.e)
-            if not v_at(d.center, probe) > LogValue(Fraction(0)):
+            if not positive(gn, gd, probe):
                 return False
-            slope = newton_polygon(gn).mult0 - newton_polygon(gd).mult0
-            if slope < 0:
+            if np_n.mult0 - np_d.mult0 < 0:
                 return False
         elif d.closed:
             proxy = LogValue(d.s.q, d.s.e - 1)
-            if not v_at(d.center, proxy) > LogValue(Fraction(0)):
+            if not positive(gn, gd, proxy):
                 return False
         else:
-            if not v_at(d.center, d.s) > LogValue(Fraction(0)):
+            if not positive(gn, gd, d.s):
                 return False
     return True

@@ -161,6 +161,33 @@ class TestBalance:
         assert doc["boundary_degrees"] == [2, 1]
         assert sum(doc["boundary_degrees"]) + doc["exterior"] == 0
 
+    @pytest.mark.parametrize("mode", ["domain", "point"])
+    def test_wrong_root_list_exit_3(self, capsys, mode):
+        fld = ser.field_from_json(json.loads(FIELD_Q))
+        from berkline import Polynomial, RationalFunction
+
+        # T listed with the root 1: complete, exact and wrong
+        f = RationalFunction(Polynomial.variable(fld),
+                             Polynomial.from_coeffs(fld, [1]),
+                             num_roots=(fld.one(),))
+        fdoc = json.dumps(ser.ratfunc_to_json(f))
+        extra = {
+            "domain": ["--domain", json.dumps({
+                "bound": {"center": 0, "s": {"q": "-1"}},
+                "excluded": [{"center": 0, "s": {"q": "1"}, "closed": True}],
+            })],
+            "point": ["--point", json.dumps({
+                "kind": "disc", "center": {"backend": "puiseux", "char": 0,
+                                           "terms": [], "prec": "inf"},
+                "s": {"q": "1"}})],
+        }[mode]
+        code, out, _ = run(capsys, ["balance", "--field", FIELD_Q,
+                                    "--f", fdoc] + extra)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["error"] == "NotCertified"
+        assert doc["witness"] == {"which": "num", "index": 0}
+
 
 class TestHomotopy:
     def test_reflexive(self, capsys):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from berkline import INF, PadicField, Polynomial, PuiseuxField, rat_normalize, valuation
-from berkline.errors import (BackendMismatch, DivisionByZero, NotPrime,
-                             PrecisionExhausted, ZeroDenominator)
+from berkline.errors import (BackendMismatch, DivisionByZero, NotCertified,
+                             NotPrime, PrecisionExhausted, ZeroDenominator)
 from conftest import (rand_padic, rand_padic_nonzero, rand_puiseux,
                       rand_puiseux_nonzero)
 
@@ -210,6 +210,26 @@ class TestRationalFunctions:
         T = Polynomial.variable(FQ)
         with pytest.raises(ZeroDenominator):
             rat_normalize(T, Polynomial.from_coeffs(FQ, []))
+
+    def test_shared_root_not_dividing_num(self, FQ):
+        t = FQ.t()
+        num = Polynomial.from_roots(FQ, [t])
+        den = Polynomial.from_roots(FQ, [FQ.one(), FQ.t(2)])
+        with pytest.raises(NotCertified) as exc:
+            rat_normalize(num, den, num_roots=[FQ.t(2)],
+                          den_roots=[FQ.one(), FQ.t(2)])
+        assert exc.value.witness == {"which": "num", "index": 0}
+
+    def test_shared_root_not_dividing_den(self, FQ):
+        # the witness indexes the den list as given, before cancellation
+        t = FQ.t()
+        one, three = FQ.one(), FQ.constant(3)
+        num = Polynomial.from_roots(FQ, [one, t])
+        den = Polynomial.from_roots(FQ, [one, three, FQ.constant(4)])
+        with pytest.raises(NotCertified) as exc:
+            rat_normalize(num, den, num_roots=[one, t],
+                          den_roots=[one, three, t])
+        assert exc.value.witness == {"which": "den", "index": 2}
 
 
 def test_recenter_exact_example(FQ):

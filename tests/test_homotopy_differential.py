@@ -110,6 +110,20 @@ CASES = [
          ExcludedDisc(FQ.zero(), lv(1), closed=True),
          ExcludedDisc(FQ.one(), lv(1), closed=True),
      )), True),
+    # with u = T - 1: h = f1/f0 - 1 = -t u / (2 (u - t)^2).  On the path
+    # from the bounding point to the hole at 1, v(h) is 1 at D(0, 0) and 0 at
+    # the interior breakpoint D(1, 1) that the double pole at 1 + t puts
+    # there, past the branch off the bounding center: the first check that
+    # fails evaluates h written at that hole's center
+    ("interior breakpoint",
+     rf(Polynomial.from_roots(FQ, [FQ.one() + t, FQ.one() + t]),
+        num_roots=[FQ.one() + t, FQ.one() + t]),
+     rf(Polynomial.from_roots(FQ, [FQ.one() + FQ.t(1, 2),
+                                   FQ.one() + FQ.t(1, Fraction(1, 2))]),
+        num_roots=[FQ.one() + FQ.t(1, 2), FQ.one() + FQ.t(1, Fraction(1, 2))]),
+     Domain(FQ.zero(), lv(0), tuple(
+         ExcludedDisc(FQ.one() + FQ.t(1, a), lv(2), closed=True)
+         for a in (0, 1, 2, Fraction(1, 2)))), False),
 ]
 
 
