@@ -2,9 +2,10 @@
 
 Two zero-cycles on the closed annulus: the root-of-unity locus of total mass
 N, and the solution locus of t**N = g(t), located by the Newton polygon of
-t**N den(g) - num(g).  Their mass difference, component by component of a
-section, is the splitting delta; for g = t it returns the original section
-once, and for g = 1 it vanishes.
+t**N den(g) - num(g).  That polygon is built from the nonzero terms only, so
+its cost does not grow with N.  The mass difference of the two loci,
+component by component of a section, is the splitting delta; for g = t it
+returns the original section once, and for g = 1 it vanishes.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundarySolution, NotCertified, VanishesOnDomain
-from .gauss import newton_polygon
+from .errors import (BoundarySolution, NotCertified, VanishesOnDomain,
+                     ZeroPolynomial)
+from .gauss import NewtonPolygon, _classify, _polygon
 from .logvalue import LogValue, ZERO, as_logvalue
 from .poly import Polynomial, RationalFunction
 from .units import Domain, ExcludedDisc, reduced_unit
@@ -26,9 +28,14 @@ class Divisor:
     entries: tuple  # ((LogValue, int), ...)
 
     def __post_init__(self):
+        entries = self.entries
+        if type(entries) is tuple and all(
+                isinstance(s, LogValue) and type(m) is int and m
+                for s, m in entries):
+            return
         object.__setattr__(
             self, "entries",
-            tuple((as_logvalue(s), int(m)) for s, m in self.entries if m),
+            tuple((as_logvalue(s), int(m)) for s, m in entries if m),
         )
 
     @property
@@ -74,8 +81,22 @@ def y1_divisor(N: int, fld) -> Divisor:
             N //= p
             a += 1
     mult = p ** a if p else 1
-    count = N
-    return Divisor(tuple((ZERO, mult) for _ in range(count)))
+    return Divisor(((ZERO, mult),) * N)
+
+
+def _solution_polygon(num: Polynomial, den: Polynomial, N: int) -> NewtonPolygon:
+    """Newton polygon of P = T**N den - num, built from its nonzero terms.
+
+    Adding an exact zero changes no coefficient, precision included, so this
+    is the polygon of the dense P, at a cost independent of N.
+    """
+    terms = {i: -c for i, c in enumerate(num.coeffs)}
+    for j, c in enumerate(den.coeffs):
+        terms[N + j] = c + terms[N + j] if N + j in terms else c
+    known, unknown = _classify(sorted(terms.items()))
+    if not known and not unknown:
+        raise ZeroPolynomial("the zero polynomial has no Newton polygon")
+    return _polygon(known, unknown, max(i for i, _ in known + unknown))
 
 
 def y2_divisor(g: RationalFunction, N: int, ann: AnnulusSpec) -> Divisor:
@@ -94,11 +115,7 @@ def y2_divisor(g: RationalFunction, N: int, ann: AnnulusSpec) -> Divisor:
         reduced_unit(g, ann.domain(fld))
     except VanishesOnDomain as exc:
         raise NotCertified(str(exc), witness=exc.witness) from exc
-    den_shift = Polynomial.from_coeffs(
-        fld, [fld.zero()] * N + list(g.den.coeffs), center
-    )
-    P = den_shift - g.num
-    np_ = newton_polygon(P)
+    np_ = _solution_polygon(g.num, g.den, N)
     entries = []
     for sigma, width in np_.root_valuations():
         lv = LogValue(sigma)
@@ -142,10 +159,9 @@ def splitting_delta(section: SectionData, N: int, ann: AnnulusSpec):
     """
     out = []
     for comp in section.components:
-        fld = comp.g.field
-        m1 = y1_divisor(N, fld).total_mass
+        # y1_divisor(N, fld).total_mass is always N
         m2 = y2_divisor(comp.g, N, ann).total_mass
-        coef = comp.mult * (m1 - m2)
+        coef = comp.mult * (N - m2)
         if coef:
             out.append((comp.u, coef))
     return tuple(out)

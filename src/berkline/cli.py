@@ -66,7 +66,8 @@ def _read_json_arg(text):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, sort_keys=True, separators=(",", ":"))
+    # json.dumps takes the C encoder; json.dump always takes the Python one
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     sys.stdout.write("\n")
 
 

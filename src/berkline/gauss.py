@@ -20,11 +20,17 @@ from .poly import Polynomial
 
 
 def _coeff_values(f: Polynomial, a=None):
-    """(index, valuation) for provably nonzero coefficients, plus lower bounds
-    (index, prec) for truncated zeros whose value is unknown."""
+    """_classify of the coefficients of f, recentered at a if given."""
     g = f if a is None else f.recenter(a)
+    return _classify(enumerate(g.coeffs))
+
+
+def _classify(terms):
+    """(index, valuation) for provably nonzero coefficients, plus lower bounds
+    (index, prec) for truncated zeros whose value is unknown; exact zeros are
+    skipped.  ``terms`` yields (index, coefficient) in increasing index."""
     known, unknown = [], []
-    for i, c in enumerate(g.coeffs):
+    for i, c in terms:
         if c.is_zero():
             continue
         if not c and not c.is_exact:
@@ -147,6 +153,11 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton polygon")
     known, unknown = _coeff_values(f)
+    return _polygon(known, unknown, f.degree)
+
+
+def _polygon(known, unknown, degree) -> NewtonPolygon:
+    """The Newton polygon of the classified points of a nonzero polynomial."""
     if not known:
         raise PrecisionExhausted("all coefficients below their precision bounds")
     pts = sorted(known)
@@ -164,7 +175,7 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
     segments = []
     for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
         segments.append((Fraction(v2 - v1, i2 - i1), i2 - i1))
-    return NewtonPolygon(tuple(hull), tuple(segments), mult0, f.degree)
+    return NewtonPolygon(tuple(hull), tuple(segments), mult0, degree)
 
 
 def _lower_hull(pts):

@@ -240,7 +240,11 @@ def domain_from_json(obj, fld=None):
 
 
 def divisor_to_json(d: Divisor):
-    return [{"s": logvalue_to_json(s), "mult": m} for s, m in d.entries]
+    # Y1 repeats one LogValue object N / p**a times: encode each object once,
+    # keyed by identity, which is cheaper to hash than the value
+    encoded = {id(s): s for s, _ in d.entries}
+    encoded = {k: logvalue_to_json(s) for k, s in encoded.items()}
+    return [{"s": encoded[id(s)], "mult": m} for s, m in d.entries]
 
 
 def cohomology_to_json(res):

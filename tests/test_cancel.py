@@ -1,15 +1,22 @@
 """Y1/Y2 divisor masses and the splitting identity."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
 
 from berkline import (AnnulusSpec, LogValue, PadicField, Polynomial,
                       PuiseuxField, RationalFunction, SectionComponent,
-                      SectionData, UNIT_ANNULUS, splitting_delta, y1_divisor,
-                      y2_divisor)
-from berkline.errors import BoundarySolution, NotCertified
+                      SectionData, UNIT_ANNULUS, newton_polygon,
+                      splitting_delta, y1_divisor, y2_divisor)
+from berkline.cancel import Divisor, _solution_polygon
+from berkline.errors import (BerkError, BoundarySolution, NotCertified,
+                             PrecisionExhausted, ZeroPolynomial)
+from conftest import rand_padic, rand_puiseux
+
+FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(2),
+          PadicField(3)]
 
 lv = lambda q, e=0: LogValue(Fraction(q), Fraction(e))
 
@@ -158,3 +165,154 @@ class TestSplitting:
                 m1 = y1_divisor(N, fld).total_mass
                 m2 = y2_divisor(g, N, UNIT_ANNULUS).total_mass
                 assert m1 - m2 == 1
+
+
+def dense_polygon(num, den, N):
+    """newton_polygon of P = T**N den - num, written out densely."""
+    fld = num.field
+    shifted = Polynomial.from_coeffs(fld, [fld.zero()] * N + list(den.coeffs))
+    return newton_polygon(shifted - num)
+
+
+def outcome(build):
+    try:
+        np_ = build()
+    except BerkError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+    return np_.vertices, np_.segments, np_.mult0, np_.degree
+
+
+def rand_coeff(rng, fld):
+    """An exact element, or over Puiseux fields sometimes one known only
+    below t^prec (a truncated zero when no term lies below the bound)."""
+    if isinstance(fld, PadicField):
+        return rand_padic(rng, fld)
+    x = rand_puiseux(rng, fld, max_terms=2)
+    if rng.random() < 0.3:
+        x = x.truncated(Fraction(rng.randint(0, 6), rng.choice((1, 2))))
+    return x
+
+
+def sections(fld):
+    """(kind, num, den) for g in {t, 1, t*unit, a rational g with den}."""
+    one = Polynomial.from_coeffs(fld, [fld.one()])
+    T = Polynomial.variable(fld)
+    unit = Polynomial.from_coeffs(fld, [fld.one(), fld.zero(), fld.t(3, 2)])
+    den = Polynomial.from_coeffs(fld, [fld.constant(3), fld.t(2), fld.t(1, -1)])
+    num = Polynomial.from_coeffs(fld, [fld.t(1), fld.one(), fld.zero(),
+                                       fld.t(2, 5)])
+    return (("t", T, one), ("1", one, one), ("t*unit", T * unit, one),
+            ("rational", num, den))
+
+
+class TestSolutionPolygon:
+    """The sparse polygon of T**N den - num against the dense newton_polygon."""
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_sections_match_dense(self, fld):
+        # N <= deg num makes the two index ranges overlap
+        for kind, num, den in sections(fld):
+            for N in range(1, 8):
+                want = outcome(lambda: dense_polygon(num, den, N))
+                got = outcome(lambda: _solution_polygon(num, den, N))
+                assert got == want, (kind, N)
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_random_terms_match_dense(self, fld):
+        rng = random.Random(zlib.crc32(repr(fld).encode()))
+        seen = set()
+        for _ in range(300):
+            num = Polynomial.from_coeffs(
+                fld, [rand_coeff(rng, fld) for _ in range(rng.randint(1, 6))])
+            den = Polynomial.from_coeffs(
+                fld, [rand_coeff(rng, fld) for _ in range(rng.randint(1, 4))])
+            N = rng.randint(1, 7)
+            want = outcome(lambda: dense_polygon(num, den, N))
+            got = outcome(lambda: _solution_polygon(num, den, N))
+            assert got == want, (num, den, N)
+            seen.add(want[0] if isinstance(want[0], str) else "polygon")
+        assert "polygon" in seen
+        if isinstance(fld, PuiseuxField):
+            assert "PrecisionExhausted" in seen
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_g_equal_to_T_to_the_N_has_no_polygon(self, fld):
+        one = Polynomial.from_coeffs(fld, [fld.one()])
+        for N in (1, 2, 5):
+            num = Polynomial.variable(fld) ** N
+            with pytest.raises(ZeroPolynomial):
+                dense_polygon(num, one, N)
+            with pytest.raises(ZeroPolynomial):
+                _solution_polygon(num, one, N)
+        with pytest.raises(ZeroPolynomial):
+            y2_divisor(RationalFunction(num, one), 5, UNIT_ANNULUS)
+
+    def test_inexact_coefficient_below_the_hull(self):
+        # P = T**2 - (O(t^-1) T + 1): the unknown middle coefficient could
+        # lie below the flat hull, on both paths
+        fld = PuiseuxField(3)
+        one = Polynomial.from_coeffs(fld, [fld.one()])
+        num = Polynomial.from_coeffs(fld, [fld.one(), fld.elem([], -1)])
+        with pytest.raises(PrecisionExhausted):
+            dense_polygon(num, one, 2)
+        with pytest.raises(PrecisionExhausted):
+            _solution_polygon(num, one, 2)
+
+    @pytest.mark.parametrize("fld", [PuiseuxField(3), PuiseuxField(0),
+                                     PadicField(2)], ids=repr)
+    def test_huge_N_is_cheap(self, fld):
+        # a dense T**N - T could never be stored at this size
+        N = 10 ** 12
+        assert y2_divisor(coordinate(fld), N, UNIT_ANNULUS).total_mass == N - 1
+        section = SectionData(1, (SectionComponent("point", coordinate(fld), 1),))
+        assert splitting_delta(section, N, UNIT_ANNULUS) == (("point", 1),)
+
+
+class TestY1Mass:
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_total_mass_is_N(self, fld):
+        # splitting_delta takes mass(Y1) = N without building Y1
+        p = fld.residue_char
+        for N in (1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 27, 36, 48, 54, 81, 96,
+                  243, 1000):
+            d = y1_divisor(N, fld)
+            assert d.total_mass == N
+            mult = 1
+            while p and N % (mult * p) == 0:
+                mult *= p
+            assert d.entries == ((LogValue(0), mult),) * (N // mult)
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_delta_matches_built_y1(self, fld):
+        for kind, num, den in sections(fld):
+            if kind == "rational":
+                continue
+            g = RationalFunction(num, den)
+            section = SectionData(2, (SectionComponent(kind, g, 2),))
+            for N in (2, 3, 4, 9, 12):
+                m1 = y1_divisor(N, fld).total_mass
+                m2 = y2_divisor(g, N, UNIT_ANNULUS).total_mass
+                coef = 2 * (m1 - m2)
+                assert splitting_delta(section, N, UNIT_ANNULUS) == \
+                    (((kind, coef),) if coef else ())
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_N_below_one_is_rejected(self, N):
+        fld = PuiseuxField(2)
+        section = SectionData(1, (SectionComponent("u", coordinate(fld), 1),))
+        for call in (lambda: y1_divisor(N, fld),
+                     lambda: y2_divisor(coordinate(fld), N, UNIT_ANNULUS),
+                     lambda: splitting_delta(section, N, UNIT_ANNULUS)):
+            with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+                call()
+
+
+class TestDivisorEntries:
+    def test_normal_entries_are_kept(self):
+        entries = ((LogValue(0), 2), (lv(1, 1), -1))
+        assert Divisor(entries).entries is entries
+
+    def test_other_entries_are_coerced(self):
+        d = Divisor([(Fraction(1, 2), 2), (0, 0), (LogValue(1), True)])
+        assert d.entries == ((lv(Fraction(1, 2)), 2), (lv(1), 1))
+        assert all(type(s) is LogValue and type(m) is int for s, m in d.entries)

@@ -234,6 +234,23 @@ class TestCancel:
                                   "--g", "t", "--N", "5"])
         assert (code, len(calls)) == (0, 1)
 
+    def test_emit_bytes_match_json_dump(self, capsys, monkeypatch):
+        # _emit writes json.dumps (C encoder); the bytes must be those of the
+        # json.dump stream writer on a large Y1 payload
+        import io
+        import berkline.cli
+
+        emitted, real = [], berkline.cli._emit
+        monkeypatch.setattr(berkline.cli, "_emit",
+                            lambda obj: (emitted.append(obj), real(obj)))
+        code, out, _ = run(capsys, ["cancel", "--field", FIELD_Q,
+                                    "--g", "1+t", "--N", "100000"])
+        assert code == 0 and len(emitted) == 1
+        ref = io.StringIO()
+        json.dump(emitted[0], ref, sort_keys=True, separators=(",", ":"))
+        assert out == ref.getvalue() + "\n"
+        assert len(json.loads(out)["y1"]) == 100000
+
     def test_unit_g_has_empty_delta(self, capsys):
         code, out, _ = run(capsys, ["cancel", "--field", FIELD_F2,
                                     "--g", "1", "--N", "5"])

@@ -6,6 +6,7 @@ inequality must hold at every sampled point of the domain.
 """
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -136,7 +137,7 @@ def test_known_answers(name, f0, f1, dom, expected):
 @pytest.mark.parametrize("name,f0,f1,dom,expected",
                          CASES, ids=[c[0] for c in CASES])
 def test_sampling_consistency(name, f0, f1, dom, expected):
-    rng = random.Random(hash(name) % 100_000)
+    rng = random.Random(zlib.crc32(name.encode()))
     zero = lv(0)
     samples = sample_points(rng, dom, count=150)
     values = [v_of_difference(f0, f1, a, s) for a, s in samples]
