@@ -1,10 +1,13 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
-Exit codes: 0 success, 2 malformed input (argument, JSON, or schema errors),
-3 domain errors, which print a machine-readable {"error": ..., "witness": ...}
-object, 1 when stdout is closed before the output is written (say, piped into
-`head`).  Payloads are validated before dispatch against the command's entry
-in ``schemas/berkline.schema.json``, shipped with the package.
+Exit codes: 0 success, 2 malformed input (argument, JSON, or schema errors,
+and rationals with a zero denominator), 3 domain errors, which print a
+machine-readable {"error": ..., "witness": ...} object, 1 when stdout is
+closed before the output is written (say, piped into `head`), and 4 for any
+other exception, a defect in berkline itself, reported as
+{"error": "internal", "detail": "<type>: <message>"} on stderr instead of a
+traceback.  Payloads are validated before dispatch against the command's
+entry in ``schemas/berkline.schema.json``, shipped with the package.
 """
 
 from __future__ import annotations
@@ -309,6 +312,14 @@ def _run(args) -> int:
         print(json.dumps({"error": "schema", "detail": str(exc)}),
               file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
+        # a defect, not bad input: report it without a traceback
+        print(json.dumps({"error": "internal",
+                          "detail": f"{type(exc).__name__}: {exc}"}),
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -2,9 +2,15 @@
 
 Two backends are provided:
 
-* truncated Puiseux series t**q with strictly increasing rational exponents,
-  coefficients either in a prime field F_p or in Q, and a per-element
-  exclusive precision bound (``math.inf`` marks an exact element);
+* truncated Puiseux series t**q with coefficients either in a prime field F_p
+  or in Q, and a per-element exclusive precision bound (``math.inf`` marks an
+  exact element).  Exponents live on an integer lattice: an element stores
+  strictly increasing ints ``exps`` over one positive denominator ``den``,
+  reduced so that gcd(den, *exps) == 1, and all exponent arithmetic in
+  ``+``, ``*``, ``inverse``, ``truncated`` and ``agrees_with`` is on ints
+  (``+`` and ``*`` work on the lcm of the operands' denominators).  The
+  ``Fraction`` view ``terms`` is derived on demand.  The F_p product kernel
+  reads the same lattice, so there is one encoding;
 * p-adic rationals, stored exactly as a reduced fraction.
 
 The norm normalization is |x| = 2**(-v(x)) throughout, so the uniformizer
@@ -13,9 +19,12 @@ The norm normalization is |x| = 2**(-v(x)) throughout, so the uniformizer
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted
 
@@ -101,17 +110,6 @@ class PuiseuxField:
     def _cadd(self, a, b):
         return (a + b) % self.char if self.char else a + b
 
-    def _cmul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
-
-    def _cneg(self, a):
-        return (-a) % self.char if self.char else -a
-
-    def _cinv(self, a):
-        if self.char:
-            return pow(a, -1, self.char)
-        return 1 / a
-
     def elem(self, terms, prec=INF) -> "PuiseuxElem":
         """Build an element from (exponent, coefficient) pairs.
 
@@ -119,15 +117,13 @@ class PuiseuxField:
         the precision bound truncated away.
         """
         prec = prec if prec == INF else _frac(prec)
-        merged = {}
-        for e, c in terms:
-            e = _frac(e)
-            c = self._cnorm(c)
-            if e in merged:
-                c = self._cadd(merged[e], c)
-            merged[e] = c
-        out = tuple(sorted((e, c) for e, c in merged.items() if c != 0 and e < prec))
-        return PuiseuxElem(self, out, prec)
+        pairs = [(_frac(e), self._cnorm(c)) for e, c in terms]
+        den = math.lcm(*(e.denominator for e, _ in pairs))
+        acc = {}
+        for e, c in pairs:
+            e = e.numerator * (den // e.denominator)
+            acc[e] = self._cadd(acc[e], c) if e in acc else c
+        return _lattice_elem(self, acc, den, prec)
 
     def constant(self, c) -> "PuiseuxElem":
         return self.elem([(Fraction(0), c)])
@@ -186,15 +182,67 @@ class PadicField:
 
 
 def _check_same_field(x, y):
-    if x.field != y.field:
+    if x.field is not y.field and x.field != y.field:
         raise BackendMismatch(f"mixed operands: {x.field!r} vs {y.field!r}")
+
+
+def _lattice_bound(prec, den) -> int:
+    """ceil(prec*den) for a Fraction prec: for an int e, e/den < prec exactly
+    when e < _lattice_bound(prec, den)."""
+    return -(-prec.numerator * den // prec.denominator)
+
+
+def _lattice_elem(fld, acc, den, prec) -> "PuiseuxElem":
+    """The canonical element sum(c * t**(e/den) for e, c in acc.items()).
+
+    ``acc`` maps integer exponents on the lattice (1/den)Z to coefficients
+    already reduced for the field; ``prec`` is INF or a Fraction.  Zero
+    coefficients are dropped, exponents at or above ``prec`` truncated, and
+    the lattice coarsened until gcd(den, *exps) == 1, so that equal values
+    have equal fields.
+    """
+    if prec == INF:
+        exps = sorted(e for e, c in acc.items() if c)
+    else:
+        bound = _lattice_bound(prec, den)
+        exps = sorted(e for e, c in acc.items() if c and e < bound)
+    coefs = tuple([acc[e] for e in exps])
+    if den != 1:
+        g = math.gcd(den, *exps)
+        if g != 1:
+            den //= g
+            exps = [e // g for e in exps]
+    return PuiseuxElem(fld, tuple(exps), coefs, den, prec)
 
 
 @dataclass(frozen=True)
 class PuiseuxElem:
+    """sum(coefs[i] * t**(exps[i]/den)) + O(t**prec), in canonical form.
+
+    ``exps`` are strictly increasing ints, ``den`` is positive with
+    gcd(den, *exps) == 1 (so 1 when there are no terms), and ``prec`` is an
+    exclusive Fraction bound or INF.  Results are built by ``_lattice_elem``,
+    except where they are canonical by construction (negation, zeros, the
+    inverse of a monomial).  Equal values therefore have equal fields, which
+    is what equality and hash compare.
+    """
+
     field: PuiseuxField
-    terms: tuple          # ((exp, coeff), ...) exponents strictly increasing
-    prec: object          # exclusive Fraction bound, or math.inf when exact
+    exps: tuple
+    coefs: tuple
+    den: int
+    prec: object
+
+    @cached_property
+    def terms(self) -> tuple:
+        """((exponent, coefficient), ...) with Fraction exponents, increasing."""
+        den = self.den
+        return tuple((Fraction(e, den), c) for e, c in zip(self.exps, self.coefs))
+
+    @cached_property
+    def _lead(self) -> Fraction:
+        """The leading exponent; valuations ask for it again and again."""
+        return Fraction(self.exps[0], self.den)
 
     @property
     def is_exact(self) -> bool:
@@ -202,7 +250,7 @@ class PuiseuxElem:
 
     def is_zero(self) -> bool:
         """True only for the exact zero; a truncated zero is indeterminate."""
-        return not self.terms and self.is_exact
+        return not self.exps and self.prec == INF
 
     def valuation(self):
         """Leading exponent; +infinity for the exact zero.
@@ -210,8 +258,8 @@ class PuiseuxElem:
         A truncated zero only bounds the valuation from below, so asking for
         its exact valuation fails loudly.
         """
-        if self.terms:
-            return self.terms[0][0]
+        if self.exps:
+            return self._lead
         if self.is_exact:
             return INF
         raise PrecisionExhausted(
@@ -219,19 +267,41 @@ class PuiseuxElem:
         )
 
     def valuation_lower_bound(self):
-        return self.terms[0][0] if self.terms else self.prec
+        return self._lead if self.exps else self.prec
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.exps)
+
+    def _aligned(self, other):
+        """Both operands' exponents on their common lattice, and its den."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return self.exps, other.exps, d1
+        den = math.lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        return ([e * s1 for e in self.exps] if s1 != 1 else self.exps,
+                [e * s2 for e in other.exps] if s2 != 1 else other.exps, den)
 
     def __add__(self, other):
         _check_same_field(self, other)
-        prec = min(self.prec, other.prec)
-        return self.field.elem(self.terms + other.terms, prec)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        xs, ys, den = self._aligned(other)
+        acc = dict(zip(xs, self.coefs))
+        p = self.field.char
+        for e, c in zip(ys, other.coefs):
+            if e in acc:
+                c = (acc[e] + c) % p if p else acc[e] + c
+            acc[e] = c
+        return _lattice_elem(self.field, acc, den, min(self.prec, other.prec))
 
     def __neg__(self):
-        f = self.field
-        return PuiseuxElem(f, tuple((e, f._cneg(c)) for e, c in self.terms), self.prec)
+        p = self.field.char
+        coefs = tuple([(-c) % p for c in self.coefs] if p
+                      else [-c for c in self.coefs])
+        return PuiseuxElem(self.field, self.exps, coefs, self.den, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -242,74 +312,106 @@ class PuiseuxElem:
         _check_same_field(self, other)
         f = self.field
         if self.is_zero() or other.is_zero():
-            return PuiseuxElem(f, (), INF)
-        # standard series rule: the product is known modulo
-        # t**min(prec_x + v(y), prec_y + v(x))
-        prec = min(
-            self.prec + other.valuation_lower_bound(),
-            other.prec + self.valuation_lower_bound(),
-        )
-        if not self.terms or not other.terms:
-            return PuiseuxElem(f, (), prec)
+            return PuiseuxElem(f, (), (), 1, INF)
+        if self.prec == INF and other.prec == INF:
+            prec = INF
+        else:
+            # standard series rule: the product is known modulo
+            # t**min(prec_x + v(y), prec_y + v(x))
+            prec = min(
+                self.prec + other.valuation_lower_bound(),
+                other.prec + self.valuation_lower_bound(),
+            )
+        if not self.exps or not other.exps:
+            return PuiseuxElem(f, (), (), 1, prec)
+        xs, ys, den = self._aligned(other)
+        ys = list(zip(ys, other.coefs))
         acc = {}
-        cmul, cadd = f._cmul, f._cadd
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in zip(xs, self.coefs):
+            for e2, c2 in ys:
                 e = e1 + e2
                 if e in acc:
-                    acc[e] = cadd(acc[e], cmul(c1, c2))
+                    acc[e] += c1 * c2
                 else:
-                    acc[e] = cmul(c1, c2)
-        out = tuple(sorted((e, c) for e, c in acc.items() if c != 0 and e < prec))
-        return PuiseuxElem(f, out, prec)
+                    acc[e] = c1 * c2
+        p = f.char
+        if p:
+            acc = {e: c % p for e, c in acc.items()}
+        return _lattice_elem(f, acc, den, prec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PuiseuxElem":
-        if not self.terms:
+        if not self.exps:
             if self.is_exact:
                 raise DivisionByZero("inverse of zero")
             raise PrecisionExhausted(
                 "cannot invert an element known only below its precision bound"
             )
         f = self.field
-        v0, c0 = self.terms[0]
-        c0inv = f._cinv(c0)
-        if self.is_exact and len(self.terms) == 1:
-            return f.elem([(-v0, c0inv)])
+        p = f.char
+        den = self.den
+        e0, c0 = self.exps[0], self.coefs[0]
+        c0inv = pow(c0, -1, p) if p else 1 / c0
+        if self.is_exact and len(self.exps) == 1:
+            return PuiseuxElem(f, (-e0,), (c0inv,), den, INF)
         # write self = c0 t**v0 (1 + h) and solve (1 + h) g = 1 term by term,
-        # up to the attainable precision
+        # in increasing exponent order, up to the attainable precision
+        v0 = self._lead
         unit_prec = self.prec - v0 if self.prec != INF else f.working_prec
-        h = [(e - v0, f._cmul(c, c0inv)) for e, c in self.terms[1:]]
-        g = {Fraction(0): 1}
-        residual = {e: c for e, c in h if e < unit_prec}
-        while residual:
-            e0 = min(residual)
-            c = residual.pop(e0)
-            if c == 0:
+        bound = _lattice_bound(unit_prec, den)
+        h = [(e - e0, c * c0inv % p if p else c * c0inv)
+             for e, c in zip(self.exps[1:], self.coefs[1:])]
+        g = {0: 1}
+        residual = {e: c for e, c in h if e < bound}
+        heap = list(residual)
+        heapq.heapify(heap)
+        while heap:
+            ek = heapq.heappop(heap)
+            c = residual.pop(ek)
+            if p:
+                c %= p
+            if not c:
                 continue
-            g[e0] = f._cadd(g.get(e0, 0), f._cneg(c))
+            # every exponent still queued is above ek, so g has no ek yet
+            g[ek] = (-c) % p if p else -c
             for ej, cj in h:
-                e = e0 + ej
-                if e < unit_prec:
-                    residual[e] = f._cadd(residual.get(e, 0),
-                                          f._cneg(f._cmul(c, cj)))
-        return f.elem([(e - v0, f._cmul(c, c0inv)) for e, c in g.items()],
-                      unit_prec - v0)
+                e = ek + ej
+                if e >= bound:
+                    break
+                if e in residual:
+                    residual[e] -= c * cj
+                else:
+                    residual[e] = -c * cj
+                    heapq.heappush(heap, e)
+        acc = {e - e0: (c * c0inv % p if p else c * c0inv) for e, c in g.items()}
+        return _lattice_elem(f, acc, den, unit_prec - v0)
 
     def truncated(self, prec) -> "PuiseuxElem":
         """The same element, known only below the given exponent bound."""
-        return self.field.elem(self.terms, min(self.prec, prec))
+        prec = min(self.prec, prec)
+        prec = prec if prec == INF else _frac(prec)
+        return _lattice_elem(self.field, dict(zip(self.exps, self.coefs)),
+                             self.den, prec)
+
+    def _known_below(self, prec) -> int:
+        """How many leading terms lie below the exponent bound ``prec``."""
+        if prec == INF:
+            return len(self.exps)
+        return bisect.bisect_left(self.exps, _lattice_bound(prec, self.den))
 
     def agrees_with(self, other) -> bool:
         """Equality of the two elements modulo the coarser precision."""
         _check_same_field(self, other)
         prec = min(self.prec, other.prec)
-        trim = lambda t: tuple((e, c) for e, c in t if e < prec)
-        return trim(self.terms) == trim(other.terms)
+        k = self._known_below(prec)
+        if k != other._known_below(prec) or self.coefs[:k] != other.coefs[:k]:
+            return False
+        d1, d2 = self.den, other.den
+        return all(a * d2 == b * d1 for a, b in zip(self.exps[:k], other.exps[:k]))
 
     def canonical_str(self) -> str:
-        if not self.terms:
+        if not self.exps:
             return "0"
         parts = []
         for e, c in self.terms:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 
 from . import kernel
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
-from .field import INF, PuiseuxField
+from .field import INF, PuiseuxField, _lattice_elem
 
 
 @dataclass(frozen=True)
@@ -178,27 +177,31 @@ class Polynomial:
 
 
 def _try_kernel_mul(f: Polynomial, g: Polynomial):
-    """Route exact prime-field puiseux products through the convolution kernel."""
+    """Route exact prime-field puiseux products through the convolution kernel.
+
+    Every coefficient already sits on its own integer exponent lattice; the
+    kernel gets them all scaled onto the lcm of their denominators.
+    """
     fld = f.field
     if not isinstance(fld, PuiseuxField) or fld.char == 0:
         return None
-    dens = set()
+    dens = []
     for poly in (f, g):
-        if not any(c.terms for c in poly.coeffs):
+        if not any(c.exps for c in poly.coeffs):
             return None
         for c in poly.coeffs:
             if c.prec != INF:
                 return None
-            dens.update(e.denominator for e, _ in c.terms)
+            dens.append(c.den)
     lat = math.lcm(*dens)
 
     def encode(poly):
         counts, exps, cofs = [], [], []
         for c in poly.coeffs:
-            counts.append(len(c.terms))
-            for e, coef in c.terms:
-                exps.append(int(e * lat))
-                cofs.append(coef)
+            counts.append(len(c.exps))
+            scale = lat // c.den
+            exps.extend(c.exps if scale == 1 else [e * scale for e in c.exps])
+            cofs.extend(c.coefs)
         return counts, exps, cofs
 
     cf, ef, kf = encode(f)
@@ -206,14 +209,11 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial):
     counts, exps, cofs = kernel.poly_mul_modp(cf, ef, kf, cg, eg, kg, fld.char)
     out = []
     pos = 0
-    from .field import PuiseuxElem
-
     for cnt in counts:
-        terms = tuple(
-            (Fraction(exps[pos + t], lat), cofs[pos + t]) for t in range(cnt)
-        )
-        pos += cnt
-        out.append(PuiseuxElem(fld, terms, INF))
+        end = pos + cnt
+        out.append(_lattice_elem(fld, dict(zip(exps[pos:end], cofs[pos:end])),
+                                 lat, INF))
+        pos = end
     while out and out[-1].is_zero():
         out.pop()
     return Polynomial(f.center, tuple(out))

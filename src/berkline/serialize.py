@@ -7,6 +7,7 @@ their backend tag so a document is self-describing given the field config.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -24,12 +25,21 @@ def frac_to_json(x) -> str:
     return str(Fraction(x))
 
 
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), with a zero denominator reported as malformed input."""
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"zero denominator in {'/'.join(map(str, args))}") from None
+
+
 def frac_from_json(s) -> Fraction:
     if isinstance(s, bool):
         raise ValueError("not a rational")
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    return _fraction(str(s))
 
 
 def logvalue_to_json(s: LogValue):
@@ -65,11 +75,12 @@ def field_from_json(obj):
 
 def elem_to_json(x):
     if isinstance(x, PuiseuxElem):
-        terms = [
-            [e.numerator, e.denominator,
-             c if x.field.char else frac_to_json(c)]
-            for e, c in x.terms
-        ]
+        # each exponent in lowest terms, as a Fraction would print it
+        den, char = x.den, x.field.char
+        terms = []
+        for e, c in zip(x.exps, x.coefs):
+            g = math.gcd(e, den)
+            terms.append([e // g, den // g, c if char else frac_to_json(c)])
         prec = "inf" if x.prec == INF else [x.prec.numerator, x.prec.denominator]
         return {"backend": "puiseux", "char": x.field.char,
                 "terms": terms, "prec": prec}
@@ -89,12 +100,12 @@ def elem_from_json(obj, fld=None):
         if fld is not None and fld != want:
             raise ValueError("element backend disagrees with the field config")
         terms = [
-            (Fraction(int(en), int(ed)),
+            (_fraction(int(en), int(ed)),
              int(c) if want.char else frac_from_json(c))
             for en, ed, c in obj.get("terms", [])
         ]
         prec = obj.get("prec", "inf")
-        prec = INF if prec == "inf" else Fraction(int(prec[0]), int(prec[1]))
+        prec = INF if prec == "inf" else _fraction(int(prec[0]), int(prec[1]))
         return want.elem(terms, prec)
     if obj["backend"] == "padic":
         want = PadicField(p=int(obj["p"]))
@@ -122,9 +133,9 @@ def parse_elem_literal(fld, text):
         m = _MONOMIAL.match(part)
         if not m or not part.strip():
             raise ValueError(f"cannot parse element literal {part!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         has_t = "t" in part
-        exp = Fraction(m.group("exp")) if m.group("exp") else Fraction(1)
+        exp = _fraction(m.group("exp")) if m.group("exp") else Fraction(1)
         if not has_t:
             total = total + fld.constant(coef)
         elif fld.backend == "puiseux":

@@ -57,10 +57,9 @@ def unit_class(c) -> UnitClass:
     if c.is_zero():
         raise ZeroElement("the zero element has no unit class")
     if isinstance(c, PuiseuxElem):
-        if not c.terms:
+        if not c.exps:
             raise PrecisionExhausted("element known only below its precision")
-        e, lead = c.terms[0]
-        return UnitClass(e, lead, c.field.char)
+        return UnitClass(c.valuation(), c.coefs[0], c.field.char)
     if isinstance(c, PadicElem):
         p = c.field.p
         v = int(c.valuation())

@@ -322,6 +322,40 @@ class TestErrors:
         doc = json.loads(out)
         assert (doc["error"], doc["witness"]) == ("NotPrime", witness)
 
+    @pytest.mark.parametrize("argv", [
+        ["skeleton", "--centers",
+         '[{"backend":"puiseux","char":0,"terms":[[1,0,"1"]],"prec":"inf"}]'],
+        ["skeleton", "--centers",
+         '[{"backend":"puiseux","char":0,"terms":[],"prec":[1,0]}]'],
+        ["skeleton", "--centers", "[0]", "--s_floor", '{"q":"1/0"}'],
+        ["skeleton", "--centers", '["t^1/0"]'],
+        ["skeleton", "--centers", '["1/0"]'],
+        ["skeleton", "--field", '{"backend":"padic","p":3}', "--centers",
+         '[{"backend":"padic","p":3,"value":"1/0"}]'],
+        ["cancel", "--g", "t^1/0", "--N", "3"],
+        ["cancel", "--g", "1/0", "--N", "3"],
+    ], ids=["term", "prec", "logvalue", "centers-exp", "centers-const",
+            "padic-value", "g-exp", "g-const"])
+    def test_zero_denominator_exit_2(self, capsys, argv):
+        # these pass the schema; they once escaped as ZeroDivisionError
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "schema"
+        assert doc["detail"].startswith("zero denominator in ")
+
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
+        from berkline import cli
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_skeleton", boom)
+        code, out, err = run(capsys, ["skeleton", "--centers", "[0]"])
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "internal",
+                                   "detail": "RuntimeError: boom"}
+
     def test_center_outside_disc_exit_3(self, capsys):
         code, out, _ = run(capsys, ["skeleton", "--field", FIELD_Q,
                                     "--centers", '[0,"t^-1"]'])

@@ -69,6 +69,53 @@ class TestPuiseuxBasics:
         assert F3.constant(Fraction(1, 2)).terms == ((Fraction(0), 2),)
 
 
+@pytest.mark.parametrize("char", [0, 3])
+class TestCanonicalForm:
+    """Equality and hash follow the value, not the lattice it was built on."""
+
+    @staticmethod
+    def _pairs(fld):
+        t = fld.t
+        h = Fraction(1, 2)
+        return [
+            (t(Fraction(1, 4)) * t(Fraction(1, 4)), t(h)),
+            ((t(Fraction(1, 6)) + t(h)) - t(Fraction(1, 6)) + t(), t(h) + t()),
+            (t(Fraction(1, 4)) * t(Fraction(1, 4)) + fld.one(), t(h) + fld.one()),
+            ((fld.one() + t(Fraction(1, 5))).truncated(Fraction(1, 5)),
+             fld.one().truncated(Fraction(1, 5))),
+            ((t(Fraction(1, 3)) * t(Fraction(2, 3))).inverse(), t(-1)),
+        ]
+
+    def test_two_quarters_is_one_half(self, char):
+        fld = PuiseuxField(char)
+        x = fld.t(Fraction(1, 4)) * fld.t(Fraction(1, 4))
+        assert x == fld.t(Fraction(2, 4)) == fld.t(Fraction(1, 2))
+        assert (x.exps, x.den) == ((1,), 2)
+
+    def test_cancelled_terms_coarsen_the_lattice(self, char):
+        fld = PuiseuxField(char)
+        third = fld.t(Fraction(1, 3))
+        x = (third + fld.t()) - third
+        assert x == fld.t()
+        assert x.den == 1 and x.exps == (1,)
+        assert (third - third).den == 1
+
+    def test_equal_values_hash_equal(self, char):
+        fld = PuiseuxField(char)
+        for x, y in self._pairs(fld):
+            assert x == y and hash(x) == hash(y)
+            assert (x.exps, x.coefs, x.den, x.prec) == (y.exps, y.coefs, y.den, y.prec)
+            assert len({x, y}) == 1
+
+    def test_polynomials_hash_equal(self, char):
+        fld = PuiseuxField(char)
+        pairs = self._pairs(fld)
+        f = Polynomial.from_coeffs(fld, [x for x, _ in pairs])
+        g = Polynomial.from_coeffs(fld, [y for _, y in pairs])
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+
+
 class TestPadicBasics:
     def test_mul_valuation_additive(self, Q2):
         x = Q2.elem(Fraction(1, 2))

@@ -49,6 +49,13 @@ class TestElements:
         assert doc["prec"] == [7, 3]
         assert ser.elem_from_json(doc) == x
 
+    def test_exponents_in_lowest_terms(self, FQ, F3):
+        # the element stores both on the lattice 1/6; JSON does not
+        for fld in (FQ, F3):
+            x = fld.t(Fraction(1, 2)) + fld.t(Fraction(1, 3))
+            assert [t[:2] for t in ser.elem_to_json(x)["terms"]] == [[1, 3], [1, 2]]
+            assert ser.elem_from_json(ser.elem_to_json(x)) == x
+
     def test_literals(self, FQ, Q2):
         assert ser.parse_elem_literal(FQ, "t^2").valuation() == 2
         assert ser.parse_elem_literal(FQ, "3/2").canonical_str() == "3/2"
