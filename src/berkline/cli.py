@@ -1,13 +1,24 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
 Exit codes: 0 success, 2 malformed input (argument, JSON, or schema errors,
-and rationals with a zero denominator), 3 domain errors, which print a
-machine-readable {"error": ..., "witness": ...} object, 1 when stdout is
-closed before the output is written (say, piped into `head`), and 4 for any
-other exception, a defect in berkline itself, reported as
+a problem file or payload that is not a JSON object, and rationals with a
+zero denominator), 3 domain errors, which print a machine-readable
+{"error": ..., "witness": ...} object (``resource_limit`` among them, when a
+computation would exceed a documented size cap), 1 when stdout is closed
+before the output is written (say, piped into `head`), and 4 for any other
+exception, a defect in berkline itself, reported as
 {"error": "internal", "detail": "<type>: <message>"} on stderr instead of a
-traceback.  Payloads are validated before dispatch against the command's
-entry in ``schemas/berkline.schema.json``, shipped with the package.
+traceback.
+
+Payloads are validated before dispatch against the command's entry in
+``schemas/berkline.schema.json``, shipped with the package.  A built-in
+acceptor decides validity over exactly the keywords that document uses
+(``type``, ``$ref``, ``required``, ``properties``, ``additionalProperties``,
+``items``, ``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
+``minimum``, ``pattern``, ``oneOf``, ``anyOf``; ``description``, ``title``,
+``$schema`` and ``$id`` are ignored) and raises on any other, so a valid
+payload never imports jsonschema.  jsonschema is loaded only to word a
+rejection, and stays the authority for that wording.
 """
 
 from __future__ import annotations
@@ -16,11 +27,9 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from importlib import resources
-
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import serialize as ser
 from .cancel import SectionComponent, SectionData, splitting_delta, y1_divisor, y2_divisor
@@ -39,20 +48,182 @@ class SchemaError(Exception):
     pass
 
 
+class UnsupportedSchema(Exception):
+    """The schema document uses a keyword the acceptor does not know: a
+    defect in berkline, not in the input."""
+
+
 @functools.cache
 def _schema_defs():
     text = resources.files("berkline").joinpath("schemas/berkline.schema.json").read_text()
     return json.loads(text)["$defs"]
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# JSON types, not Python ones: true is not an integer, 1.0 is one
+_TYPES = {
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+_ANNOTATIONS = frozenset({"description", "title", "$schema", "$id"})
+
+
+def _json_equal(a, b):
+    """Equality of JSON values: 1 equals 1.0 but not true."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+class _Acceptor:
+    """Decides whether a payload is valid against a ``$defs`` document, and
+    nothing else.
+
+    Every schema in the document is compiled once into a predicate, so the
+    whole document is walked on construction, and a keyword outside the
+    supported set raises ``UnsupportedSchema`` there instead of passing
+    unchecked.
+
+    Each keyword follows JSON Schema 2020-12: keywords about objects, arrays,
+    strings or numbers ignore instances of other types, ``pattern`` searches
+    rather than matches, and ``items`` covers what ``prefixItems`` leaves.
+    """
+
+    def __init__(self, defs):
+        self._defs = defs
+        self._compiled = {name: self._compile(schema)
+                          for name, schema in defs.items()}
+
+    def accepts(self, name, payload) -> bool:
+        return self._compiled[name](payload)
+
+    def _compile(self, schema):
+        if isinstance(schema, bool):
+            return lambda x: schema
+        if not isinstance(schema, dict):
+            raise UnsupportedSchema(f"schema {schema!r} is not an object")
+        checks = []
+        for key, value in schema.items():
+            if key in _ANNOTATIONS:
+                continue
+            make = self._KEYWORDS.get(key)
+            if make is None:
+                raise UnsupportedSchema(f"schema keyword {key!r} is not supported")
+            checks.append(make(self, value, schema))
+        return lambda x: all(check(x) for check in checks)
+
+    def _kw_type(self, value, schema):
+        names = [value] if isinstance(value, str) else value
+        unknown = set(names) - _TYPES.keys()
+        if unknown:
+            raise UnsupportedSchema(f"schema type {sorted(unknown)!r} is not supported")
+        tests = [_TYPES[n] for n in names]
+        return lambda x: any(test(x) for test in tests)
+
+    def _kw_ref(self, value, schema):
+        name = value.removeprefix("#/$defs/")
+        if not value.startswith("#/$defs/") or name not in self._defs:
+            raise UnsupportedSchema(f"schema $ref {value!r} is not supported")
+        # looked up on use: a definition may refer to one compiled later
+        return lambda x: self._compiled[name](x)
+
+    def _kw_required(self, value, schema):
+        return lambda x: not isinstance(x, dict) or all(k in x for k in value)
+
+    def _kw_properties(self, value, schema):
+        props = [(k, self._compile(s)) for k, s in value.items()]
+        return lambda x: not isinstance(x, dict) or all(
+            check(x[k]) for k, check in props if k in x)
+
+    def _kw_additionalProperties(self, value, schema):
+        known = set(schema.get("properties", ()))
+        check = self._compile(value)
+        return lambda x: not isinstance(x, dict) or all(
+            check(v) for k, v in x.items() if k not in known)
+
+    def _kw_items(self, value, schema):
+        start = len(schema.get("prefixItems", ()))
+        check = self._compile(value)
+        return lambda x: not isinstance(x, list) or all(map(check, x[start:]))
+
+    def _kw_prefixItems(self, value, schema):
+        checks = [self._compile(s) for s in value]
+        return lambda x: not isinstance(x, list) or all(
+            check(v) for check, v in zip(checks, x))
+
+    def _kw_minItems(self, value, schema):
+        return lambda x: not isinstance(x, list) or len(x) >= value
+
+    def _kw_maxItems(self, value, schema):
+        return lambda x: not isinstance(x, list) or len(x) <= value
+
+    def _kw_const(self, value, schema):
+        return lambda x: _json_equal(x, value)
+
+    def _kw_enum(self, value, schema):
+        return lambda x: any(_json_equal(x, v) for v in value)
+
+    def _kw_minimum(self, value, schema):
+        # "not less than" rather than ">=", so that NaN passes, as in jsonschema
+        return lambda x: not (_is_number(x) and x < value)
+
+    def _kw_pattern(self, value, schema):
+        search = re.compile(value).search
+        return lambda x: not isinstance(x, str) or search(x) is not None
+
+    def _kw_oneOf(self, value, schema):
+        checks = [self._compile(s) for s in value]
+        return lambda x: sum(1 for check in checks if check(x)) == 1
+
+    def _kw_anyOf(self, value, schema):
+        checks = [self._compile(s) for s in value]
+        return lambda x: any(check(x) for check in checks)
+
+    _KEYWORDS = {
+        "type": _kw_type, "$ref": _kw_ref, "required": _kw_required,
+        "properties": _kw_properties,
+        "additionalProperties": _kw_additionalProperties,
+        "items": _kw_items, "prefixItems": _kw_prefixItems,
+        "minItems": _kw_minItems, "maxItems": _kw_maxItems,
+        "const": _kw_const, "enum": _kw_enum, "minimum": _kw_minimum,
+        "pattern": _kw_pattern, "oneOf": _kw_oneOf, "anyOf": _kw_anyOf,
+    }
+
+
+@functools.cache
+def _acceptor():
+    return _Acceptor(_schema_defs())
+
+
 @functools.cache
 def _validator(name):
+    from jsonschema import Draft202012Validator
+
     # the document itself is checked against the meta-schema by the tests,
     # not on every call
     return Draft202012Validator({"$ref": f"#/$defs/{name}", "$defs": _schema_defs()})
 
 
 def _validate(name, payload):
+    if _acceptor().accepts(name, payload):
+        return
+    from jsonschema.exceptions import best_match
+
+    # jsonschema words the rejection; should it find no error, it stays the
+    # authority and the payload passes
     error = best_match(_validator(name).iter_errors(payload))
     if error is not None:
         raise SchemaError(f"{name}: {error.message}")
@@ -255,11 +426,15 @@ def _assemble_payload(args):
     if args.problem:
         doc = _read_json_arg(args.problem if args.problem == "-"
                              else "@" + args.problem)
+        if not isinstance(doc, dict):
+            raise SchemaError("problem file must hold a JSON object")
         if doc.get("version") != 1:
             raise SchemaError("problem file version must be 1")
         if doc.get("command") not in (None, args.command):
             raise SchemaError("problem file command disagrees with argv")
         payload = doc.get("payload", {})
+        if not isinstance(payload, dict):
+            raise SchemaError("problem file payload must be a JSON object")
     else:
         payload = {}
     for flag in _PAYLOAD_FLAGS[args.command]:
@@ -302,6 +477,8 @@ def _run(args) -> int:
         print(json.dumps({"error": "schema", "detail": str(exc)}),
               file=sys.stderr)
         return 2
+    except UnsupportedSchema as exc:
+        return _internal_error(exc)
     try:
         _DISPATCH[args.command](payload)
     except BerkError as exc:
@@ -315,12 +492,16 @@ def _run(args) -> int:
     except BrokenPipeError:
         raise
     except Exception as exc:
-        # a defect, not bad input: report it without a traceback
-        print(json.dumps({"error": "internal",
-                          "detail": f"{type(exc).__name__}: {exc}"}),
-              file=sys.stderr)
-        return 4
+        return _internal_error(exc)
     return 0
+
+
+def _internal_error(exc) -> int:
+    # a defect, not bad input: report it without a traceback
+    print(json.dumps({"error": "internal",
+                      "detail": f"{type(exc).__name__}: {exc}"}),
+          file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

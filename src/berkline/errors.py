@@ -99,3 +99,11 @@ class BoundarySolution(BerkError):
 
 class BadDomain(BerkError):
     """Domain description violates its invariants."""
+
+
+class ResourceLimit(BerkError):
+    """A computation would pass one of the library's documented size caps."""
+
+    @property
+    def code(self):
+        return "resource_limit"

@@ -26,9 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted
+from .errors import (BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted,
+                     ResourceLimit)
 
 INF = math.inf
+
+# The most exponents PuiseuxElem.inverse solves for, zero coefficients
+# included, before it raises ResourceLimit.  The test suite needs at most 191
+# and the benchmark workloads none; the exact inverse of 1 + t^(1/1024) at the
+# default working precision 32 needs 32767.  An element whose leading exponent
+# lies far below its precision can ask for ~10**15.
+INVERSE_TERM_CAP = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base above: below it, Miller-Rabin
@@ -366,7 +374,13 @@ class PuiseuxElem:
         residual = {e: c for e, c in h if e < bound}
         heap = list(residual)
         heapq.heapify(heap)
+        solved = 0
         while heap:
+            solved += 1
+            if solved > INVERSE_TERM_CAP:
+                raise ResourceLimit(
+                    f"inverse needs more than {INVERSE_TERM_CAP} terms",
+                    witness=INVERSE_TERM_CAP)
             ek = heapq.heappop(heap)
             c = residual.pop(ek)
             if p:

@@ -1,5 +1,6 @@
 """CLI dispatch, schema validation, exit codes, output stability."""
 
+import io
 import json
 import os
 import subprocess
@@ -305,6 +306,27 @@ class TestErrors:
         prob.write_text(json.dumps({"version": 9, "payload": {}}))
         code, _, _ = run(capsys, ["skeleton", "--problem", str(prob)])
         assert code == 2
+
+    @pytest.mark.parametrize("text,detail", [
+        ("[]", "problem file must hold a JSON object"),
+        ('"x"', "problem file must hold a JSON object"),
+        ('{"version": 1, "command": "np", "payload": []}',
+         "problem file payload must be a JSON object"),
+    ], ids=["list", "string", "payload-list"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_object_problem_exit_2(self, capsys, monkeypatch, tmp_path,
+                                       text, detail, source):
+        # each once escaped as an AttributeError traceback with exit 1
+        if source == "file":
+            prob = tmp_path / "p.json"
+            prob.write_text(text)
+            arg = str(prob)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            arg = "-"
+        code, out, err = run(capsys, ["np", "--problem", arg])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema", "detail": detail}
 
     @pytest.mark.parametrize("argv,witness", [
         (["cancel", "--field", '{"backend":"padic","p":4}', "--g", "1",

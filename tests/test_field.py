@@ -2,13 +2,16 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from berkline import INF, PadicField, Polynomial, PuiseuxField, rat_normalize, valuation
+from berkline import field
 from berkline.errors import (BackendMismatch, DivisionByZero, NotCertified,
-                             NotPrime, PrecisionExhausted, ZeroDenominator)
+                             NotPrime, PrecisionExhausted, ResourceLimit,
+                             ZeroDenominator)
 from conftest import (rand_padic, rand_padic_nonzero, rand_puiseux,
                       rand_puiseux_nonzero)
 
@@ -204,6 +207,40 @@ def test_inverse_roundtrip(char):
         x = rand_puiseux_nonzero(rng, fld)
         assert x.inverse().inverse().agrees_with(x)
         assert (x.inverse() * x).agrees_with(fld.one())
+
+
+class TestInverseTermCap:
+    @pytest.mark.parametrize("char", [2, 3, 0])
+    def test_far_negative_lead_raises_quickly(self, char):
+        # terms near t^(-2.9*10**13) known below 7/12: the inverse would have
+        # ~10**15 candidate exponents
+        lead = -Fraction(3**30, 7)
+        x = PuiseuxField(char).elem(
+            [(lead + Fraction(1, 4), 1), (lead + Fraction(1, 3), 1),
+             (Fraction(1, 2), 1)], Fraction(7, 12))
+        assert x.terms[0][0] == Fraction(-823564528378589, 28)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit) as info:
+            x.inverse()
+        assert time.perf_counter() - start < 1
+        assert info.value.code == "resource_limit"
+        assert info.value.witness == field.INVERSE_TERM_CAP
+
+    @pytest.mark.parametrize("char", [2, 0])
+    def test_cap_counts_solved_terms(self, char, monkeypatch):
+        # the inverse of 1 + t to working precision w solves the w - 1
+        # exponents 1 .. w - 1
+        monkeypatch.setattr(field, "INVERSE_TERM_CAP", 10)
+        x = PuiseuxField(char, working_prec=11).elem([(0, 1), (1, 1)])
+        assert len(x.inverse().exps) == 11
+        x = PuiseuxField(char, working_prec=12).elem([(0, 1), (1, 1)])
+        with pytest.raises(ResourceLimit):
+            x.inverse()
+
+    def test_fine_lattice_inverse_fits(self):
+        # 32767 solved terms, half the cap
+        x = PuiseuxField(3).elem([(0, 1), (Fraction(1, 1024), 1)])
+        assert len(x.inverse().exps) == 32 * 1024
 
 
 class TestRecenter:
