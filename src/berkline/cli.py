@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
 Exit codes: 0 success, 2 malformed input (argument, JSON, or schema errors,
-a problem file or payload that is not a JSON object, and rationals with a
-zero denominator), 3 domain errors, which print a machine-readable
+JSON nested too deeply to decode, a problem file or payload that is not a
+JSON object, a problem version other than the JSON number 1, and rationals
+with a zero denominator), 3 domain errors, which print a machine-readable
 {"error": ..., "witness": ...} object (``resource_limit`` among them, when a
 computation would exceed a documented size cap), 1 when stdout is closed
 before the output is written (say, piped into `head`), and 4 for any other
@@ -229,14 +230,22 @@ def _validate(name, payload):
         raise SchemaError(f"{name}: {error.message}")
 
 
+def _loads(text):
+    """json.loads; nesting too deep for the decoder is malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
+
+
 def _read_json_arg(text):
     """Inline JSON, @path, or '-' for stdin."""
     if text == "-":
-        return json.loads(sys.stdin.read())
+        return _loads(sys.stdin.read())
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return json.load(fh)
-    return json.loads(text)
+            return _loads(fh.read())
+    return _loads(text)
 
 
 def _emit(obj):
@@ -428,7 +437,7 @@ def _assemble_payload(args):
                              else "@" + args.problem)
         if not isinstance(doc, dict):
             raise SchemaError("problem file must hold a JSON object")
-        if doc.get("version") != 1:
+        if not _json_equal(doc.get("version"), 1):
             raise SchemaError("problem file version must be 1")
         if doc.get("command") not in (None, args.command):
             raise SchemaError("problem file command disagrees with argv")
@@ -445,9 +454,11 @@ def _assemble_payload(args):
             payload[flag] = raw
         elif flag in ("N", "n"):
             payload[flag] = int(raw)
+        elif raw == "-" or raw.startswith("@"):
+            payload[flag] = _read_json_arg(raw)
         else:
             try:
-                payload[flag] = json.loads(raw)
+                payload[flag] = _loads(raw)
             except json.JSONDecodeError:
                 payload[flag] = raw
     payload.setdefault("field", _DEFAULT_FIELD)

@@ -3,9 +3,18 @@
 A domain here is a closed bounding disc minus finitely many pairwise disjoint
 excluded discs (each open or closed).  Certification that a rational function
 is a unit on a domain, boundary degrees, direction slopes at type-2 points and
-the 1-unit homotopy decision all reduce to counting roots in discs: counted
-from certified complete root lists when present, else by Newton polygons after
-recentering, so every answer is exact; no roots are ever computed.
+the 1-unit homotopy decision all reduce to counting roots in discs and to
+Gauss valuations: counted from certified complete root lists when present,
+else by Newton polygons after recentering, so every answer is exact; no roots
+are ever computed.
+
+Two facts keep this finite.  The divisor of a rational function on P^1 has
+degree 0, so what lies beyond a closed disc (infinity included) is minus what
+lies inside it: ``exterior_degree`` and the "up" slope count only inside.  And
+a function without poles on a Berkovich affinoid takes its maximum modulus on
+the Shilov boundary (Berkovich 1990), here the bounding Gauss point and one
+boundary point per hole: ``homotopy_check`` evaluates v(h) there and nowhere
+inside the domain.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
 from .field import PadicElem, PuiseuxElem
 from .gauss import gauss_valuation, newton_polygon, roots_in_disc
-from .logvalue import LogValue, as_logvalue
+from .logvalue import ZERO, LogValue, as_logvalue
 from .points import DiscPoint, _dist, classify
 from .poly import Polynomial, RationalFunction
 
@@ -206,17 +215,16 @@ def boundary_degrees(f: RationalFunction, dom: Domain):
 
 def exterior_degree(f: RationalFunction, dom: Domain) -> int:
     """(zeros - poles) beyond the bounding disc, with the point at infinity
-    contributing deg(den) - deg(num)."""
-    def beyond(poly, roots):
-        if roots is not None:
-            return sum(1 for r in roots if _dist(r, dom.center) < dom.s)
-        g = poly.recenter(dom.center)
-        np_ = newton_polygon(g)
-        return sum(w for sigma, w in np_.root_valuations()
-                   if LogValue(sigma) < dom.s)
+    contributing deg(den) - deg(num).
 
+    The divisor of f on P^1 has degree 0: zeros minus poles over the closed
+    bounding disc, beyond it and at infinity sum to zero.  So the part beyond
+    is poles minus zeros in the closed bounding disc, and only that disc is
+    counted.
+    """
     (num, zeros), (den, poles) = _sides(f)
-    return (beyond(num, zeros) - beyond(den, poles)) + (den.degree - num.degree)
+    inside_z = _count_in_disc(num, zeros, dom.center, dom.s)
+    return _count_in_disc(den, poles, dom.center, dom.s) - inside_z
 
 
 def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
@@ -257,12 +265,11 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
         assigned_z += z
         assigned_p += p
         slopes[f"dir:{b.canonical_str()}"] = z - p
-    # "up" holds everything at distance < s from the center, plus infinity
+    # "up" holds everything at distance < s from the center, plus infinity;
+    # deg(div f) = 0 makes that poles minus zeros in the closed disc
     in_closed_z = count(num, zeros, x.center, False)
     in_closed_p = count(den, poles, x.center, False)
-    up = ((f.num.degree - in_closed_z) - (f.den.degree - in_closed_p)
-          + (f.den.degree - f.num.degree))
-    slopes["up"] = up
+    slopes["up"] = in_closed_p - in_closed_z
     other = (in_closed_z - assigned_z) - (in_closed_p - assigned_p)
     if other:
         slopes["other"] = other
@@ -321,11 +328,30 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
                    dom: Domain) -> bool:
     """Exact decision of |f1/f0 - 1| < 1 everywhere on the domain.
 
-    The difference h = f1/f0 - 1 has its minimum of v(h) over the domain on
-    the convex hull of the boundary points; along each hull path v(h) is
-    piecewise linear with breakpoints at Newton-polygon root valuations, so
-    checking the finitely many breakpoints, endpoints, and eps-perturbed
-    proxies of open endpoints decides the strict inequality exactly.
+    Once f0 and f1 are certified units, h = f1/f0 - 1 has no poles on the
+    domain: they are zeros of f0 and poles of f1.  The domain is the
+    increasing union of the affinoids X_r, the bounding disc minus the open
+    disc v(z - a) > r_a around each hole's center a, where r_a = s_a for an
+    open hole, r_a < s_a for a closed one, and r_a is any finite value for a
+    punctured one (s_a = inf).  By the maximum modulus principle |h| attains
+    its maximum over X_r on its Shilov boundary, the bounding point
+    zeta(c, s) and the points zeta(a, r_a).  Every point of the domain lies
+    in some X_r with each r_a as close to the end of its range as wished, so
+    v(h) > 0 on the domain if and only if it holds at the bounding point and,
+    for each hole, at zeta(a, r) for all r near that end; no interior point
+    needs a check.  Along r, v(h)(zeta(a, r)) is piecewise linear with
+    finitely many breakpoints, which gives one check per hole:
+
+    - open hole: r = s_a;
+    - closed hole of finite radius: the proxy s_a - eps, whose sign is that
+      of v(h) just below s_a;
+    - punctured hole: beyond every breakpoint, v(h)(zeta(a, S)) =
+      (i_n - i_d) S + (v_n - v_d), where (i, v) is the first Newton-polygon
+      vertex of h's numerator and denominator written at a.  That is
+      positive for all large S if and only if (i_n - i_d, v_n - v_d) >
+      (0, 0), compared lexicographically.  When i_n = i_d, h extends over
+      the puncture and the same principle bounds v_n - v_d below by the
+      other checks, so the constant only decides which check answers first.
     """
     for f in (f0, f1):
         try:
@@ -339,40 +365,22 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
     h_den = n0 * d1
     if h_num.is_zero():
         return True
-    zero = LogValue(Fraction(0))
 
-    def positive(gn: Polynomial, gd: Polynomial, s: LogValue) -> bool:
-        """v(h) > 0 at D(center, s), for gn/gd = h written at that center."""
-        return gauss_valuation(gn, None, s) - gauss_valuation(gd, None, s) > zero
+    def positive(center, s: LogValue) -> bool:
+        """v(h) > 0 at the disc point D(center, s)."""
+        return (gauss_valuation(h_num, center, s)
+                - gauss_valuation(h_den, center, s)) > ZERO
 
-    # bounding point is part of the (closed) domain; h is written at c0
-    if not positive(h_num, h_den, dom.s):
+    if not positive(None, dom.s):  # h is already written at c0
         return False
-
     for d in dom.excluded:
-        gn, gd = h_num.recenter(d.center), h_den.recenter(d.center)
-        np_n, np_d = newton_polygon(gn), newton_polygon(gd)
-        sigmas = [LogValue(sigma) for np_ in (np_n, np_d)
-                  for sigma, _ in np_.root_valuations()]
-        breaks = {lv for lv in sigmas if dom.s < lv < d.s}
-        for lv in breaks:
-            if not positive(gn, gd, lv):
-                return False
         if d.s.is_infinite:
-            # half-open ray toward a removed classical point: positivity at a
-            # witness depth plus a nonnegative terminal slope
-            finite = [lv for lv in sigmas if lv > dom.s] or [dom.s]
-            smax = max(finite)
-            probe = LogValue(smax.q + 1, smax.e)
-            if not positive(gn, gd, probe):
+            (i_n, v_n), (i_d, v_d) = (
+                newton_polygon(g.recenter(d.center)).vertices[0]
+                for g in (h_num, h_den))
+            if not (i_n - i_d, v_n - v_d) > (0, 0):
                 return False
-            if np_n.mult0 - np_d.mult0 < 0:
-                return False
-        elif d.closed:
-            proxy = LogValue(d.s.q, d.s.e - 1)
-            if not positive(gn, gd, proxy):
-                return False
-        else:
-            if not positive(gn, gd, d.s):
-                return False
+        elif not positive(d.center, LogValue(d.s.q, d.s.e - 1)
+                          if d.closed else d.s):
+            return False
     return True

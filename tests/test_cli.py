@@ -16,6 +16,9 @@ from berkline.cli import _PAYLOAD_FLAGS, COMMANDS, main
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = "src/berkline/schemas/berkline.schema.json"
 
+# a child interpreter imports berkline from this checkout, as pytest does
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
 FIELD_Q = '{"backend":"puiseux","char":0}'
 FIELD_F2 = '{"backend":"puiseux","char":2}'
 
@@ -328,6 +331,59 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "schema", "detail": detail}
 
+    @pytest.mark.parametrize("route", ["flag", "flag-file", "flag-stdin",
+                                       "problem-file", "problem-stdin"])
+    def test_deeply_nested_json_exit_2(self, capsys, monkeypatch, tmp_path,
+                                       route):
+        # each once escaped as a RecursionError traceback with exit 1
+        deep = "[" * 2000
+        if route.startswith("problem"):
+            text = '{"version": 1, "payload": {"poly": ' + deep + "}}"
+        else:
+            text = deep
+        if route == "flag":
+            arg = text
+        elif route.endswith("file"):
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            arg = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            arg = "-"
+        if route.startswith("problem"):
+            argv = ["np", "--problem", arg]
+        else:
+            argv = ["np", "--poly", "@" + arg if route == "flag-file" else arg]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema",
+                                   "detail": "JSON nested too deeply"}
+
+    def test_flag_reads_file_and_stdin(self, capsys, monkeypatch, tmp_path):
+        poly = '{"center":0,"coeffs":[2,1]}'
+        want = run(capsys, ["np", "--poly", poly])
+        path = tmp_path / "poly.json"
+        path.write_text(poly)
+        assert run(capsys, ["np", "--poly", "@" + str(path)]) == want
+        monkeypatch.setattr(sys, "stdin", io.StringIO(poly))
+        assert run(capsys, ["np", "--poly", "-"]) == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize("version,code", [
+        ("1", 0), ("1.0", 0), ("true", 2), ('"1"', 2), ("9", 2), (None, 2)])
+    def test_problem_version_is_json_one(self, capsys, tmp_path, version,
+                                         code):
+        # true was once accepted as version 1, by Python equality
+        prob = tmp_path / "p.json"
+        head = "" if version is None else f'"version": {version}, '
+        prob.write_text("{" + head + '"payload": {"poly": '
+                        '{"center": 0, "coeffs": [2, 1]}}}')
+        got, _, err = run(capsys, ["np", "--problem", str(prob)])
+        assert got == code
+        if code:
+            assert json.loads(err) == {"error": "schema", "detail":
+                                       "problem file version must be 1"}
+
     @pytest.mark.parametrize("argv,witness", [
         (["cancel", "--field", '{"backend":"padic","p":4}', "--g", "1",
           "--N", "3"], 4),
@@ -389,7 +445,7 @@ class TestErrors:
 def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "berkline.cli", "cancel",
                           "--field", FIELD_F2, "--g", "t", "--N", "5"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=CHILD_ENV)
     assert out.returncode == 0
     assert json.loads(out.stdout)["delta"] == [{"u": "*", "coef": 1}]
 
@@ -400,7 +456,8 @@ def test_closed_stdout_exits_cleanly():
     try:
         out = subprocess.run([sys.executable, "-m", "berkline.cli", "cancel",
                               "--field", FIELD_F2, "--g", "t", "--N", "5"],
-                             stdout=write_end, stderr=subprocess.PIPE, text=True)
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env=CHILD_ENV)
     finally:
         os.close(write_end)
     assert out.returncode == 1

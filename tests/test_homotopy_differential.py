@@ -35,6 +35,10 @@ def annulus(lo=1, hi=-1):
 
 T = Polynomial.variable(FQ)
 t = FQ.t()
+# the disc v(z) >= 0 minus the point 0 and the closed disc D(t, 2)
+PUNCTURED = Domain(FQ.zero(), lv(0), (
+    ExcludedDisc(FQ.zero(), INFINITY, closed=True),
+    ExcludedDisc(t, lv(2), closed=True)))
 
 
 def point_in_domain(dom, a, s):
@@ -111,11 +115,12 @@ CASES = [
          ExcludedDisc(FQ.zero(), lv(1), closed=True),
          ExcludedDisc(FQ.one(), lv(1), closed=True),
      )), True),
-    # with u = T - 1: h = f1/f0 - 1 = -t u / (2 (u - t)^2).  On the path
-    # from the bounding point to the hole at 1, v(h) is 1 at D(0, 0) and 0 at
-    # the interior breakpoint D(1, 1) that the double pole at 1 + t puts
-    # there, past the branch off the bounding center: the first check that
-    # fails evaluates h written at that hole's center
+    # with u = T - 1: h = f1/f0 - 1 = -t u / (2 (u - t)^2).  v(h) is 1 at
+    # the bounding point D(0, 0) and 0 at D(1, 1), where the paths to the
+    # four holes branch; it keeps falling toward the double pole at 1 + t,
+    # to -2 + 2 eps at that hole's Shilov point D(1 + t, 2 - eps), and that
+    # check fails.  The minimum lies on the Shilov boundary, as the maximum
+    # modulus principle says, so D(1, 1) itself needs no check
     ("interior breakpoint",
      rf(Polynomial.from_roots(FQ, [FQ.one() + t, FQ.one() + t]),
         num_roots=[FQ.one() + t, FQ.one() + t]),
@@ -125,6 +130,25 @@ CASES = [
      Domain(FQ.zero(), lv(0), tuple(
          ExcludedDisc(FQ.one() + FQ.t(1, a), lv(2), closed=True)
          for a in (0, 1, 2, Fraction(1, 2)))), False),
+    # a puncture at 0 where h's numerator and denominator vanish to the same
+    # order 1, so the terminal value v_n - v_d of v(h) on the ray into it is
+    # what the puncture's check reads: h = t^2 / (T - t), v_n - v_d = 2 - 1
+    ("puncture, equal orders, positive constant",
+     rf(T, num_roots=[FQ.zero()]),
+     rf(Polynomial.from_roots(FQ, [FQ.zero(), t - FQ.t(2)]),
+        Polynomial.from_roots(FQ, [t]),
+        num_roots=[FQ.zero(), t - FQ.t(2)], den_roots=[t]),
+     PUNCTURED, True),
+    # h = t / (T - t), v_n - v_d = 1 - 1 = 0: the puncture's check returns
+    # False.  With equal orders h extends over the puncture, so by the
+    # maximum modulus principle another Shilov check fails as well, here
+    # the one at D(t, 2 - eps), where v(h) = -1 + eps
+    ("puncture, equal orders, zero constant",
+     rf(T, num_roots=[FQ.zero()]),
+     rf(Polynomial.from_roots(FQ, [FQ.zero(), FQ.zero()]),
+        Polynomial.from_roots(FQ, [t]),
+        num_roots=[FQ.zero(), FQ.zero()], den_roots=[t]),
+     PUNCTURED, False),
 ]
 
 
