@@ -4,12 +4,17 @@ Two backends are provided:
 
 * truncated Puiseux series t**q with coefficients either in a prime field F_p
   or in Q, and a per-element exclusive precision bound (``math.inf`` marks an
-  exact element).  Exponents live on an integer lattice: an element stores
-  strictly increasing ints ``exps`` over one positive denominator ``den``,
-  reduced so that gcd(den, *exps) == 1, and all exponent arithmetic in
-  ``+``, ``*``, ``inverse``, ``truncated`` and ``agrees_with`` is on ints
-  (``+`` and ``*`` work on the lcm of the operands' denominators).  The
-  ``Fraction`` view ``terms`` is derived on demand.  The F_p product kernel
+  exact element).  Exponents and coefficients both live on integer lattices:
+  an element stores strictly increasing ints ``exps`` over one positive
+  denominator ``den``, reduced so that gcd(den, *exps) == 1, and int
+  coefficient numerators ``nums`` over one positive coefficient denominator
+  ``cden``, reduced so that gcd(cden, *nums) == 1.  Over F_p, ``cden`` is 1
+  and ``nums`` are the residues in range(1, p).  Exponent and coefficient
+  arithmetic in ``+``, ``*``, ``truncated`` and ``agrees_with`` is on ints
+  (``+`` works on the lcm of the operands' denominators, ``*`` multiplies
+  the coefficient denominators); only ``inverse`` over Q solves with
+  ``Fraction`` coefficients and encodes its result once.  The views
+  ``coefs`` and ``terms`` are derived on demand.  The F_p product kernel
   reads the same lattice, so there is one encoding;
 * p-adic rationals, stored exactly as a reduced fraction.
 
@@ -104,20 +109,6 @@ class PuiseuxField:
     def residue_char(self) -> int:
         return self.char
 
-    # coefficient arithmetic, parametrized by the characteristic
-    def _cnorm(self, c):
-        if self.char:
-            c = _frac(c)
-            if c.denominator % self.char == 0:
-                raise ValueError(
-                    f"denominator {c.denominator} not invertible mod {self.char}"
-                )
-            return c.numerator * pow(c.denominator, -1, self.char) % self.char
-        return _frac(c)
-
-    def _cadd(self, a, b):
-        return (a + b) % self.char if self.char else a + b
-
     def elem(self, terms, prec=INF) -> "PuiseuxElem":
         """Build an element from (exponent, coefficient) pairs.
 
@@ -125,13 +116,26 @@ class PuiseuxField:
         the precision bound truncated away.
         """
         prec = prec if prec == INF else _frac(prec)
-        pairs = [(_frac(e), self._cnorm(c)) for e, c in terms]
+        pairs = [(_frac(e), _frac(c)) for e, c in terms]
         den = math.lcm(*(e.denominator for e, _ in pairs))
+        p = self.char
+        if p:
+            for _, c in pairs:
+                if c.denominator % p == 0:
+                    raise ValueError(
+                        f"denominator {c.denominator} not invertible mod {p}")
+            nums = [c.numerator * pow(c.denominator, -1, p) % p
+                    for _, c in pairs]
+            cden = 1
+        else:
+            nums, cden = _over_common_den([c for _, c in pairs])
         acc = {}
-        for e, c in pairs:
+        for (e, _), n in zip(pairs, nums):
             e = e.numerator * (den // e.denominator)
-            acc[e] = self._cadd(acc[e], c) if e in acc else c
-        return _lattice_elem(self, acc, den, prec)
+            if e in acc:
+                n = (acc[e] + n) % p if p else acc[e] + n
+            acc[e] = n
+        return _lattice_elem(self, acc, den, cden, prec)
 
     def constant(self, c) -> "PuiseuxElem":
         return self.elem([(Fraction(0), c)])
@@ -200,46 +204,82 @@ def _lattice_bound(prec, den) -> int:
     return -(-prec.numerator * den // prec.denominator)
 
 
-def _lattice_elem(fld, acc, den, prec) -> "PuiseuxElem":
-    """The canonical element sum(c * t**(e/den) for e, c in acc.items()).
+def _over_common_den(fracs):
+    """([n, ...], d) with fracs[i] == n_i / d and d the lcm of the
+    denominators."""
+    d = math.lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (d // c.denominator) for c in fracs], d
 
-    ``acc`` maps integer exponents on the lattice (1/den)Z to coefficients
-    already reduced for the field; ``prec`` is INF or a Fraction.  Zero
-    coefficients are dropped, exponents at or above ``prec`` truncated, and
-    the lattice coarsened until gcd(den, *exps) == 1, so that equal values
-    have equal fields.
+
+def _on_common_den(d1, xs, d2, ys):
+    """The numerators xs over d1 and ys over d2 rewritten over
+    lcm(d1, d2): (xs', ys', lcm)."""
+    if d1 == d2:
+        return xs, ys, d1
+    d = math.lcm(d1, d2)
+    s1, s2 = d // d1, d // d2
+    return ([x * s1 for x in xs] if s1 != 1 else xs,
+            [y * s2 for y in ys] if s2 != 1 else ys, d)
+
+
+def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
+    """The canonical element sum(n/cden * t**(e/den) for e, n in acc.items()).
+
+    ``acc`` maps integer exponents on the lattice (1/den)Z to int coefficient
+    numerators over ``cden``, already reduced mod p over F_p (where cden is
+    1); ``prec`` is INF or a Fraction.  Zero coefficients are dropped,
+    exponents at or above ``prec`` truncated, and both lattices coarsened
+    until gcd(den, *exps) == 1 and gcd(cden, *nums) == 1, so that equal
+    values have equal fields.
     """
     if prec == INF:
         exps = sorted(e for e, c in acc.items() if c)
     else:
         bound = _lattice_bound(prec, den)
         exps = sorted(e for e, c in acc.items() if c and e < bound)
-    coefs = tuple([acc[e] for e in exps])
+    nums = [acc[e] for e in exps]
     if den != 1:
         g = math.gcd(den, *exps)
         if g != 1:
             den //= g
             exps = [e // g for e in exps]
-    return PuiseuxElem(fld, tuple(exps), coefs, den, prec)
+    if cden != 1:
+        g = math.gcd(cden, *nums)
+        if g != 1:
+            cden //= g
+            nums = [n // g for n in nums]
+    return PuiseuxElem(fld, tuple(exps), tuple(nums), den, cden, prec)
 
 
 @dataclass(frozen=True)
 class PuiseuxElem:
-    """sum(coefs[i] * t**(exps[i]/den)) + O(t**prec), in canonical form.
+    """sum(nums[i]/cden * t**(exps[i]/den)) + O(t**prec), in canonical form.
 
     ``exps`` are strictly increasing ints, ``den`` is positive with
-    gcd(den, *exps) == 1 (so 1 when there are no terms), and ``prec`` is an
-    exclusive Fraction bound or INF.  Results are built by ``_lattice_elem``,
-    except where they are canonical by construction (negation, zeros, the
-    inverse of a monomial).  Equal values therefore have equal fields, which
-    is what equality and hash compare.
+    gcd(den, *exps) == 1 (so 1 when there are no terms).  ``nums`` are
+    nonzero ints, one per exponent, over the positive ``cden`` with
+    gcd(cden, *nums) == 1 (so 1 when there are no terms); over F_p, ``cden``
+    is 1 and ``nums`` lie in range(1, p).  ``prec`` is an exclusive Fraction
+    bound or INF.  Results are built by ``_lattice_elem``, except where they
+    are canonical by construction (negation, zeros, the inverse of a
+    monomial).  Equal values therefore have equal fields, which is what
+    equality and hash compare.
     """
 
     field: PuiseuxField
     exps: tuple
-    coefs: tuple
+    nums: tuple
     den: int
+    cden: int
     prec: object
+
+    @cached_property
+    def coefs(self) -> tuple:
+        """The coefficients: Fractions over Q, residues over F_p."""
+        if self.field.char:
+            return self.nums
+        cden = self.cden
+        return tuple([Fraction(n, cden) for n in self.nums])
 
     @cached_property
     def terms(self) -> tuple:
@@ -280,36 +320,30 @@ class PuiseuxElem:
     def __bool__(self):
         return bool(self.exps)
 
-    def _aligned(self, other):
-        """Both operands' exponents on their common lattice, and its den."""
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return self.exps, other.exps, d1
-        den = math.lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        return ([e * s1 for e in self.exps] if s1 != 1 else self.exps,
-                [e * s2 for e in other.exps] if s2 != 1 else other.exps, den)
-
     def __add__(self, other):
         _check_same_field(self, other)
         if other.is_zero():
             return self
         if self.is_zero():
             return other
-        xs, ys, den = self._aligned(other)
-        acc = dict(zip(xs, self.coefs))
+        xs, ys, den = _on_common_den(self.den, self.exps, other.den, other.exps)
+        ms, ns, cden = _on_common_den(self.cden, self.nums,
+                                      other.cden, other.nums)
+        acc = dict(zip(xs, ms))
         p = self.field.char
-        for e, c in zip(ys, other.coefs):
+        for e, n in zip(ys, ns):
             if e in acc:
-                c = (acc[e] + c) % p if p else acc[e] + c
-            acc[e] = c
-        return _lattice_elem(self.field, acc, den, min(self.prec, other.prec))
+                n = (acc[e] + n) % p if p else acc[e] + n
+            acc[e] = n
+        return _lattice_elem(self.field, acc, den, cden,
+                             min(self.prec, other.prec))
 
     def __neg__(self):
         p = self.field.char
-        coefs = tuple([(-c) % p for c in self.coefs] if p
-                      else [-c for c in self.coefs])
-        return PuiseuxElem(self.field, self.exps, coefs, self.den, self.prec)
+        nums = tuple([p - n for n in self.nums] if p
+                     else [-n for n in self.nums])
+        return PuiseuxElem(self.field, self.exps, nums, self.den, self.cden,
+                           self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -320,7 +354,7 @@ class PuiseuxElem:
         _check_same_field(self, other)
         f = self.field
         if self.is_zero() or other.is_zero():
-            return PuiseuxElem(f, (), (), 1, INF)
+            return PuiseuxElem(f, (), (), 1, 1, INF)
         if self.prec == INF and other.prec == INF:
             prec = INF
         else:
@@ -331,11 +365,11 @@ class PuiseuxElem:
                 other.prec + self.valuation_lower_bound(),
             )
         if not self.exps or not other.exps:
-            return PuiseuxElem(f, (), (), 1, prec)
-        xs, ys, den = self._aligned(other)
-        ys = list(zip(ys, other.coefs))
+            return PuiseuxElem(f, (), (), 1, 1, prec)
+        xs, ys, den = _on_common_den(self.den, self.exps, other.den, other.exps)
+        ys = list(zip(ys, other.nums))
         acc = {}
-        for e1, c1 in zip(xs, self.coefs):
+        for e1, c1 in zip(xs, self.nums):
             for e2, c2 in ys:
                 e = e1 + e2
                 if e in acc:
@@ -345,7 +379,7 @@ class PuiseuxElem:
         p = f.char
         if p:
             acc = {e: c % p for e, c in acc.items()}
-        return _lattice_elem(f, acc, den, prec)
+        return _lattice_elem(f, acc, den, self.cden * other.cden, prec)
 
     __rmul__ = __mul__
 
@@ -359,17 +393,21 @@ class PuiseuxElem:
         f = self.field
         p = f.char
         den = self.den
-        e0, c0 = self.exps[0], self.coefs[0]
+        # over Q the solve runs on Fraction coefficients; its result is put
+        # back on the coefficient lattice once, at the end
+        coefs = self.coefs
+        e0, c0 = self.exps[0], coefs[0]
         c0inv = pow(c0, -1, p) if p else 1 / c0
         if self.is_exact and len(self.exps) == 1:
-            return PuiseuxElem(f, (-e0,), (c0inv,), den, INF)
+            n, d = (c0inv, 1) if p else (c0inv.numerator, c0inv.denominator)
+            return PuiseuxElem(f, (-e0,), (n,), den, d, INF)
         # write self = c0 t**v0 (1 + h) and solve (1 + h) g = 1 term by term,
         # in increasing exponent order, up to the attainable precision
         v0 = self._lead
         unit_prec = self.prec - v0 if self.prec != INF else f.working_prec
         bound = _lattice_bound(unit_prec, den)
         h = [(e - e0, c * c0inv % p if p else c * c0inv)
-             for e, c in zip(self.exps[1:], self.coefs[1:])]
+             for e, c in zip(self.exps[1:], coefs[1:])]
         g = {0: 1}
         residual = {e: c for e, c in h if e < bound}
         heap = list(residual)
@@ -399,14 +437,18 @@ class PuiseuxElem:
                     residual[e] = -c * cj
                     heapq.heappush(heap, e)
         acc = {e - e0: (c * c0inv % p if p else c * c0inv) for e, c in g.items()}
-        return _lattice_elem(f, acc, den, unit_prec - v0)
+        cden = 1
+        if not p:
+            nums, cden = _over_common_den(list(acc.values()))
+            acc = dict(zip(acc, nums))
+        return _lattice_elem(f, acc, den, cden, unit_prec - v0)
 
     def truncated(self, prec) -> "PuiseuxElem":
         """The same element, known only below the given exponent bound."""
         prec = min(self.prec, prec)
         prec = prec if prec == INF else _frac(prec)
-        return _lattice_elem(self.field, dict(zip(self.exps, self.coefs)),
-                             self.den, prec)
+        return _lattice_elem(self.field, dict(zip(self.exps, self.nums)),
+                             self.den, self.cden, prec)
 
     def _known_below(self, prec) -> int:
         """How many leading terms lie below the exponent bound ``prec``."""
@@ -419,7 +461,10 @@ class PuiseuxElem:
         _check_same_field(self, other)
         prec = min(self.prec, other.prec)
         k = self._known_below(prec)
-        if k != other._known_below(prec) or self.coefs[:k] != other.coefs[:k]:
+        if k != other._known_below(prec):
+            return False
+        c1, c2 = self.cden, other.cden
+        if not all(a * c2 == b * c1 for a, b in zip(self.nums[:k], other.nums[:k])):
             return False
         d1, d2 = self.den, other.den
         return all(a * d2 == b * d1 for a, b in zip(self.exps[:k], other.exps[:k]))

@@ -179,8 +179,9 @@ class Polynomial:
 def _try_kernel_mul(f: Polynomial, g: Polynomial):
     """Route exact prime-field puiseux products through the convolution kernel.
 
-    Every coefficient already sits on its own integer exponent lattice; the
-    kernel gets them all scaled onto the lcm of their denominators.
+    Every coefficient already sits on its own integer exponent lattice, with
+    its residues as ``nums``; the kernel gets the exponents all scaled onto
+    the lcm of their denominators.
     """
     fld = f.field
     if not isinstance(fld, PuiseuxField) or fld.char == 0:
@@ -201,7 +202,7 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial):
             counts.append(len(c.exps))
             scale = lat // c.den
             exps.extend(c.exps if scale == 1 else [e * scale for e in c.exps])
-            cofs.extend(c.coefs)
+            cofs.extend(c.nums)
         return counts, exps, cofs
 
     cf, ef, kf = encode(f)
@@ -212,7 +213,7 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial):
     for cnt in counts:
         end = pos + cnt
         out.append(_lattice_elem(fld, dict(zip(exps[pos:end], cofs[pos:end])),
-                                 lat, INF))
+                                 lat, 1, INF))
         pos = end
     while out and out[-1].is_zero():
         out.pop()

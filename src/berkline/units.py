@@ -110,6 +110,19 @@ class ExcludedDisc:
             raise BadDomain("an open disc of radius zero excludes nothing")
 
 
+def _meet(di: ExcludedDisc, dj: ExcludedDisc) -> bool:
+    """Whether two excluded discs share a point.
+
+    With d = v(ci - cj) and m = min(si, sj), the smaller disc's center lies
+    in the larger disc's interior when d > m, so they meet; when d = m they
+    meet exactly when a disc of radius m is closed (its boundary circle holds
+    the other center, or the other disc's boundary points); when d < m they
+    are apart.
+    """
+    d, m = _dist(di.center, dj.center), min(di.s, dj.s)
+    return d > m or (d == m and any(x.closed for x in (di, dj) if x.s == m))
+
+
 @dataclass(frozen=True)
 class Domain:
     """Closed disc v(z - center) >= s minus pairwise disjoint excluded discs."""
@@ -129,7 +142,7 @@ class Domain:
         for i in range(len(self.excluded)):
             for j in range(i + 1, len(self.excluded)):
                 di, dj = self.excluded[i], self.excluded[j]
-                if _dist(di.center, dj.center) >= min(di.s, dj.s):
+                if _meet(di, dj):
                     raise BadDomain(f"excluded discs {i} and {j} are not disjoint")
 
     @property

@@ -39,6 +39,11 @@ t = FQ.t()
 PUNCTURED = Domain(FQ.zero(), lv(0), (
     ExcludedDisc(FQ.zero(), INFINITY, closed=True),
     ExcludedDisc(t, lv(2), closed=True)))
+# v(z) >= -1 minus the open disc v(z) > 1 and the closed disc D(t, 2), which
+# sits on the open disc's boundary circle v(z) = 1
+ON_OPEN_CIRCLE = Domain(FQ.zero(), lv(-1), (
+    ExcludedDisc(FQ.zero(), lv(1), closed=False),
+    ExcludedDisc(t, lv(2), closed=True)))
 
 
 def point_in_domain(dom, a, s):
@@ -149,6 +154,22 @@ CASES = [
         Polynomial.from_roots(FQ, [t]),
         num_roots=[FQ.zero(), FQ.zero()], den_roots=[t]),
      PUNCTURED, False),
+    # h = t^2 / (T - t), with its pole in D(t, 2): v(h) at D(0, r) is
+    # 2 - min(r, 1), so 1 at the open hole's Shilov point D(0, 1), and eps
+    # at the closed hole's D(t, 2 - eps)
+    ("open hole's circle, positive",
+     rf(ONE_POLY),
+     rf(Polynomial.from_roots(FQ, [t - FQ.t(2)]),
+        Polynomial.from_roots(FQ, [t]),
+        num_roots=[t - FQ.t(2)], den_roots=[t]),
+     ON_OPEN_CIRCLE, True),
+    # h = t / (T - t): v(h) is 0 at D(0, 1) and -1 + eps at D(t, 2 - eps),
+    # and h(2t) = 1 with 2t on the domain
+    ("open hole's circle, class change",
+     rf(ONE_POLY),
+     rf(T, Polynomial.from_roots(FQ, [t]),
+        num_roots=[FQ.zero()], den_roots=[t]),
+     ON_OPEN_CIRCLE, False),
 ]
 
 

@@ -2,9 +2,10 @@
 
 Random seeded operands over F_2, F_3 and Q, exact and truncated, with
 exponent denominators that differ between operands (1/2, 1/3, 1/1024,
-3**30/7, ...), so that every operation aligns lattices.  Each result must
-equal the reference result in ``terms``, ``prec`` and ``canonical_str``, and
-be in canonical form.
+3**30/7, ...), so that every operation aligns lattices.  A second stream over
+Q does the same for coefficient denominators (1/3**20, -5/2**40,
+7/(10**12 + 39), 22/7, ...).  Each result must equal the reference result in
+``terms``, ``prec`` and ``canonical_str``, and be in canonical form.
 """
 
 import math
@@ -43,9 +44,13 @@ def _raw(rng, char):
 def _check_canonical(x, char):
     assert all(type(e) is int for e in x.exps)
     assert all(a < b for a, b in zip(x.exps, x.exps[1:]))
-    assert len(x.coefs) == len(x.exps) and all(c != 0 for c in x.coefs)
+    assert all(type(n) is int for n in x.nums)
+    assert len(x.nums) == len(x.exps) and all(n != 0 for n in x.nums)
+    assert type(x.cden) is int and x.cden > 0
+    assert math.gcd(x.cden, *x.nums) == 1
     if char:
-        assert all(0 < c < char for c in x.coefs)
+        assert x.cden == 1
+        assert all(0 < n < char for n in x.nums)
     assert x.den > 0 and math.gcd(x.den, *x.exps) == 1
     assert x.prec == INF or isinstance(x.prec, Fraction)
     if x.prec != INF:
@@ -127,3 +132,55 @@ def test_default_working_precision_inverse():
         r = RefPuiseuxField(char).elem(
             [(0, 1), (Fraction(1, 2), 1), (Fraction(1, 3), 1)])
         _same(x.inverse(), r.inverse(), char)
+
+
+# large, pairwise coprime coefficient denominators, and integers
+COEFS_Q = [Fraction(1, 3**20), Fraction(-5, 2**40), Fraction(7, 10**12 + 39),
+           Fraction(22, 7), Fraction(-1, 3**20), Fraction(3**20, 2**40),
+           1, -2, 3, 0]
+EXPONENTS_Q = [Fraction(n, d) for n in range(-2, 5) for d in (1, 2, 3)]
+
+
+def test_coefficient_denominators_match_reference():
+    rng = random.Random(6100)
+    fld = PuiseuxField(0, working_prec=WORKING_PREC)
+    ref = RefPuiseuxField(0, working_prec=WORKING_PREC)
+    pool = []
+    for _ in range(40):
+        terms = [(rng.choice(EXPONENTS_Q), rng.choice(COEFS_Q))
+                 for _ in range(rng.randint(0, 4))]
+        prec = INF if rng.random() < 0.6 else rng.choice(PRECS)
+        x, r = fld.elem(terms, prec), ref.elem(terms, prec)
+        _same(x, r, 0)
+        pool.append((x, r))
+    for step in range(500):
+        (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
+        results = [(x + y, rx + ry), (x - y, rx - ry), (-x, -rx),
+                   (x * y, rx * ry), (x * 3, rx * 3)]
+        if _inverse_is_small(x):
+            inv, rinv = _outcome(x.inverse), _outcome(rx.inverse)
+            if isinstance(rinv, type):
+                assert inv is rinv
+            else:
+                results.append((inv, rinv))
+        q = rng.choice(PRECS + [INF])
+        results.append((x.truncated(q), rx.truncated(q)))
+        for new, old in results:
+            _same(new, old, 0)
+            # the same value built from its terms is the same element
+            again = fld.elem(new.terms, new.prec)
+            assert again == new and hash(again) == hash(new)
+        assert x.agrees_with(y) == rx.agrees_with(ry)
+        assert x.agrees_with(x.truncated(q) + y) == rx.agrees_with(
+            rx.truncated(q) + ry)
+        # (x + y) - y has x's value, reached on other coefficient lattices
+        back = (x + y) - y
+        assert back.agrees_with(x)
+        assert (back == x) == ((rx + ry) - ry == rx)
+        if back == x:
+            assert hash(back) == hash(x)
+        assert (x == y) == (rx == ry)
+        if x == y:
+            assert hash(x) == hash(y)
+        if step % 3 == 0 and len(pool) < 120:
+            pool.append(rng.choice([(x + y, rx + ry), (x * y, rx * ry)]))

@@ -109,6 +109,35 @@ class TestDomain:
                    (ExcludedDisc(FQ.zero(), lv(2)),
                     ExcludedDisc(FQ.t(3), lv(2))))  # overlapping
 
+    def test_disjoint_holes_next_to_an_open_hole(self, FQ):
+        # v(z) > 1 and v(z + t) >= 2 share no point: a point of the second
+        # has v(z) = v(-t) = 1
+        t = FQ.t()
+        Domain(FQ.zero(), lv(-1), (ExcludedDisc(FQ.zero(), lv(1), closed=False),
+                                   ExcludedDisc(-t, lv(2))))
+        # two open discs of radius 1 whose centers lie at distance v = 1
+        Domain(FQ.zero(), lv(-1), (ExcludedDisc(FQ.zero(), lv(1), closed=False),
+                                   ExcludedDisc(t, lv(1), closed=False)))
+
+    @pytest.mark.parametrize("hole_a,hole_b", [
+        # a closed disc of radius min(s_a, s_b) holds the other center
+        ((None, 1, True), (1, 2, True)),
+        ((None, 1, True), (1, 1, False)),
+        ((None, 1, False), (1, 1, True)),
+        # the smaller disc's center lies inside the open larger one
+        ((None, 1, False), (2, 3, True)),
+        ((None, 1, False), (2, 3, False)),
+        ((None, 1, False), (None, 1, False)),
+    ])
+    def test_meeting_holes_still_raise(self, FQ, hole_a, hole_b):
+        # (k, s, closed): the hole v(z - t^k) >= s, or > s when open; the
+        # center is 0 when k is None
+        def hole(k, s, closed):
+            center = FQ.zero() if k is None else FQ.t(k)
+            return ExcludedDisc(center, lv(s), closed=closed)
+        with pytest.raises(BadDomain):
+            Domain(FQ.zero(), lv(-1), (hole(*hole_a), hole(*hole_b)))
+
     def test_certified_unit_T_outside_origin(self, FQ):
         # 1 < |z| <= 4: T has no zeros there
         dom = Domain(FQ.zero(), lv(-2),
