@@ -16,7 +16,14 @@ Two backends are provided:
   ``Fraction`` coefficients and encodes its result once.  The views
   ``coefs`` and ``terms`` are derived on demand.  The F_p product kernel
   reads the same lattice, so there is one encoding;
-* p-adic rationals, stored exactly as a reduced fraction.
+* p-adic rationals, stored as an int numerator ``num`` over a positive
+  denominator ``den`` with gcd(num, den) == 1, reduced once per result.
+  The valuation is read off the ints once and cached; ``value`` is a
+  ``Fraction`` view for callers that want one.
+
+Both element classes answer ``valuation_of_difference(other)``, the
+valuation of ``self - other``, straight from the two operands' ints without
+building the difference; ultrametric distances are read this way.
 
 The norm normalization is |x| = 2**(-v(x)) throughout, so the uniformizer
 (t, respectively p) has norm 1/2.
@@ -174,7 +181,10 @@ class PadicField:
         return self.p
 
     def elem(self, value) -> "PadicElem":
-        return PadicElem(self, _frac(value))
+        if type(value) is int:
+            return PadicElem(self, value, 1)
+        value = _frac(value)
+        return PadicElem(self, value.numerator, value.denominator)
 
     def constant(self, c) -> "PadicElem":
         return self.elem(c)
@@ -190,7 +200,14 @@ class PadicField:
         q = _frac(q)
         if q.denominator != 1:
             raise ValueError("the p-adic value group is Z")
-        return self.elem(Fraction(self.p) ** int(q) * _frac(c))
+        c = _frac(c)
+        num, den = c.numerator, c.denominator
+        if q >= 0:
+            num *= self.p ** int(q)
+        else:
+            den *= self.p ** -int(q)
+        g = math.gcd(num, den)
+        return PadicElem(self, num // g, den // g)
 
 
 def _check_same_field(x, y):
@@ -263,7 +280,9 @@ class PuiseuxElem:
     bound or INF.  Results are built by ``_lattice_elem``, except where they
     are canonical by construction (negation, zeros, the inverse of a
     monomial).  Equal values therefore have equal fields, which is what
-    equality and hash compare.
+    equality and hash compare.  ``valuation_of_difference`` reads
+    v(a - b) by walking both lattices to the first term where they differ,
+    without building a - b.
     """
 
     field: PuiseuxField
@@ -316,6 +335,47 @@ class PuiseuxElem:
 
     def valuation_lower_bound(self):
         return self._lead if self.exps else self.prec
+
+    def valuation_of_difference(self, other):
+        """valuation(self - other), read off both operands' lattices.
+
+        The two exponent lists, put on one denominator, agree term by term up
+        to the first exponent where the difference has a nonzero
+        coefficient: the first index where the exponents differ (the smaller
+        one is present on one side only), the coefficients differ, or one
+        list ends.  That exponent is the valuation unless it lies at or above
+        the coarser precision, in which case the difference is a truncated
+        zero and, as for ``(self - other).valuation()``, PrecisionExhausted
+        is raised.
+        """
+        _check_same_field(self, other)
+        xs, ys, den = _on_common_den(self.den, self.exps, other.den, other.exps)
+        ms, ns = self.nums, other.nums
+        c1, c2 = self.cden, other.cden
+        k, n = 0, min(len(xs), len(ys))
+        while k < n:
+            if xs[k] != ys[k]:
+                e = min(xs[k], ys[k])
+                break
+            if ms[k] * c2 != ns[k] * c1:
+                e = xs[k]
+                break
+            k += 1
+        else:
+            if len(xs) > n:
+                e = xs[n]
+            elif len(ys) > n:
+                e = ys[n]
+            else:
+                e = None
+        prec = min(self.prec, other.prec)
+        if e is not None and (prec == INF or e < _lattice_bound(prec, den)):
+            return Fraction(e, den)
+        if prec == INF:
+            return INF
+        raise PrecisionExhausted(
+            f"valuation only known to be >= {prec}", witness=str(prec)
+        )
 
     def __bool__(self):
         return bool(self.exps)
@@ -471,7 +531,7 @@ class PuiseuxElem:
 
     def canonical_str(self) -> str:
         if not self.exps:
-            return "0"
+            return "0" if self.is_exact else f"O(t^{self.prec})"
         parts = []
         for e, c in self.terms:
             if e == 0:
@@ -488,43 +548,84 @@ class PuiseuxElem:
         return self.canonical_str()
 
 
+def _vp(n: int, p: int) -> int:
+    """The p-adic valuation of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 @dataclass(frozen=True)
 class PadicElem:
+    """The rational num/den with the p-adic valuation, in canonical form.
+
+    ``num`` and ``den`` are ints with ``den > 0`` and gcd(num, den) == 1,
+    so zero is (0, 1).  Every result is reduced once, as it is built, so
+    equal values have equal fields, which is what equality and hash
+    compare.  ``valuation_of_difference`` reads v(a - b) as
+    v(n1*d2 - n2*d1) - v(d1*d2) without building a - b.
+    """
+
     field: PadicField
-    value: Fraction
+    num: int
+    den: int
+
+    @cached_property
+    def value(self) -> Fraction:
+        """The element as a Fraction."""
+        return Fraction(self.num, self.den)
+
+    @cached_property
+    def _valuation(self):
+        if not self.num:
+            return INF
+        p = self.field.p
+        return Fraction(_vp(self.num, p) - _vp(self.den, p))
 
     @property
     def is_exact(self) -> bool:
         return True
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.num
 
     def valuation(self):
-        if self.value == 0:
-            return INF
-        p = self.field.p
-        num, den = self.value.numerator, self.value.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return Fraction(v)
+        return self._valuation
 
     valuation_lower_bound = valuation
 
+    def valuation_of_difference(self, other):
+        """valuation(self - other), from the four ints."""
+        _check_same_field(self, other)
+        d1, d2 = self.den, other.den
+        n = self.num * d2 - other.num * d1
+        if not n:
+            return INF
+        p = self.field.p
+        return Fraction(_vp(n, p) - _vp(d1 * d2, p))
+
     def __bool__(self):
-        return self.value != 0
+        return self.num != 0
 
     def __add__(self, other):
         _check_same_field(self, other)
-        return PadicElem(self.field, self.value + other.value)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # as in fractions.Fraction: with g = gcd(d1, d2), only g can share a
+        # factor with the numerator of the sum over lcm(d1, d2)
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return PadicElem(self.field, n1 * d2 + n2 * d1, d1 * d2)
+        s = d1 // g
+        n = n1 * (d2 // g) + n2 * s
+        g2 = math.gcd(n, g)
+        if g2 == 1:
+            return PadicElem(self.field, n, s * d2)
+        return PadicElem(self.field, n // g2, s * (d2 // g2))
 
     def __neg__(self):
-        return PadicElem(self.field, -self.value)
+        return PadicElem(self.field, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -533,21 +634,30 @@ class PadicElem:
         if isinstance(other, int):
             other = self.field.constant(other)
         _check_same_field(self, other)
-        return PadicElem(self.field, self.value * other.value)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # cross-cancel, so that the product is reduced as built
+        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+        return PadicElem(self.field, (n1 // g1) * (n2 // g2),
+                         (d1 // g2) * (d2 // g1))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.value == 0:
+        if not self.num:
             raise DivisionByZero("inverse of zero")
-        return PadicElem(self.field, 1 / self.value)
+        if self.num < 0:
+            return PadicElem(self.field, -self.den, -self.num)
+        return PadicElem(self.field, self.den, self.num)
 
     def agrees_with(self, other) -> bool:
         _check_same_field(self, other)
-        return self.value == other.value
+        return self.num == other.num and self.den == other.den
 
     def canonical_str(self) -> str:
-        return str(self.value)
+        # the bytes str(Fraction) gives
+        if self.den == 1:
+            return str(self.num)
+        return f"{self.num}/{self.den}"
 
     def __repr__(self):
         return self.canonical_str()

@@ -83,10 +83,10 @@ class ChainPoint:
 
 def _dist(a, b) -> LogValue:
     """Ultrametric log-distance v(a - b), +infinity when equal."""
-    diff = a - b
-    if diff.is_zero():
-        return INFINITY
-    return LogValue(diff.valuation())
+    v = a.valuation_of_difference(b)
+    # a Fraction, or the float INF for equal operands; a type test is far
+    # cheaper than comparing a Fraction with a float
+    return INFINITY if isinstance(v, float) else LogValue(v)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def elem_to_json(x):
                 "terms": terms, "prec": prec}
     if isinstance(x, PadicElem):
         return {"backend": "padic", "p": x.field.p,
-                "value": frac_to_json(x.value)}
+                "value": x.canonical_str()}
     raise TypeError(f"not a field element: {x!r}")
 
 

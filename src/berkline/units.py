@@ -72,8 +72,11 @@ def unit_class(c) -> UnitClass:
     if isinstance(c, PadicElem):
         p = c.field.p
         v = int(c.valuation())
-        unit = c.value / Fraction(p) ** v
-        num, den = unit.numerator, unit.denominator
+        num, den = c.num, c.den
+        if v > 0:
+            num //= p ** v
+        elif v < 0:
+            den //= p ** -v
         res = (num % p) * pow(den % p, -1, p) % p
         return UnitClass(Fraction(v), res, p)
     raise TypeError(f"not a field element: {c!r}")

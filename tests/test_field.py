@@ -71,6 +71,18 @@ class TestPuiseuxBasics:
         # 1/2 = 2 mod 3
         assert F3.constant(Fraction(1, 2)).terms == ((Fraction(0), 2),)
 
+    def test_truncated_zero_prints_its_precision(self, F3, FQ):
+        # a truncated zero is not the exact zero, and must not print as it:
+        # direction keys and skeleton labels are built from these strings
+        for fld in (F3, FQ):
+            assert fld.elem([], 3).canonical_str() == "O(t^3)"
+            assert fld.elem([], Fraction(-1, 2)).canonical_str() == "O(t^-1/2)"
+            assert fld.zero().canonical_str() == "0"
+            assert (fld.t(4) - fld.t(4).truncated(3)).canonical_str() == "O(t^3)"
+            assert len({fld.elem([], 3).canonical_str(),
+                        fld.elem([], 2).canonical_str(),
+                        fld.zero().canonical_str()}) == 3
+
 
 @pytest.mark.parametrize("char", [0, 3])
 class TestCanonicalForm:
@@ -150,6 +162,17 @@ class TestPadicBasics:
         assert valuation(Q2.zero()) == INF
         with pytest.raises(DivisionByZero):
             Q2.zero().inverse()
+
+    def test_stored_as_reduced_ints(self, Q2):
+        x = Q2.elem(Fraction(-12, 40))
+        assert (x.num, x.den) == (-3, 10)
+        assert (Q2.zero().num, Q2.zero().den) == (0, 1)
+        assert (x + -x).den == 1 and (x * Q2.zero()).den == 1
+        assert x.inverse() == Q2.elem(Fraction(-10, 3))
+        assert (x.inverse().num, x.inverse().den) == (-10, 3)
+        assert Q2.t(-3, Fraction(2, 3)) == Q2.elem(Fraction(1, 12))
+        assert Q2.t(2, Fraction(3, 4)).canonical_str() == "3"
+        assert x.canonical_str() == str(Fraction(-3, 10)) == "-3/10"
 
 
 class TestCharacteristic:
