@@ -7,15 +7,23 @@ cohomology of the two-term complex
 
     (+) vertex stalks  --d-->  (+) edge stalks,   d(s)|_e = e.child - e.parent
 
-is computed exactly via Smith normal form of integer lifts.
+is read off one Smith normal form U D V = diag(d_1, ..., d_k) of the integer
+lift D (b x a, k = min(a, b)), resting on two facts.  U and V are unimodular,
+so they stay invertible mod n and the complex mod n is a direct sum of the
+maps x -> d_i x on Z/n plus a - k free summands in degree 0 and b - k in
+degree 1.  And x -> d x on Z/n has kernel and cokernel both isomorphic to
+Z/gcd(d, n).  So H0 and H1 share the orders gcd(d_i, n), each padded with
+copies of n; since d_i | d_{i+1} these already form the invariant-factor
+chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import NotOpenSubtree, RootlessSkeleton, ShapeMismatch
-from .snf import kernel_basis, smith_normal_form
+from .snf import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -147,39 +155,14 @@ def differential_matrix(F: TreeSheaf):
 def cohomology(F: TreeSheaf) -> CohomologyResult:
     D, a, b = differential_matrix(F)
     n = F.modulus
-    return CohomologyResult(_h0(D, a, b, n), _h1(D, a, b, n))
+    diag, _, _ = smith_normal_form(D)
+    g = [gcd(d, n) for d in diag]
+    return CohomologyResult(_invariant_factors(g + [n] * (a - len(diag))),
+                            _invariant_factors(g + [n] * (b - len(diag))))
 
 
-def _h0(D, a, b, n):
-    # kernel of (Z/n)^a -> (Z/n)^b: lift to L = {x : Dx in nZ^b}, then read
-    # the invariant factors of L inside Z^a
-    if a == 0:
-        return ()
-    if b == 0:
-        return tuple(sorted([n] * a))
-    M = [row[:] + [n if j == i else 0 for j in range(b)]
-         for i, row in enumerate(D)]
-    basis = kernel_basis(M)
-    gens = [[vec[i] for vec in basis] for i in range(a)]  # a x k
-    diag, _, _ = smith_normal_form(gens)
-    factors = []
-    for d in diag:
-        # the lifted kernel lattice contains nZ^a, so d divides n
-        assert d and n % d == 0
-        f = n // d
-        if f > 1:
-            factors.append(f)
-    return tuple(sorted(factors))
-
-
-def _h1(D, a, b, n):
-    if b == 0:
-        return ()
-    M = [row[:] + [n if j == i else 0 for j in range(b)]
-         for i, row in enumerate(D)]
-    diag, _, _ = smith_normal_form(M)
-    assert all(d and n % d == 0 for d in diag)  # cokernel is killed by n
-    return tuple(sorted(d for d in diag if d > 1))
+def _invariant_factors(orders):
+    return tuple(sorted(f for f in orders if f > 1))
 
 
 def constant_sheaf(tree: HostTree, n: int, rank: int = 1) -> TreeSheaf:

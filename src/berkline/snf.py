@@ -62,7 +62,8 @@ def smith_normal_form(mat):
                     if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
                         pivot = (i, j)
             if pivot is None:
-                break
+                # the trailing block is zero: so are the remaining d_i
+                return [A[i][i] for i in range(n)], U, V
             if pivot != (k, k):
                 if pivot[0] != k:
                     swap_rows(k, pivot[0])
@@ -98,16 +99,4 @@ def smith_normal_form(mat):
             addmul_row(k, offender, 1)
         if k < r and k < c and A[k][k] < 0:
             neg_row(k)
-    diag = [A[k][k] for k in range(n)]
-    return diag, U, V
-
-
-def kernel_basis(mat):
-    """Integer basis (list of column vectors) of the kernel of ``mat``."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    diag, _, V = smith_normal_form(mat)
-    rank = sum(1 for d in diag if d)
-    return [[V[i][j] for i in range(cols)] for j in range(rank, cols)]
+    return [A[i][i] for i in range(n)], U, V

@@ -172,13 +172,6 @@ def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
     return sum(1 for r in roots if _dist(r, center) > s)
 
 
-def _roots_inside_domain(g: Polynomial, roots, dom: Domain) -> int:
-    total = _count_in_disc(g, roots, dom.center, dom.s)
-    for d in dom.excluded:
-        total -= _count_in_disc(g, roots, d.center, d.s, d.closed)
-    return total
-
-
 @dataclass(frozen=True)
 class ReducedUnit:
     f: RationalFunction
@@ -186,17 +179,32 @@ class ReducedUnit:
     certified: bool
 
 
-def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
-    """Certify that f has neither zeros nor poles on the domain."""
+def _certified_hole_counts(f: RationalFunction, dom: Domain):
+    """Certify that f has neither zeros nor poles on the domain; return the
+    roots of num, then of den, in each excluded disc, in order.
+
+    Each side is counted in the bounding disc first, then in the holes, and
+    num before den, so the first failure is always the same one."""
     if f.is_zero():
         raise ZeroElement("the zero function is not a unit anywhere")
+    counts = []
     for which, (poly, roots) in zip(("num", "den"), _sides(f)):
-        count = _roots_inside_domain(poly, roots, dom)
+        total = _count_in_disc(poly, roots, dom.center, dom.s)
+        holes = tuple(_count_in_disc(poly, roots, d.center, d.s, d.closed)
+                      for d in dom.excluded)
+        count = total - sum(holes)
         if count > 0:
             raise VanishesOnDomain(
                 f"{which} has {count} root(s) on the domain",
                 witness=_witness_disc(poly, dom, which),
             )
+        counts.append(holes)
+    return counts
+
+
+def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
+    """Certify that f has neither zeros nor poles on the domain."""
+    _certified_hole_counts(f, dom)
     return ReducedUnit(f, dom, True)
 
 
@@ -220,13 +228,10 @@ def boundary_degrees(f: RationalFunction, dom: Domain):
     disc, infinity included) the entries sum to zero.
     """
     try:
-        reduced_unit(f, dom)
+        zeros, poles = _certified_hole_counts(f, dom)
     except VanishesOnDomain as exc:
         raise NotCertified(str(exc), witness=exc.witness) from exc
-    (num, zeros), (den, poles) = _sides(f)
-    return tuple(_count_in_disc(num, zeros, d.center, d.s, d.closed)
-                 - _count_in_disc(den, poles, d.center, d.s, d.closed)
-                 for d in dom.excluded)
+    return tuple(z - p for z, p in zip(zeros, poles))
 
 
 def exterior_degree(f: RationalFunction, dom: Domain) -> int:

@@ -1,6 +1,7 @@
 """Cellular sheaf cohomology, checked against brute-force group enumeration."""
 
 import random
+import time
 from itertools import product
 from math import gcd
 
@@ -11,7 +12,7 @@ from berkline import (HostTree, PuiseuxField, build_skeleton, cohomology,
                       shriek_extend, zero_sheaf)
 from berkline.errors import NotOpenSubtree, RootlessSkeleton, ShapeMismatch
 from berkline.sheaf import differential_matrix
-from berkline.snf import kernel_basis, smith_normal_form
+from berkline.snf import smith_normal_form
 from conftest import rand_puiseux
 
 
@@ -77,35 +78,40 @@ def assert_matches_enumeration(F):
     return res
 
 
+def assert_smith_form(M):
+    r, c = len(M), len(M[0])
+    diag, U, V = smith_normal_form(M)
+    # U M V equals the diagonal
+    UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)]
+          for i in range(r)]
+    UMV = [[sum(UM[i][k] * V[k][j] for k in range(c)) for j in range(c)]
+           for i in range(r)]
+    for i in range(r):
+        for j in range(c):
+            want = diag[i] if i == j and i < len(diag) else 0
+            assert UMV[i][j] == want
+    # divisibility chain
+    for d1, d2 in zip(diag, diag[1:]):
+        if d1:
+            assert d2 % d1 == 0
+        else:
+            assert d2 == 0
+
+
 class TestSmithNormalForm:
     @pytest.mark.parametrize("seed", range(10))
     def test_unimodular_transforms(self, seed):
         rng = random.Random(seed)
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        diag, U, V = smith_normal_form(M)
-        # U M V equals the diagonal
-        UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)]
-              for i in range(r)]
-        UMV = [[sum(UM[i][k] * V[k][j] for k in range(c)) for j in range(c)]
-               for i in range(r)]
-        for i in range(r):
-            for j in range(c):
-                want = diag[i] if i == j and i < len(diag) else 0
-                assert UMV[i][j] == want
-        # divisibility chain
-        for d1, d2 in zip(diag, diag[1:]):
-            if d1:
-                assert d2 % d1 == 0
-            else:
-                assert d2 == 0
-
-    def test_kernel_basis(self):
-        M = [[2, 4, 6]]
-        basis = kernel_basis(M)
-        assert len(basis) == 2
-        for vec in basis:
-            assert sum(m * x for m, x in zip(M[0], vec)) == 0
+        assert_smith_form(M)
+        # zero rows and columns leave a zero trailing block partway
+        for i in rng.sample(range(r), rng.randint(1, r)):
+            M[i] = [0] * c
+        for j in rng.sample(range(c), rng.randint(1, c)):
+            for row in M:
+                row[j] = 0
+        assert_smith_form(M)
 
 
 class TestConstantSheaf:
@@ -123,6 +129,16 @@ class TestConstantSheaf:
         F = zero_sheaf(interval(3), 4)
         res = cohomology(F)
         assert res.H0 == () and res.H1 == ()
+
+    def test_large_zero_differential(self):
+        # both ends open: D is a zero 300 x 600 matrix
+        n, r = 5, 300
+        F = make_cellular_sheaf(interval(2), n, {0: r, 1: r}, {0: r}, {},
+                                open_ends={(0, 0), (1, 0)})
+        start = time.perf_counter()
+        res = cohomology(F)
+        assert time.perf_counter() - start < 2
+        assert res.H0 == (n,) * 600 and res.H1 == (n,) * 300
 
 
 class TestShriek:
