@@ -33,7 +33,8 @@ import sys
 from importlib import resources
 
 from . import serialize as ser
-from .cancel import SectionComponent, SectionData, splitting_delta, y1_divisor, y2_divisor
+from .cancel import (UNIT_ANNULUS, SectionComponent, SectionData, splitting_delta,
+                     y1_divisor, y2_divisor)
 from .errors import BerkError
 from .gauss import newton_polygon, root_count_annulus
 from .points import classify, eval_point
@@ -368,8 +369,8 @@ def _cmd_homotopy(payload):
 
 def _cmd_cancel(payload):
     fld = _field(payload)
-    ann = ser.annulus_from_json(payload.get(
-        "annulus", {"s_lo": {"q": "1"}, "s_hi": {"q": "-1"}}))
+    ann = (ser.annulus_from_json(payload["annulus"]) if "annulus" in payload
+           else UNIT_ANNULUS)
     N = int(payload["N"])
     out = {}
     if "section" in payload:

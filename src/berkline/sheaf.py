@@ -7,10 +7,11 @@ cohomology of the two-term complex
 
     (+) vertex stalks  --d-->  (+) edge stalks,   d(s)|_e = e.child - e.parent
 
-is read off one Smith normal form U D V = diag(d_1, ..., d_k) of the integer
-lift D (b x a, k = min(a, b)), resting on two facts.  U and V are unimodular,
-so they stay invertible mod n and the complex mod n is a direct sum of the
-maps x -> d_i x on Z/n plus a - k free summands in degree 0 and b - k in
+is read off the Smith diagonal d_1, ..., d_k of the integer lift D (b x a,
+k = min(a, b)), resting on two facts.  Unimodular changes of basis on both
+sides, never computed, turn D into diag(d_1, ..., d_k); they stay
+invertible mod n, so the complex mod n is a direct sum of the maps
+x -> d_i x on Z/n plus a - k free summands in degree 0 and b - k in
 degree 1.  And x -> d x on Z/n has kernel and cokernel both isomorphic to
 Z/gcd(d, n).  So H0 and H1 share the orders gcd(d_i, n), each padded with
 copies of n; since d_i | d_{i+1} these already form the invariant-factor
@@ -155,7 +156,7 @@ def differential_matrix(F: TreeSheaf):
 def cohomology(F: TreeSheaf) -> CohomologyResult:
     D, a, b = differential_matrix(F)
     n = F.modulus
-    diag, _, _ = smith_normal_form(D)
+    diag = smith_normal_form(D)
     g = [gcd(d, n) for d in diag]
     return CohomologyResult(_invariant_factors(g + [n] * (a - len(diag))),
                             _invariant_factors(g + [n] * (b - len(diag))))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateCenters, PointOutsideDisc
+from .errors import DuplicateCenters, PointOutsideDisc, ShapeMismatch
 from .logvalue import INFINITY, ZERO, LogValue
 from .points import DiscPoint, _dist
+from .sheaf import HostTree
 
 
 @dataclass(frozen=True)
@@ -32,22 +33,11 @@ class Skeleton:
         return tuple(c for c, p in self.edges if p == v)
 
     def is_tree(self) -> bool:
-        n = len(self.vertices)
-        if len(self.edges) != n - 1:
+        try:
+            HostTree.from_skeleton(self)
+        except ShapeMismatch:
             return False
-        seen = {self.root}
-        frontier = [self.root]
-        adj = {}
-        for c, p in self.edges:
-            adj.setdefault(p, []).append(c)
-            adj.setdefault(c, []).append(p)
-        while frontier:
-            v = frontier.pop()
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == n
+        return True
 
     def host_tree(self):
         """(vertex ids, edges, root) triple consumed by the sheaf module."""

@@ -1,102 +1,80 @@
-"""Smith normal form over the integers, with transform matrices.
+"""The Smith normal form diagonal of an integer matrix.
 
 Plain-int implementation; matrix sizes in this library are tiny (cell counts
-of finite trees), so clarity beats asymptotics.  Pivoting on the smallest
-nonzero entry keeps intermediate growth tame.
+of finite trees), so clarity beats asymptotics.  Only the diagonal is
+computed: cohomology reads nothing else, so no transform matrices are kept.
+
+Each step pivots on the first entry, in row-major order, of smallest nonzero
+absolute value in the trailing block, which keeps intermediate growth tame.
+An entry of absolute value 1 is taken as soon as the scan meets it: nothing
+is smaller, so it is the entry the full scan would pick, and every integer is
+divisible by it, so the divisibility check of the trailing block is skipped
+too.  The diagonal is therefore the same as with the full scans.
 """
 
 from __future__ import annotations
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _pivot(A, k):
+    """(i, j) of the first smallest nonzero |A[i][j]| with i, j >= k, or None."""
+    best, at = 0, None
+    for i in range(k, len(A)):
+        row = A[i]
+        for j in range(k, len(row)):
+            x = abs(row[j])
+            if x and (at is None or x < best):
+                best, at = x, (i, j)
+                if x == 1:
+                    return at
+    return at
 
 
 def smith_normal_form(mat):
-    """Return (diag, U, V) with U @ mat @ V diagonal, d_i | d_{i+1}, d_i >= 0.
+    """Return the Smith diagonal of ``mat``: d_i >= 0 and d_i | d_{i+1}.
 
-    ``diag`` has length min(rows, cols); U and V are unimodular.
+    The diagonal has length min(rows, cols).
     """
     A = [list(row) for row in mat]
     r = len(A)
     c = len(A[0]) if r else 0
-    U = identity(r)
-    V = identity(c)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        Ad, As = A[dst], A[src]
-        for k in range(c):
-            Ad[k] += q * As[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(r):
-            Ud[k] += q * Us[k]
-
-    def addmul_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def neg_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
     n = min(r, c)
+    diag = []
     for k in range(n):
         while True:
-            # locate the smallest nonzero entry of the trailing block
-            pivot = None
-            for i in range(k, r):
-                for j in range(k, c):
-                    if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
+            at = _pivot(A, k)
+            if at is None:
                 # the trailing block is zero: so are the remaining d_i
-                return [A[i][i] for i in range(n)], U, V
-            if pivot != (k, k):
-                if pivot[0] != k:
-                    swap_rows(k, pivot[0])
-                if pivot[1] != k:
-                    swap_cols(k, pivot[1])
-            p = A[k][k]
+                return diag + [0] * (n - k)
+            i, j = at
+            A[k], A[i] = A[i], A[k]
+            if j != k:
+                for row in A[k:]:
+                    row[k], row[j] = row[j], row[k]
+            Ak = A[k]
+            p = Ak[k]
             dirty = False
-            for i in range(k + 1, r):
-                if A[i][k]:
-                    q = A[i][k] // p
-                    addmul_row(i, k, -q)
-                    if A[i][k]:
-                        dirty = True
-            for j in range(k + 1, c):
-                if A[k][j]:
-                    q = A[k][j] // p
-                    addmul_col(j, k, -q)
-                    if A[k][j]:
-                        dirty = True
+            for row in A[k + 1:]:
+                if row[k]:
+                    q = row[k] // p
+                    for m in range(k, c):
+                        row[m] -= q * Ak[m]
+                    dirty = dirty or row[k] != 0
+            for m in range(k + 1, c):
+                if Ak[m]:
+                    q = Ak[m] // p
+                    for row in A[k:]:
+                        row[m] -= q * row[k]
+                    dirty = dirty or Ak[m] != 0
             if dirty:
                 continue
+            if abs(p) == 1:
+                break
             # enforce divisibility of the trailing block by the pivot
-            offender = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if A[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((row for row in A[k + 1:]
+                             if any(x % p for x in row[k + 1:])), None)
             if offender is None:
                 break
-            addmul_row(k, offender, 1)
-        if k < r and k < c and A[k][k] < 0:
-            neg_row(k)
-    return [A[i][i] for i in range(n)], U, V
+            for m in range(k + 1, c):
+                Ak[m] += offender[m]
+        diag.append(abs(A[k][k]))
+    return diag

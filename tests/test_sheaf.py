@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import reference_sheaf as ref
 from berkline import (HostTree, PuiseuxField, build_skeleton, cohomology,
                       constant_sheaf, kummer_sheaf, make_cellular_sheaf,
                       shriek_extend, zero_sheaf)
@@ -80,7 +81,8 @@ def assert_matches_enumeration(F):
 
 def assert_smith_form(M):
     r, c = len(M), len(M[0])
-    diag, U, V = smith_normal_form(M)
+    diag, U, V = ref.smith_normal_form(M)
+    assert smith_normal_form(M) == diag
     # U M V equals the diagonal
     UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)]
           for i in range(r)]
@@ -113,6 +115,34 @@ class TestSmithNormalForm:
                 row[j] = 0
         assert_smith_form(M)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diagonal_matches_reference(self, seed):
+        # 400 matrices per seed, 0-8 rows and columns, taking turns: entries
+        # in [-20, 20] with ~40% zeros; rich in +-1 entries; the first kind
+        # with zero rows and columns; the first kind scaled to near 10**12
+        rng = random.Random(1000 + seed)
+        for trial in range(400):
+            r, c = rng.randint(0, 8), rng.randint(0, 8)
+            kind = trial % 4
+            if kind == 1:
+                pool = (-1, 1, -1, 1, 0, 0, 2, -3, 5)
+                M = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+            else:
+                M = [[0 if rng.random() < 0.4 else rng.randint(-20, 20)
+                      for _ in range(c)] for _ in range(r)]
+            if kind == 2 and r and c:
+                for i in rng.sample(range(r), rng.randint(1, r)):
+                    M[i] = [0] * c
+                for j in rng.sample(range(c), rng.randint(0, c)):
+                    for row in M:
+                        row[j] = 0
+            if kind == 3:
+                M = [[x * 10 ** 12 + rng.randint(-3, 3) if x else 0
+                      for x in row] for row in M]
+            diag = smith_normal_form(M)
+            assert diag == ref.smith_normal_form(M)[0]
+            assert len(diag) == min(r, c) and all(d >= 0 for d in diag)
+
 
 class TestConstantSheaf:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -139,6 +169,15 @@ class TestConstantSheaf:
         res = cohomology(F)
         assert time.perf_counter() - start < 2
         assert res.H0 == (n,) * 600 and res.H1 == (n,) * 300
+
+    def test_large_one_edge_constant_sheaf(self):
+        # D = [I | -I], 300 x 600: every pivot is a unit
+        n, r = 7, 300
+        F = constant_sheaf(interval(2), n, rank=r)
+        start = time.perf_counter()
+        res = cohomology(F)
+        assert time.perf_counter() - start < 1
+        assert res.H0 == (n,) * r and res.H1 == ()
 
 
 class TestShriek:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import DiscPoint, INFINITY, LogValue, build_skeleton
-from berkline.errors import DuplicateCenters, PointOutsideDisc
+from berkline import DiscPoint, HostTree, INFINITY, LogValue, Skeleton, build_skeleton
+from berkline.errors import DuplicateCenters, PointOutsideDisc, ShapeMismatch
 from conftest import rand_puiseux
 
 lv = lambda q, e=0: LogValue(Fraction(q), Fraction(e))
@@ -125,6 +125,15 @@ class TestBuild:
                     expected = meet(DiscPoint(a, INFINITY),
                                     DiscPoint(b, INFINITY))
                     assert sk.vertices[common] == expected
+
+    def test_is_tree_rejects_edge_off_the_vertex_set(self, FQ):
+        # |E| = |V| - 1 and the walk from the root reaches three ids, but
+        # vertex 2 is cut off and vertex 5 does not exist
+        pts = tuple(DiscPoint(FQ.zero(), LogValue(k)) for k in range(3))
+        sk = Skeleton(pts, ((1, 0), (5, 1)), 0, ())
+        assert not sk.is_tree()
+        with pytest.raises(ShapeMismatch, match=r"edge \(5, 1\) off the vertex set"):
+            HostTree.from_skeleton(sk)
 
 
 class TestDot:
