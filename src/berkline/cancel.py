@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BoundarySolution, NotCertified, VanishesOnDomain,
-                     ZeroPolynomial)
+from .errors import (BoundarySolution, NotCertified, ResourceLimit,
+                     VanishesOnDomain, ZeroPolynomial)
 from .gauss import NewtonPolygon, _classify, _polygon
 from .logvalue import LogValue, ZERO, as_logvalue
 from .poly import Polynomial, RationalFunction
@@ -64,6 +64,10 @@ class AnnulusSpec:
 
 UNIT_ANNULUS = AnnulusSpec(s_lo=LogValue(Fraction(1)), s_hi=LogValue(Fraction(-1)))
 
+# The most entries y1_divisor builds, one per residue ball, before it raises
+# ResourceLimit.  At the cap the CLI prints some 33 MB of JSON.
+Y1_ENTRY_CAP = 10**6
+
 
 def y1_divisor(N: int, fld) -> Divisor:
     """The root-of-unity locus t**N = 1 at the residue level.
@@ -80,6 +84,9 @@ def y1_divisor(N: int, fld) -> Divisor:
         while N % p == 0:
             N //= p
             a += 1
+    if N > Y1_ENTRY_CAP:
+        raise ResourceLimit(f"Y1 needs more than {Y1_ENTRY_CAP} entries",
+                            witness=Y1_ENTRY_CAP)
     mult = p ** a if p else 1
     return Divisor(((ZERO, mult),) * N)
 

@@ -5,9 +5,10 @@ JSON nested too deeply to decode, a problem file or payload that is not a
 JSON object, a problem version other than the JSON number 1, and rationals
 with a zero denominator), 3 domain errors, which print a machine-readable
 {"error": ..., "witness": ...} object (``resource_limit`` among them, when a
-computation would exceed a documented size cap), 1 when stdout is closed
-before the output is written (say, piped into `head`), and 4 for any other
-exception, a defect in berkline itself, reported as
+computation would exceed a documented size cap: ``field.INVERSE_TERM_CAP``
+terms in an inverse, ``cancel.Y1_ENTRY_CAP`` entries in Y1), 1 when stdout
+is closed before the output is written (say, piped into `head`), and 4 for
+any other exception, a defect in berkline itself, reported as
 {"error": "internal", "detail": "<type>: <message>"} on stderr instead of a
 traceback.
 

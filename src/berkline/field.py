@@ -45,10 +45,14 @@ INF = math.inf
 
 # The most exponents PuiseuxElem.inverse solves for, zero coefficients
 # included, before it raises ResourceLimit.  The test suite needs at most 191
-# and the benchmark workloads none; the exact inverse of 1 + t^(1/1024) at the
-# default working precision 32 needs 32767.  An element whose leading exponent
-# lies far below its precision can ask for ~10**15.
+# and the benchmark workloads none; the exact inverse of 1 + t^(1/1024) to
+# WORKING_PREC needs 32767.  An element whose leading exponent lies far below
+# its precision can ask for ~10**15.
 INVERSE_TERM_CAP = 1 << 16
+
+# The exclusive precision to which PuiseuxElem.inverse expands the inverse of
+# an exact element, which is an infinite series.
+WORKING_PREC = Fraction(32)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base above: below it, Miller-Rabin
@@ -88,19 +92,14 @@ def _frac(x):
 
 
 class PuiseuxField:
-    """Truncated Puiseux series field over F_p (char=p) or Q (char=0).
-
-    ``working_prec`` is the default exclusive precision used when inverting
-    exact elements, whose inverse is an infinite series.
-    """
+    """Truncated Puiseux series field over F_p (char=p) or Q (char=0)."""
 
     backend = "puiseux"
 
-    def __init__(self, char: int = 0, working_prec=Fraction(32)):
+    def __init__(self, char: int = 0):
         if char:
             _require_prime(char)
         self.char = char
-        self.working_prec = _frac(working_prec)
 
     def __eq__(self, other):
         return isinstance(other, PuiseuxField) and other.char == self.char
@@ -464,7 +463,7 @@ class PuiseuxElem:
         # write self = c0 t**v0 (1 + h) and solve (1 + h) g = 1 term by term,
         # in increasing exponent order, up to the attainable precision
         v0 = self._lead
-        unit_prec = self.prec - v0 if self.prec != INF else f.working_prec
+        unit_prec = self.prec - v0 if self.prec != INF else WORKING_PREC
         bound = _lattice_bound(unit_prec, den)
         h = [(e - e0, c * c0inv % p if p else c * c0inv)
              for e, c in zip(self.exps[1:], coefs[1:])]

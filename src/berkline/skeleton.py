@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DuplicateCenters, PointOutsideDisc, ShapeMismatch
-from .logvalue import INFINITY, ZERO, LogValue
+from .logvalue import INFINITY, ZERO, as_logvalue
 from .points import DiscPoint, _dist
 from .sheaf import HostTree
 
@@ -55,19 +55,13 @@ class Skeleton:
         return "\n".join(lines) + "\n"
 
 
-def _sort_key(pt: DiscPoint):
-    s = pt.s
-    if s.is_infinite:
-        return (1, 0, 0, pt.center.canonical_str())
-    return (0, s.q, s.e, pt.center.canonical_str())
-
-
 def build_skeleton(A, s_floor=INFINITY) -> Skeleton:
     """Skeleton spanned by the centers A, leaves truncated at s_floor.
 
     Centers must lie in the unit disc, v(a) >= 0, and stay distinct at the
     leaf depth: v(a - b) < s_floor for all pairs, else the leaf discs
-    coincide as points.
+    coincide as points.  The duplicate check computes each distance
+    v(a - b) once, into the table that the tree is read off.
     """
     A = list(A)
     if not A:
@@ -75,69 +69,57 @@ def build_skeleton(A, s_floor=INFINITY) -> Skeleton:
     for i, a in enumerate(A):
         if a.valuation_lower_bound() < 0:
             raise PointOutsideDisc(f"center {a!r} outside the unit disc", witness=i)
-    for i in range(len(A)):
-        for j in range(i + 1, len(A)):
-            d = _dist(A[i], A[j])
+    s_floor = as_logvalue(s_floor)
+    n = len(A)
+    dist = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = dist[i][j] = dist[j][i] = _dist(A[i], A[j])
             if d >= s_floor:
                 raise DuplicateCenters(
                     f"centers {A[i]!r} and {A[j]!r} coincide at depth {s_floor}",
                     witness=[i, j],
                 )
 
-    verts = []
+    # a vertex is (s, index of its center), the center with the least name
+    names = [a.canonical_str() for a in A]
+    verts = [(ZERO, min(range(n), key=names.__getitem__))]
     edges = []
+    leaves = []
 
-    def canonical(group):
-        return min(group, key=lambda a: a.canonical_str())
-
-    def add_vertex(pt):
-        verts.append(pt)
-        return len(verts) - 1
-
-    def partition(group, level: LogValue):
-        """Classes of the relation v(a-b) > level."""
+    def attach(group, level, parent):
+        # invariant: all pairwise distances in group exceed level = s(parent);
+        # each class of the relation v(a - b) > level hangs below parent
         classes = []
-        for a in group:
+        for i in group:
             for cls in classes:
-                if _dist(a, cls[0]) > level:
-                    cls.append(a)
+                if dist[i][cls[0]] > level:
+                    cls.append(i)
                     break
             else:
-                classes.append([a])
-        return classes
+                classes.append([i])
+        for cls in classes:
+            node = len(verts)
+            edges.append((node, parent))
+            if len(cls) == 1:
+                verts.append((s_floor, cls[0]))
+                leaves.append(node)
+                continue
+            m = min(dist[i][j] for k, i in enumerate(cls) for j in cls[k + 1:])
+            verts.append((m, min(cls, key=names.__getitem__)))
+            attach(cls, m, node)
 
-    def attach(group, parent_idx):
-        # invariant: all pairwise distances in group exceed s(parent)
-        if len(group) == 1:
-            leaf = add_vertex(DiscPoint(group[0], s_floor))
-            edges.append((leaf, parent_idx))
-            return
-        m = min(
-            _dist(group[i], group[j])
-            for i in range(len(group))
-            for j in range(i + 1, len(group))
-        )
-        node = add_vertex(DiscPoint(canonical(group), m))
-        edges.append((node, parent_idx))
-        for cls in partition(group, m):
-            attach(cls, node)
-
-    root = add_vertex(DiscPoint(canonical(A), ZERO))
-    for cls in partition(A, ZERO):
-        attach(cls, root)
+    attach(range(n), ZERO, 0)
 
     # stable renumbering: sort by (s, serialized center)
-    order = sorted(range(len(verts)), key=lambda i: _sort_key(verts[i]))
-    renum = {old: new for new, old in enumerate(order)}
-    vertices = tuple(verts[i] for i in order)
-    new_edges = tuple(sorted((renum[c], renum[p]) for c, p in edges))
-    new_root = renum[root]
-    degree = {}
-    for c, p in new_edges:
-        degree[c] = degree.get(c, 0) + 1
-        degree[p] = degree.get(p, 0) + 1
-    leaves = tuple(
-        i for i in range(len(vertices))
-        if degree.get(i, 0) == 1 and i != new_root
+    order = sorted(range(len(verts)),
+                   key=lambda k: (verts[k][0], names[verts[k][1]]))
+    renum = [0] * len(verts)
+    for new, old in enumerate(order):
+        renum[old] = new
+    return Skeleton(
+        tuple(DiscPoint(A[verts[k][1]], verts[k][0]) for k in order),
+        tuple(sorted((renum[c], renum[p]) for c, p in edges)),
+        renum[0],
+        tuple(sorted(renum[v] for v in leaves)),
     )
-    return Skeleton(vertices, new_edges, new_root, leaves)

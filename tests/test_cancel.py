@@ -10,9 +10,10 @@ from berkline import (AnnulusSpec, LogValue, PadicField, Polynomial,
                       PuiseuxField, RationalFunction, SectionComponent,
                       SectionData, UNIT_ANNULUS, newton_polygon,
                       splitting_delta, y1_divisor, y2_divisor)
+from berkline import cancel
 from berkline.cancel import Divisor, _solution_polygon
 from berkline.errors import (BerkError, BoundarySolution, NotCertified,
-                             PrecisionExhausted, ZeroPolynomial)
+                             PrecisionExhausted, ResourceLimit, ZeroPolynomial)
 from conftest import rand_padic, rand_puiseux
 
 FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(2),
@@ -305,6 +306,30 @@ class TestY1Mass:
                      lambda: splitting_delta(section, N, UNIT_ANNULUS)):
             with pytest.raises(ValueError, match=r"^N must be >= 1$"):
                 call()
+
+
+class TestY1EntryCap:
+    def test_raises_past_the_cap_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Y1 was built")
+
+        monkeypatch.setattr(cancel, "Divisor", refuse)
+        cap = cancel.Y1_ENTRY_CAP
+        for N in (cap + 1, 10 ** 12):
+            with pytest.raises(ResourceLimit) as info:
+                y1_divisor(N, PuiseuxField(0))
+            assert info.value.code == "resource_limit"
+            assert info.value.witness == cap
+
+    def test_cap_counts_entries_not_mass(self, monkeypatch):
+        monkeypatch.setattr(cancel, "Y1_ENTRY_CAP", 10)
+        assert len(y1_divisor(10, PuiseuxField(0)).entries) == 10
+        # 40 = 2**3 * 5: five balls of multiplicity 8
+        assert y1_divisor(40, PuiseuxField(2)).entries == ((LogValue(0), 8),) * 5
+        for N, fld in ((11, PuiseuxField(0)), (22, PuiseuxField(2)),
+                       (11, PadicField(3))):
+            with pytest.raises(ResourceLimit):
+                y1_divisor(N, fld)
 
 
 class TestDivisorEntries:

@@ -255,6 +255,16 @@ class TestCancel:
         assert out == ref.getvalue() + "\n"
         assert len(json.loads(out)["y1"]) == 100000
 
+    def test_y1_past_its_cap_is_a_resource_limit(self, capsys, monkeypatch):
+        import berkline.cancel
+
+        monkeypatch.setattr(berkline.cancel, "Y1_ENTRY_CAP", 10)
+        code, out, _ = run(capsys, ["cancel", "--field", FIELD_Q,
+                                    "--g", "t", "--N", "11"])
+        assert code == 3
+        doc = json.loads(out)
+        assert (doc["error"], doc["witness"]) == ("resource_limit", 10)
+
     def test_unit_g_has_empty_delta(self, capsys):
         code, out, _ = run(capsys, ["cancel", "--field", FIELD_F2,
                                     "--g", "1", "--N", "5"])

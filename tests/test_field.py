@@ -269,9 +269,10 @@ class TestInverseTermCap:
         # the inverse of 1 + t to working precision w solves the w - 1
         # exponents 1 .. w - 1
         monkeypatch.setattr(field, "INVERSE_TERM_CAP", 10)
-        x = PuiseuxField(char, working_prec=11).elem([(0, 1), (1, 1)])
+        x = PuiseuxField(char).elem([(0, 1), (1, 1)])
+        monkeypatch.setattr(field, "WORKING_PREC", Fraction(11))
         assert len(x.inverse().exps) == 11
-        x = PuiseuxField(char, working_prec=12).elem([(0, 1), (1, 1)])
+        monkeypatch.setattr(field, "WORKING_PREC", Fraction(12))
         with pytest.raises(ResourceLimit):
             x.inverse()
 
@@ -279,6 +280,17 @@ class TestInverseTermCap:
         # 32767 solved terms, half the cap
         x = PuiseuxField(3).elem([(0, 1), (Fraction(1, 1024), 1)])
         assert len(x.inverse().exps) == 32 * 1024
+
+
+class TestWorkingPrecision:
+    def test_is_one_module_constant(self):
+        # equal fields must invert equal elements alike, so no field carries
+        # its own working precision
+        with pytest.raises(TypeError):
+            PuiseuxField(0, working_prec=4)
+        for char in (2, 0):
+            fld = PuiseuxField(char)
+            assert (fld.one() + fld.t(1)).inverse().prec == field.WORKING_PREC
 
 
 class TestRecenter:

@@ -1,6 +1,7 @@
 """LogValue: equality and hashing agree with the ordering."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,3 +36,29 @@ def test_eps_part_breaks_equality():
 def test_other_types_are_unequal_without_raising(other):
     assert LogValue(1) != other
     assert not (LogValue(1) == other)
+
+
+def _order_key(v):
+    # the order spelled out: +infinity on top, else (q, e) lexicographically
+    return (1, 0, 0) if v.is_infinite else (0, v.q, v.e)
+
+
+def test_order_is_lexicographic_with_infinity_on_top():
+    rng = random.Random(1310)
+    parts = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2)]
+    pool = [INFINITY, LogValue(math.inf, 5)] + [
+        LogValue(rng.choice(parts), rng.choice(parts + [0, 0]))
+        for _ in range(60)]
+    for _ in range(3000):
+        x, y = rng.choice(pool), rng.choice(pool)
+        kx, ky = _order_key(x), _order_key(y)
+        assert (x < y) == (kx < ky)
+        assert (x <= y) == (kx <= ky)
+        assert (x > y) == (kx > ky)
+        assert (x >= y) == (kx >= ky)
+        assert (x == y) == (kx == ky)
+        if x == y:
+            assert hash(x) == hash(y)
+    shuffled = rng.sample(pool, len(pool))
+    assert ([_order_key(v) for v in sorted(shuffled)]
+            == sorted(_order_key(v) for v in shuffled))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import INF, PuiseuxField
+from berkline import INF, PuiseuxField, field
 from berkline.errors import DivisionByZero, PrecisionExhausted
 from reference_puiseux import RefPuiseuxField
 
@@ -96,9 +96,10 @@ def _compare(new, ref, char):
 
 
 @pytest.mark.parametrize("char", [2, 3, 0])
-def test_operations_match_reference(char):
+def test_operations_match_reference(char, monkeypatch):
     rng = random.Random(6000 + char)
-    fld = PuiseuxField(char, working_prec=WORKING_PREC)
+    monkeypatch.setattr(field, "WORKING_PREC", WORKING_PREC)
+    fld = PuiseuxField(char)
     ref = RefPuiseuxField(char, working_prec=WORKING_PREC)
     pool = []
     for _ in range(40):
@@ -147,9 +148,10 @@ COEFS_Q = [Fraction(1, 3**20), Fraction(-5, 2**40), Fraction(7, 10**12 + 39),
 EXPONENTS_Q = [Fraction(n, d) for n in range(-2, 5) for d in (1, 2, 3)]
 
 
-def test_coefficient_denominators_match_reference():
+def test_coefficient_denominators_match_reference(monkeypatch):
     rng = random.Random(6100)
-    fld = PuiseuxField(0, working_prec=WORKING_PREC)
+    monkeypatch.setattr(field, "WORKING_PREC", WORKING_PREC)
+    fld = PuiseuxField(0)
     ref = RefPuiseuxField(0, working_prec=WORKING_PREC)
     pool = []
     for _ in range(40):
