@@ -1,48 +1,54 @@
-"""The convolution kernel of exact F_p polynomial products, in pure Python.
+"""The convolution kernel of exact polynomial products, in pure Python.
 
 Inputs are polynomials whose coefficients are sparse series on a common
-integer exponent lattice, coefficients reduced mod p, encoded as flat
-arrays.  ``counts[i]`` is the number of terms of the i-th polynomial
-coefficient; ``exps``/``cofs`` concatenate the terms in order, exponents
-strictly increasing within each coefficient.
+integer exponent lattice with int coefficients, encoded as flat arrays.
+``counts[i]`` is the number of terms of the i-th polynomial coefficient;
+``exps``/``cofs`` concatenate the terms in order, exponents strictly
+increasing within each coefficient.  With a prime ``p`` the coefficients are
+residues and every term is reduced mod p (F_p((t))); with ``p == 0`` the
+convolution runs over Z (numerators over a common denominator, for Q((t))
+and Q_p).  Output coefficients come back in the same encoding, zero terms
+dropped.
 """
 
 
-def poly_mul_modp(counts_f, exps_f, cofs_f, counts_g, exps_g, cofs_g, p):
-    nf, ng = len(counts_f), len(counts_g)
-    off_f = [0] * nf
-    acc = 0
-    for i, c in enumerate(counts_f):
-        off_f[i] = acc
-        acc += c
-    off_g = [0] * ng
-    acc = 0
-    for j, c in enumerate(counts_g):
-        off_g[j] = acc
-        acc += c
+def _split(counts, exps, cofs):
+    """The flat encoding as one list of (exponent, coefficient) per
+    polynomial coefficient."""
+    out = []
+    pos = 0
+    for c in counts:
+        end = pos + c
+        out.append(list(zip(exps[pos:end], cofs[pos:end])))
+        pos = end
+    return out
 
+
+def poly_mul_modp(counts_f, exps_f, cofs_f, counts_g, exps_g, cofs_g, p):
+    fs = _split(counts_f, exps_f, cofs_f)
+    gs = _split(counts_g, exps_g, cofs_g)
+    nf, ng = len(fs), len(gs)
     counts_out = []
     exps_out = []
     cofs_out = []
     for k in range(nf + ng - 1):
         bucket = {}
-        j_lo = max(0, k - nf + 1)
-        j_hi = min(k, ng - 1)
-        for j in range(j_lo, j_hi + 1):
-            i = k - j
-            ci = counts_f[i]
-            cj = counts_g[j]
-            if not ci or not cj:
-                continue
-            oi, oj = off_f[i], off_g[j]
-            for a in range(oi, oi + ci):
-                ea, ca = exps_f[a], cofs_f[a]
-                for b in range(oj, oj + cj):
-                    e = ea + exps_g[b]
-                    bucket[e] = (bucket.get(e, 0) + ca * cofs_g[b]) % p
-        items = sorted((e, c) for e, c in bucket.items() if c)
-        counts_out.append(len(items))
-        for e, c in items:
-            exps_out.append(e)
-            cofs_out.append(c)
+        for j in range(max(0, k - nf + 1), min(k, ng - 1) + 1):
+            gj = gs[j]
+            for ea, ca in fs[k - j]:
+                if p:
+                    for eb, cb in gj:
+                        e = ea + eb
+                        bucket[e] = (bucket.get(e, 0) + ca * cb) % p
+                else:
+                    for eb, cb in gj:
+                        e = ea + eb
+                        bucket[e] = bucket.get(e, 0) + ca * cb
+        n = 0
+        for e, c in sorted(bucket.items()):
+            if c:
+                exps_out.append(e)
+                cofs_out.append(c)
+                n += 1
+        counts_out.append(n)
     return counts_out, exps_out, cofs_out

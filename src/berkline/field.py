@@ -14,8 +14,9 @@ Two backends are provided:
   (``+`` works on the lcm of the operands' denominators, ``*`` multiplies
   the coefficient denominators); only ``inverse`` over Q solves with
   ``Fraction`` coefficients and encodes its result once.  The views
-  ``coefs`` and ``terms`` are derived on demand.  The F_p product kernel
-  reads the same lattice, so there is one encoding;
+  ``coefs`` and ``terms`` are derived on demand.  Polynomial products and
+  Taylor shifts in ``poly`` read the same lattices, so there is one
+  encoding;
 * p-adic rationals, stored as an int numerator ``num`` over a positive
   denominator ``den`` with gcd(num, den) == 1, reduced once per result.
   The valuation is read off the ints once and cached; ``value`` is a
@@ -36,7 +37,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted,
                      ResourceLimit)
@@ -81,6 +81,26 @@ def _require_prime(n: int):
             x = x * x % n
         else:
             raise NotPrime(f"{n} is not a prime", witness=n)
+
+
+class cached:
+    """``functools.cached_property`` without its lock: a non-data descriptor
+    that stores the value in the instance dict on first read, as
+    cached_property does from Python 3.12 on.  Values are pure functions of
+    immutable fields, so two threads computing one at once store equal
+    values."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _frac(x):
@@ -291,7 +311,7 @@ class PuiseuxElem:
     cden: int
     prec: object
 
-    @cached_property
+    @cached
     def coefs(self) -> tuple:
         """The coefficients: Fractions over Q, residues over F_p."""
         if self.field.char:
@@ -299,13 +319,13 @@ class PuiseuxElem:
         cden = self.cden
         return tuple([Fraction(n, cden) for n in self.nums])
 
-    @cached_property
+    @cached
     def terms(self) -> tuple:
         """((exponent, coefficient), ...) with Fraction exponents, increasing."""
         den = self.den
         return tuple((Fraction(e, den), c) for e, c in zip(self.exps, self.coefs))
 
-    @cached_property
+    @cached
     def _lead(self) -> Fraction:
         """The leading exponent; valuations ask for it again and again."""
         return Fraction(self.exps[0], self.den)
@@ -571,12 +591,12 @@ class PadicElem:
     num: int
     den: int
 
-    @cached_property
+    @cached
     def value(self) -> Fraction:
         """The element as a Fraction."""
         return Fraction(self.num, self.den)
 
-    @cached_property
+    @cached
     def _valuation(self):
         if not self.num:
             return INF

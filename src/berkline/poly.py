@@ -1,7 +1,11 @@
 """Polynomials and rational functions over a valued-field backend.
 
 A polynomial stores its coefficients in the variable (T - center); recentering
-is an exact Taylor shift.  Rational functions keep numerator and denominator
+is an exact Taylor shift.  When every coefficient is exact, products and
+shifts run on one int-series encoding of the coefficients (``_series``):
+exponents on the lcm lattice, numerators over one common denominator, a p-adic
+number as the one-term series at exponent 0.  Anything truncated takes the
+element-wise loop.  Rational functions keep numerator and denominator
 over the same center and may carry the root lists they were built from.  Once
 proven complete by exact division (``RationalFunction.certified_roots``), those
 lists answer divisor bookkeeping directly, without any root finding.
@@ -11,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 from . import kernel
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
-from .field import INF, PuiseuxField, _lattice_elem
+from .field import INF, PadicElem, PadicField, _lattice_elem, cached
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,9 @@ class Polynomial:
     def from_coeffs(cls, fld, coeffs, center=None):
         center = fld.zero() if center is None else center
         elems = [c if hasattr(c, "field") else fld.constant(c) for c in coeffs]
+        for c in (center, *elems):
+            if c.field is not fld and c.field != fld:
+                raise BackendMismatch(f"{c!r} is not in {fld!r}")
         while elems and elems[-1].is_zero():
             elems.pop()
         return cls(center, tuple(elems))
@@ -61,6 +67,8 @@ class Polynomial:
         return out
 
     def _check_compatible(self, other):
+        if self.center is other.center:
+            return
         if self.field != other.field:
             raise BackendMismatch("polynomials over different fields")
         if not self.center.agrees_with(other.center):
@@ -112,22 +120,34 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = Polynomial.from_coeffs(self.field, [self.field.one()], self.center)
+        if n == 0:
+            return Polynomial.from_coeffs(self.field, [self.field.one()],
+                                          self.center)
+        out = None
         base = self
         k = n
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
         return out
 
     def recenter(self, a) -> "Polynomial":
-        """The same function written in the variable (T - a); exact."""
+        """The same function written in the variable (T - a); exact.
+
+        Horner's Taylor shift by d = a - center.  With d = D/E and every
+        coefficient exact, it runs on int series: coefficient i, over the
+        common denominator L, is scaled by E**(n-i), shifted by D (mod p over
+        F_p) and output j is decoded once, over L*E**(n-j).  A truncated
+        coefficient or d takes the element-wise loop.
+        """
         d = a - self.center
         if d.is_zero():
             return Polynomial(a, self.coeffs)
         b = list(self.coeffs)
+        if d.is_exact and all(c.is_exact for c in b):
+            return Polynomial(a, _shift(self.field, b, d))
         n = len(b) - 1
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
@@ -176,48 +196,105 @@ class Polynomial:
         return self.canonical_str()
 
 
-def _try_kernel_mul(f: Polynomial, g: Polynomial):
-    """Route exact prime-field puiseux products through the convolution kernel.
+def _lattice(fld, coeffs) -> int:
+    """The lcm of the exponent denominators of exact coefficients."""
+    return 1 if type(fld) is PadicField else math.lcm(*(c.den for c in coeffs))
 
-    Every coefficient already sits on its own integer exponent lattice, with
-    its residues as ``nums``; the kernel gets the exponents all scaled onto
-    the lcm of their denominators.
+
+def _series(fld, coeffs, lat):
+    """Exact coefficients as int series, in the kernel's flat encoding.
+
+    Returns (counts, exps, cofs, cden): coefficient i has counts[i] terms,
+    the next ones in exps/cofs, with exponents on the lattice (1/lat)Z and
+    numerators over cden, the lcm of the coefficient denominators (1 over
+    F_p).  A p-adic number is the one-term series at exponent 0.
+    """
+    if type(fld) is PadicField:
+        cden = math.lcm(*(c.den for c in coeffs))
+        cofs = [c.num * (cden // c.den) for c in coeffs if c.num]
+        return [1 if c.num else 0 for c in coeffs], [0] * len(cofs), cofs, cden
+    cden = 1 if fld.char else math.lcm(*(c.cden for c in coeffs))
+    counts, exps, cofs = [], [], []
+    for c in coeffs:
+        counts.append(len(c.exps))
+        s, m = lat // c.den, cden // c.cden
+        exps.extend(c.exps if s == 1 else [e * s for e in c.exps])
+        cofs.extend(c.nums if m == 1 else [n * m for n in c.nums])
+    return counts, exps, cofs, cden
+
+
+def _padic(fld, n, cden):
+    """The p-adic number n/cden, reduced; decodes a one-term series."""
+    g = math.gcd(n, cden)
+    return PadicElem(fld, n // g, cden // g)
+
+
+def _try_kernel_mul(f: Polynomial, g: Polynomial):
+    """Route every exact product through the convolution kernel.
+
+    Both factors go on the int-series encoding, exponents on one lattice;
+    the kernel convolves mod p over F_p and over Z (p = 0) for Q((t)) and
+    Q_p, and each output coefficient is decoded once, over the product of
+    the two common denominators.  None when a coefficient is truncated.
     """
     fld = f.field
-    if not isinstance(fld, PuiseuxField) or fld.char == 0:
+    padic = type(fld) is PadicField
+    both = f.coeffs + g.coeffs
+    if not padic and any(c.prec != INF for c in both):
         return None
-    dens = []
-    for poly in (f, g):
-        if not any(c.exps for c in poly.coeffs):
-            return None
-        for c in poly.coeffs:
-            if c.prec != INF:
-                return None
-            dens.append(c.den)
-    lat = math.lcm(*dens)
-
-    def encode(poly):
-        counts, exps, cofs = [], [], []
-        for c in poly.coeffs:
-            counts.append(len(c.exps))
-            scale = lat // c.den
-            exps.extend(c.exps if scale == 1 else [e * scale for e in c.exps])
-            cofs.extend(c.nums)
-        return counts, exps, cofs
-
-    cf, ef, kf = encode(f)
-    cg, eg, kg = encode(g)
-    counts, exps, cofs = kernel.poly_mul_modp(cf, ef, kf, cg, eg, kg, fld.char)
+    lat = _lattice(fld, both)
+    *kf, cf = _series(fld, f.coeffs, lat)
+    *kg, cg = _series(fld, g.coeffs, lat)
+    counts, exps, cofs = kernel.poly_mul_modp(*kf, *kg, 0 if padic else fld.char)
     out = []
     pos = 0
+    cden = cf * cg
     for cnt in counts:
         end = pos + cnt
-        out.append(_lattice_elem(fld, dict(zip(exps[pos:end], cofs[pos:end])),
-                                 lat, 1, INF))
+        out.append(_padic(fld, cofs[pos] if cnt else 0, cden) if padic else
+                   _lattice_elem(fld, dict(zip(exps[pos:end], cofs[pos:end])),
+                                 lat, cden, INF))
         pos = end
     while out and out[-1].is_zero():
         out.pop()
     return Polynomial(f.center, tuple(out))
+
+
+def _shift(fld, coeffs, d) -> tuple:
+    """Horner's Taylor shift of exact coefficients by the exact d, on ints.
+
+    With X = T - center - d, d = D/E and coefficients B_i/L,
+    sum B_i/L (X + D/E)**i has X**j-coefficient
+    sum_i C(i, j) (B_i E**(n-i)) D**(i-j) / (L E**(n-j)).
+    """
+    lat = _lattice(fld, (d, *coeffs))
+    _, dexps, dnums, big_e = _series(fld, [d], lat)
+    counts, exps, cofs, big_l = _series(fld, coeffs, lat)
+    step = list(zip(dexps, dnums))
+    n = len(counts) - 1
+    b = []
+    pos = 0
+    for i, cnt in enumerate(counts):
+        end = pos + cnt
+        w = big_e ** (n - i)
+        b.append(dict(zip(exps[pos:end], cofs[pos:end] if w == 1
+                          else [x * w for x in cofs[pos:end]])))
+        pos = end
+    padic = type(fld) is PadicField
+    p = 0 if padic else fld.char
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            acc = b[j]
+            for e2, c2 in b[j + 1].items():
+                if not c2:
+                    continue
+                for e1, c1 in step:
+                    e = e1 + e2
+                    v = acc.get(e, 0) + c1 * c2
+                    acc[e] = v % p if p else v
+    return tuple(_padic(fld, b[j].get(0, 0), big_l * big_e ** (n - j)) if padic
+                 else _lattice_elem(fld, b[j], lat, big_l * big_e ** (n - j), INF)
+                 for j in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -246,7 +323,7 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    @cached_property
+    @cached
     def certified_roots(self):
         """(num_roots, den_roots) once proven to be the complete root lists.
 
