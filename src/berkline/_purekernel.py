@@ -1,4 +1,4 @@
-"""The convolution kernel of exact polynomial products, in pure Python.
+"""The convolution kernel of polynomial products, in pure Python.
 
 Inputs are polynomials whose coefficients are sparse series on a common
 integer exponent lattice with int coefficients, encoded as flat arrays.
@@ -15,11 +15,12 @@ dropped.
 def _split(counts, exps, cofs):
     """The flat encoding as one list of (exponent, coefficient) per
     polynomial coefficient."""
+    pairs = list(zip(exps, cofs))
     out = []
     pos = 0
     for c in counts:
         end = pos + c
-        out.append(list(zip(exps[pos:end], cofs[pos:end])))
+        out.append(pairs[pos:end])
         pos = end
     return out
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BoundarySolution, NotCertified, ResourceLimit,
-                     VanishesOnDomain, ZeroPolynomial)
+from .errors import BoundarySolution, ResourceLimit, ZeroPolynomial
 from .gauss import NewtonPolygon, _classify, _polygon
 from .logvalue import LogValue, ZERO, as_logvalue
 from .poly import Polynomial, RationalFunction
-from .units import Domain, ExcludedDisc, reduced_unit
+from .units import Domain, ExcludedDisc, require_unit
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,7 @@ def y2_divisor(g: RationalFunction, N: int, ann: AnnulusSpec) -> Divisor:
     fld = g.field
     center = fld.zero()
     g = g.recenter(center)
-    try:
-        reduced_unit(g, ann.domain(fld))
-    except VanishesOnDomain as exc:
-        raise NotCertified(str(exc), witness=exc.witness) from exc
+    require_unit(g, ann.domain(fld))
     np_ = _solution_polygon(g.num, g.den, N)
     entries = []
     for sigma, width in np_.root_valuations():

@@ -120,6 +120,10 @@ class PuiseuxField:
         if char:
             _require_prime(char)
         self.char = char
+        # one zero and one one per field, so that polynomials built without
+        # a center share it and compare centers by identity
+        self._zero = PuiseuxElem(self, (), (), 1, 1, INF)
+        self._one = PuiseuxElem(self, (0,), (1,), 1, 1, INF)
 
     def __eq__(self, other):
         return isinstance(other, PuiseuxField) and other.char == self.char
@@ -167,10 +171,10 @@ class PuiseuxField:
         return self.elem([(Fraction(0), c)])
 
     def zero(self) -> "PuiseuxElem":
-        return self.elem([])
+        return self._zero
 
     def one(self) -> "PuiseuxElem":
-        return self.constant(1)
+        return self._one
 
     def t(self, q=1, c=1) -> "PuiseuxElem":
         """The monomial c * t**q."""
@@ -185,6 +189,8 @@ class PadicField:
     def __init__(self, p: int):
         _require_prime(p)
         self.p = p
+        self._zero = PadicElem(self, 0, 1)
+        self._one = PadicElem(self, 1, 1)
 
     def __eq__(self, other):
         return isinstance(other, PadicField) and other.p == self.p
@@ -209,10 +215,10 @@ class PadicField:
         return self.elem(c)
 
     def zero(self) -> "PadicElem":
-        return self.elem(0)
+        return self._zero
 
     def one(self) -> "PadicElem":
-        return self.elem(1)
+        return self._one
 
     def t(self, q=1, c=1) -> "PadicElem":
         """The element c * p**q; q must be an integer here."""
@@ -285,6 +291,16 @@ def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
             cden //= g
             nums = [n // g for n in nums]
     return PuiseuxElem(fld, tuple(exps), tuple(nums), den, cden, prec)
+
+
+def _product_prec(x, y):
+    """The precision of x*y by the standard series rule: the product is
+    known modulo t**min(prec_x + v(y), prec_y + v(x)), with v the valuation
+    lower bound; INF when both are exact, or when either is an exact zero."""
+    if x.prec == INF and y.prec == INF:
+        return INF
+    return min(x.prec + y.valuation_lower_bound(),
+               y.prec + x.valuation_lower_bound())
 
 
 @dataclass(frozen=True)
@@ -432,17 +448,7 @@ class PuiseuxElem:
             other = self.field.constant(other)
         _check_same_field(self, other)
         f = self.field
-        if self.is_zero() or other.is_zero():
-            return PuiseuxElem(f, (), (), 1, 1, INF)
-        if self.prec == INF and other.prec == INF:
-            prec = INF
-        else:
-            # standard series rule: the product is known modulo
-            # t**min(prec_x + v(y), prec_y + v(x))
-            prec = min(
-                self.prec + other.valuation_lower_bound(),
-                other.prec + self.valuation_lower_bound(),
-            )
+        prec = _product_prec(self, other)
         if not self.exps or not other.exps:
             return PuiseuxElem(f, (), (), 1, 1, prec)
         xs, ys, den = _on_common_den(self.den, self.exps, other.den, other.exps)

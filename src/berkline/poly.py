@@ -1,14 +1,16 @@
 """Polynomials and rational functions over a valued-field backend.
 
 A polynomial stores its coefficients in the variable (T - center); recentering
-is an exact Taylor shift.  When every coefficient is exact, products and
-shifts run on one int-series encoding of the coefficients (``_series``):
-exponents on the lcm lattice, numerators over one common denominator, a p-adic
-number as the one-term series at exponent 0.  Anything truncated takes the
-element-wise loop.  Rational functions keep numerator and denominator
-over the same center and may carry the root lists they were built from.  Once
-proven complete by exact division (``RationalFunction.certified_roots``), those
-lists answer divisor bookkeeping directly, without any root finding.
+is an exact Taylor shift.  Products, and shifts whose coefficients and center
+are all exact, run on one int-series encoding of the coefficients
+(``_series``): exponents on the lcm lattice, numerators over one common
+denominator, a p-adic number as the one-term series at exponent 0.  A
+truncated product is truncated once per output coefficient; a truncated
+shift, and ``divide_linear`` always, take the element-wise loop.  Rational
+functions keep numerator and denominator over the same center and may carry
+the root lists they were built from.  Once proven complete by exact division
+(``RationalFunction.certified_roots``), those lists answer divisor
+bookkeeping directly, without any root finding.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import kernel
+from ._purekernel import _split
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
-from .field import INF, PadicElem, PadicField, _lattice_elem, cached
+from .field import (INF, PadicElem, PadicField, _lattice_elem, _product_prec,
+                    cached)
 
 
 @dataclass(frozen=True)
@@ -93,22 +97,7 @@ class Polynomial:
         if hasattr(other, "field") and not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.center, ())
-        fast = _try_kernel_mul(self, other)
-        if fast is not None:
-            return fast
-        fld = self.field
-        zero = fld.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return Polynomial.from_coeffs(fld, out, self.center)
+        return _try_kernel_mul(self, other)
 
     def scale(self, c):
         if c.is_zero():
@@ -202,7 +191,8 @@ def _lattice(fld, coeffs) -> int:
 
 
 def _series(fld, coeffs, lat):
-    """Exact coefficients as int series, in the kernel's flat encoding.
+    """Coefficients as int series, in the kernel's flat encoding; a
+    truncated coefficient by its known terms, its precision kept apart.
 
     Returns (counts, exps, cofs, cden): coefficient i has counts[i] terms,
     the next ones in exps/cofs, with exponents on the lattice (1/lat)Z and
@@ -223,38 +213,44 @@ def _series(fld, coeffs, lat):
     return counts, exps, cofs, cden
 
 
-def _padic(fld, n, cden):
-    """The p-adic number n/cden, reduced; decodes a one-term series."""
-    g = math.gcd(n, cden)
-    return PadicElem(fld, n // g, cden // g)
+def _decode(fld, acc, lat, cden, prec=INF):
+    """The element with int series ``acc`` over ``cden`` on the lattice
+    (1/lat)Z, truncated at ``prec``; over Q_p, the reduced number
+    acc[0]/cden."""
+    if type(fld) is PadicField:
+        n = acc.get(0, 0)
+        g = math.gcd(n, cden)
+        return PadicElem(fld, n // g, cden // g)
+    return _lattice_elem(fld, acc, lat, cden, prec)
 
 
-def _try_kernel_mul(f: Polynomial, g: Polynomial):
-    """Route every exact product through the convolution kernel.
+def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Route every product through the convolution kernel.
 
     Both factors go on the int-series encoding, exponents on one lattice;
     the kernel convolves mod p over F_p and over Z (p = 0) for Q((t)) and
     Q_p, and each output coefficient is decoded once, over the product of
-    the two common denominators.  None when a coefficient is truncated.
+    the two common denominators.  With a truncated coefficient, output k
+    is truncated once, at the least ``_product_prec`` of the pairs
+    i + j = k: every partial product and sum of the element-wise loop is
+    known at or above that bound, so the two agree term for term.  It
+    never returns None; ``perfbench/tracing.py`` patches it by this name.
     """
     fld = f.field
-    padic = type(fld) is PadicField
     both = f.coeffs + g.coeffs
-    if not padic and any(c.prec != INF for c in both):
-        return None
     lat = _lattice(fld, both)
     *kf, cf = _series(fld, f.coeffs, lat)
     *kg, cg = _series(fld, g.coeffs, lat)
-    counts, exps, cofs = kernel.poly_mul_modp(*kf, *kg, 0 if padic else fld.char)
-    out = []
-    pos = 0
+    p = 0 if type(fld) is PadicField else fld.char
+    terms = _split(*kernel.poly_mul_modp(*kf, *kg, p))
+    precs = [INF] * len(terms)
+    if not all(c.is_exact for c in both):
+        for i, a in enumerate(f.coeffs):
+            for j, b in enumerate(g.coeffs):
+                precs[i + j] = min(precs[i + j], _product_prec(a, b))
     cden = cf * cg
-    for cnt in counts:
-        end = pos + cnt
-        out.append(_padic(fld, cofs[pos] if cnt else 0, cden) if padic else
-                   _lattice_elem(fld, dict(zip(exps[pos:end], cofs[pos:end])),
-                                 lat, cden, INF))
-        pos = end
+    out = [_decode(fld, dict(t), lat, cden, prec)
+           for t, prec in zip(terms, precs)]
     while out and out[-1].is_zero():
         out.pop()
     return Polynomial(f.center, tuple(out))
@@ -268,20 +264,15 @@ def _shift(fld, coeffs, d) -> tuple:
     sum_i C(i, j) (B_i E**(n-i)) D**(i-j) / (L E**(n-j)).
     """
     lat = _lattice(fld, (d, *coeffs))
-    _, dexps, dnums, big_e = _series(fld, [d], lat)
-    counts, exps, cofs, big_l = _series(fld, coeffs, lat)
-    step = list(zip(dexps, dnums))
-    n = len(counts) - 1
+    *kd, big_e = _series(fld, [d], lat)
+    (step,) = _split(*kd)
+    *kc, big_l = _series(fld, coeffs, lat)
+    n = len(coeffs) - 1
     b = []
-    pos = 0
-    for i, cnt in enumerate(counts):
-        end = pos + cnt
+    for i, t in enumerate(_split(*kc)):
         w = big_e ** (n - i)
-        b.append(dict(zip(exps[pos:end], cofs[pos:end] if w == 1
-                          else [x * w for x in cofs[pos:end]])))
-        pos = end
-    padic = type(fld) is PadicField
-    p = 0 if padic else fld.char
+        b.append(dict(t) if w == 1 else {e: x * w for e, x in t})
+    p = 0 if type(fld) is PadicField else fld.char
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             acc = b[j]
@@ -292,8 +283,7 @@ def _shift(fld, coeffs, d) -> tuple:
                     e = e1 + e2
                     v = acc.get(e, 0) + c1 * c2
                     acc[e] = v % p if p else v
-    return tuple(_padic(fld, b[j].get(0, 0), big_l * big_e ** (n - j)) if padic
-                 else _lattice_elem(fld, b[j], lat, big_l * big_e ** (n - j), INF)
+    return tuple(_decode(fld, b[j], lat, big_l * big_e ** (n - j))
                  for j in range(n + 1))
 
 

@@ -208,6 +208,16 @@ def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
     return ReducedUnit(f, dom, True)
 
 
+def require_unit(f: RationalFunction, dom: Domain):
+    """The hole counts of a certified unit, for queries that need f to be
+    one: a zero or pole on the domain raises NotCertified, with the message
+    and witness of its VanishesOnDomain."""
+    try:
+        return _certified_hole_counts(f, dom)
+    except VanishesOnDomain as exc:
+        raise NotCertified(str(exc), witness=exc.witness) from exc
+
+
 def _witness_disc(poly: Polynomial, dom: Domain, which: str):
     g = poly.recenter(dom.center)
     np_ = newton_polygon(g)
@@ -227,10 +237,7 @@ def boundary_degrees(f: RationalFunction, dom: Domain):
     Together with the exterior component (everything beyond the bounding
     disc, infinity included) the entries sum to zero.
     """
-    try:
-        zeros, poles = _certified_hole_counts(f, dom)
-    except VanishesOnDomain as exc:
-        raise NotCertified(str(exc), witness=exc.witness) from exc
+    zeros, poles = require_unit(f, dom)
     return tuple(z - p for z, p in zip(zeros, poles))
 
 
@@ -375,10 +382,7 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
       other checks, so the constant only decides which check answers first.
     """
     for f in (f0, f1):
-        try:
-            reduced_unit(f, dom)
-        except VanishesOnDomain as exc:
-            raise NotCertified(str(exc), witness=exc.witness) from exc
+        require_unit(f, dom)
     c0 = dom.center
     n0, d0 = f0.num.recenter(c0), f0.den.recenter(c0)
     n1, d1 = f1.num.recenter(c0), f1.den.recenter(c0)

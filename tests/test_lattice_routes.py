@@ -1,10 +1,12 @@
 """Polynomial products and Taylor shifts on int series, against element-wise loops.
 
-With every coefficient exact, ``Polynomial.__mul__`` goes through the
-convolution kernel and ``Polynomial.recenter`` through an int-series Horner
-shift.  ``elementwise_mul`` and ``elementwise_recenter`` below are the loops
-on field elements that anything truncated still takes; every exact result
-must equal theirs, over F_2, F_3, Q((t)), Q_3 and Q_5.
+``Polynomial.__mul__`` always goes through the convolution kernel, truncated
+coefficients included; with every coefficient and the center exact,
+``Polynomial.recenter`` goes through an int-series Horner shift.
+``elementwise_mul`` and ``elementwise_recenter`` below are the loops on field
+elements that define both results: every product, and every exact shift,
+must equal theirs in value and in each coefficient's precision, over F_2,
+F_3, Q((t)), Q_3 and Q_5.
 """
 
 import random
@@ -66,20 +68,66 @@ def rand_elem(rng, fld, nonzero=False):
             return x
 
 
-def rand_poly(rng, fld, deg, center=None):
-    coeffs = [rand_elem(rng, fld) for _ in range(deg)] + [rand_elem(rng, fld, True)]
+def rand_trunc(rng, fld, nonzero=False):
+    """A Puiseux element that is often truncated: a truncated zero O(t^p),
+    or a random element cut at a bound on the mixed exponent lattices, which
+    may leave only a truncated zero; p-adic elements are always exact."""
+    if isinstance(fld, PadicField):
+        return rand_elem(rng, fld, nonzero)
+    r = rng.random()
+    if r < 0.15:
+        return fld.elem([], prec=rng.choice(EXPONENTS))
+    x = rand_elem(rng, fld, nonzero)
+    if r < 0.55:
+        return x.truncated(rng.choice(EXPONENTS) + rng.randint(0, 4))
+    return x
+
+
+def rand_poly(rng, fld, deg, center=None, make=rand_elem):
+    """A polynomial of degree deg: its leading coefficient is never an exact
+    zero, though make may truncate it, even to O(t^p)."""
+    coeffs = [make(rng, fld) for _ in range(deg)] + [make(rng, fld, True)]
     return Polynomial.from_coeffs(fld, coeffs, center)
+
+
+def precs(f):
+    return [c.prec if isinstance(c.field, PuiseuxField) else INF
+            for c in f.coeffs]
+
+
+def truncation_kinds(f):
+    """Which of the truncated shapes the product test must meet f has."""
+    kinds = set()
+    for c in f.coeffs:
+        if c.is_exact:
+            continue
+        if not c.exps:
+            kinds.add("O(t^p)")
+        elif c.exps[0] < 0:
+            kinds.add("truncated with a negative exponent")
+    if f.coeffs and not f.coeffs[-1].is_exact:
+        kinds.add("truncated leading coefficient")
+    if len({c.den for c in f.coeffs if c.exps}) > 1:
+        kinds.add("mixed lattices")
+    return kinds
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)
 def test_products_match_elementwise(fld):
     rng = random.Random(1401)
-    for k in range(60):
+    seen = set()
+    for k in range(3000):
         center = fld.zero() if k % 3 else rand_elem(rng, fld, True)
-        f = rand_poly(rng, fld, rng.randint(0, 6), center)
-        g = rand_poly(rng, fld, rng.randint(0, 6), center)
-        assert poly_mod._try_kernel_mul(f, g) is not None
-        assert f * g == elementwise_mul(f, g)
+        f = rand_poly(rng, fld, rng.randint(0, 6), center, rand_trunc)
+        g = rand_poly(rng, fld, rng.randint(0, 6), center, rand_trunc)
+        got, want = f * g, elementwise_mul(f, g)
+        assert got == want
+        assert precs(got) == precs(want)
+        if isinstance(fld, PuiseuxField):
+            seen |= truncation_kinds(f) | truncation_kinds(g)
+    if isinstance(fld, PuiseuxField):
+        assert seen == {"O(t^p)", "truncated with a negative exponent",
+                        "truncated leading coefficient", "mixed lattices"}
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)
@@ -182,24 +230,36 @@ def test_large_coprime_denominators_and_negative_valuations():
 
 
 @pytest.mark.parametrize("char", [0, 3])
-def test_truncated_inputs_take_the_elementwise_loop(char):
+def test_truncated_products_take_the_kernel(char, monkeypatch):
     fld = PuiseuxField(char)
     exact = fld.elem([(Fraction(1, 2), 1), (2, 2 if char else Fraction(1, 3))])
     trunc = fld.elem([(Fraction(-1, 3), 1), (1, 1)], prec=Fraction(5, 2))
     f = Polynomial.from_coeffs(fld, [exact, trunc, fld.one()])
     g = Polynomial.from_coeffs(fld, [exact, fld.one()])
-    assert poly_mod._try_kernel_mul(f, g) is None
-    assert f * g == elementwise_mul(f, g)
+    assert poly_mod._try_kernel_mul(f, g) is not None
+    calls = []
+    mul = poly_mod.kernel.poly_mul_modp
+    monkeypatch.setattr(poly_mod.kernel, "poly_mul_modp",
+                        lambda *a: calls.append(a) or mul(*a))
+    got = f * g
+    assert len(calls) == 1
+    want = elementwise_mul(f, g)
+    assert got == want
+    assert precs(got) == precs(want) == [INF, 3, Fraction(5, 2), INF]
+    # shifts with a truncated coefficient or center keep the element loop
     a = fld.elem([(Fraction(1, 3), 1)])
     got = f.recenter(a)
     want = elementwise_recenter(f, a)
     assert got == want
-    assert [c.prec for c in got.coeffs] == [c.prec for c in want.coeffs]
+    assert precs(got) == precs(want)
     assert got.coeffs[0].prec != INF
     # an exact polynomial shifted by a truncated center
     a_trunc = fld.elem([(Fraction(1, 3), 1)], prec=4)
-    assert g.recenter(a_trunc) == elementwise_recenter(g, a_trunc)
-    assert g.recenter(a_trunc).coeffs[0].prec == 4
+    got = g.recenter(a_trunc)
+    want = elementwise_recenter(g, a_trunc)
+    assert got == want
+    assert precs(got) == precs(want)
+    assert got.coeffs[0].prec == 4
 
 
 def test_kernel_over_z():
@@ -209,6 +269,21 @@ def test_kernel_over_z():
     assert out == ([3], [0, 1, 2], [3, 4, -4])
     out = _purekernel.poly_mul_modp([2], [0, 1], [1, 2], [2], [0, 1], [1, -2], 0)
     assert out == ([2], [0, 2], [1, -4])
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_products_without_a_center_share_the_zero(fld, monkeypatch):
+    assert fld.zero() is fld.zero() and fld.one() is fld.one()
+    assert fld.zero() == fld.constant(0) and fld.one() == fld.constant(1)
+    rng = random.Random(1407)
+    f = rand_poly(rng, fld, 3)
+    g = rand_poly(rng, fld, 2)
+
+    def refuse(self, other):
+        raise AssertionError("agrees_with called")
+
+    monkeypatch.setattr(type(fld.zero()), "agrees_with", refuse)
+    assert f * g == elementwise_mul(f, g)
 
 
 def test_from_coeffs_rejects_another_field():
