@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (CoefficientOverflow, PrecisionExhausted, ZeroConstantTerm,
                      ZeroPolynomial)
-from .logvalue import INFINITY, ZERO, LogValue, as_logvalue
+from .logvalue import INFINITY, ZERO, LogValue, as_logvalue, trusted
 from .poly import Polynomial
 
 
@@ -44,20 +44,55 @@ def gauss_valuation(f: Polynomial, a=None, s=ZERO) -> LogValue:
     """Valuation of f at the disc point D(a, 2**(-s)); +infinity for f = 0."""
     s = as_logvalue(s)
     known, unknown = _coeff_values(f, a)
-    if not known and not unknown:
-        return INFINITY
+    return _supporting_line(known, unknown, s)[0]
+
+
+def _exhausted(i, p):
+    return PrecisionExhausted(f"coefficient {i} is only known below t^{p}",
+                              witness=i)
+
+
+def _supporting_line(known, unknown, s: LogValue):
+    """(min_i(v_i + i*s), first i attaining it, whether another i does too).
+
+    ``known`` and ``unknown`` are the two lists of ``_classify``.  An unknown
+    point (i, p) bounds v_i from below only, so the first one whose bound
+    p + i*s lies below the minimum, or the first one at all when nothing is
+    known, raises PrecisionExhausted with witness i.  With nothing at all the
+    minimum is +infinity, attained nowhere.
+
+    All terms share the eps part of s, so v + i*s is ordered by the int pair
+    (L*v + i*L*s.q, i*sign(s.e)), where L is the lcm of every denominator;
+    one LogValue is built, for the minimum.
+    """
+    if not known:
+        if unknown:
+            raise _exhausted(*unknown[0])
+        return INFINITY, None, False
+    if s.is_infinite:
+        # i*s is +infinity for every i > 0: only index 0 counts
+        if unknown and unknown[0][0] == 0:
+            raise _exhausted(*unknown[0])
+        i, v = known[0]
+        if i == 0:
+            return as_logvalue(v), 0, False
+        return INFINITY, i, len(known) > 1
+    sq, se = s.q, s.e
+    sign = (se.numerator > 0) - (se.numerator < 0)
+    L = math.lcm(sq.denominator, *[v.denominator for _, v in known],
+                 *[p.denominator for _, p in unknown])
+    step = sq.numerator * (L // sq.denominator)
     best = None
     for i, v in known:
-        w = LogValue(v) + s.scale(i)
-        if best is None or w < best:
-            best = w
+        key = (v.numerator * (L // v.denominator) + i * step, i * sign)
+        if best is None or key < best:
+            best, best_i, tie = key, i, False
+        elif key == best:
+            tie = True
     for i, p in unknown:
-        lb = LogValue(p) + s.scale(i)
-        if best is None or lb < best:
-            raise PrecisionExhausted(
-                f"coefficient {i} is only known below t^{p}", witness=i
-            )
-    return best
+        if (p.numerator * (L // p.denominator) + i * step, i * sign) < best:
+            raise _exhausted(i, p)
+    return trusted(Fraction(best[0], L), best_i * se), best_i, tie
 
 
 def naive_norm(f: Polynomial, r, a=None) -> float:
@@ -157,34 +192,45 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
 
 
 def _polygon(known, unknown, degree) -> NewtonPolygon:
-    """The Newton polygon of the classified points of a nonzero polynomial."""
+    """The Newton polygon of the classified points of a nonzero polynomial.
+
+    Heights are compared as ints on the lattice (1/L)Z, L the lcm of every
+    denominator; the vertices keep their Fractions and each slope is one
+    Fraction, built at the end.
+    """
     if not known:
         raise PrecisionExhausted("all coefficients below their precision bounds")
     pts = sorted(known)
-    hull = _lower_hull(pts)
+    L = math.lcm(*[v.denominator for _, v in pts],
+                 *[p.denominator for _, p in unknown])
+    hull = _lower_hull([(i, v.numerator * (L // v.denominator), v)
+                        for i, v in pts])
     # a truncated-zero coefficient is tolerable only strictly inside the known
     # index range and with its bound at or above the hull there; anywhere else
     # it could change mult0, the degree, or cut the hull
     for i, p in unknown:
-        if i < hull[0][0] or i > hull[-1][0] or Fraction(p) < _hull_height(hull, i):
+        if (i < hull[0][0] or i > hull[-1][0]
+                or _below_hull(hull, i, p.numerator * (L // p.denominator))):
             raise PrecisionExhausted(
                 f"coefficient {i} known only below t^{p} could cut the hull",
                 witness=i,
             )
     mult0 = pts[0][0]
-    segments = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        segments.append((Fraction(v2 - v1, i2 - i1), i2 - i1))
-    return NewtonPolygon(tuple(hull), tuple(segments), mult0, degree)
+    segments = tuple((Fraction(y2 - y1, L * (x2 - x1)), x2 - x1)
+                     for (x1, y1, _), (x2, y2, _) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple((x, v) for x, _, v in hull), segments, mult0,
+                         degree)
 
 
 def _lower_hull(pts):
-    """Monotone chain; collinear interior points are dropped."""
+    """Monotone chain over (x, y, payload) with ints x, increasing, and y;
+    collinear interior points are dropped."""
     hull = []
     for p in pts:
+        x, y, _ = p
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+            (x1, y1, _), (x2, y2, _) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
@@ -192,11 +238,13 @@ def _lower_hull(pts):
     return hull
 
 
-def _hull_height(hull, x):
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+def _below_hull(hull, x, y) -> bool:
+    """Whether the int point (x, y) lies strictly below the hull, for x
+    between its first and last vertex."""
+    for (x1, y1, _), (x2, y2, _) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
-            return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
-    return Fraction(hull[0][1])
+            return (y - y1) * (x2 - x1) < (y2 - y1) * (x - x1)
+    return y < hull[0][1]
 
 
 def root_count_annulus(f: Polynomial, s_lo=None, s_hi=INFINITY,

@@ -5,12 +5,19 @@ stands for the norm 2**(-s), so larger s means a smaller disc.  The eps
 component is a formal positive infinitesimal ordered lexicographically below
 any rational gap; log-values with nonzero eps part model radii outside the
 value group of the field (type-3 data).
+
+Two constructors build a LogValue.  ``LogValue(q, e)`` validates: it coerces
+ints and rationals to ``Fraction``, accepts ``math.inf`` for q (and then
+sets e to 0), and rejects -infinity and every other float; it runs
+``__post_init__``, looked up on the class.  ``trusted(q, e)`` checks nothing:
+q and e must be ``Fraction``s, so the value is finite.  It builds the results
+of ``+``, ``-``, negation and ``scale``, and the log-values that the library
+computes exactly from field valuations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -24,16 +31,24 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+_F0 = Fraction(0)
+_INF_KEY = (1, 0, 0)
+
+
 class LogValue:
     """Element (q, e) of Q + Q*eps, ordered lexicographically.
 
     ``q`` may be +infinity, in which case the element is the absorbing top
-    and ``e`` is normalized to 0.
+    and ``e`` is normalized to 0.  Instances are immutable; the order key
+    ``(0, q, e)``, or ``(1, 0, 0)`` at infinity, is stored at construction.
     """
 
-    q: Fraction
-    e: Fraction = Fraction(0)
+    __slots__ = ("q", "e", "_k")
+
+    def __init__(self, q, e=_F0):
+        _set_q(self, q)
+        _set_e(self, e)
+        self.__post_init__()
 
     def __post_init__(self):
         q = _frac(self.q)
@@ -41,9 +56,19 @@ class LogValue:
         if isinstance(q, float) and math.isinf(q):
             if q < 0:
                 raise ValueError("-infinity is not a log-value")
-            e = Fraction(0)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "e", e)
+            e = _F0
+        _set_q(self, q)
+        _set_e(self, e)
+        _set_k(self, _INF_KEY if isinstance(q, float) else (0, q, e))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return LogValue, (self.q, self.e)
 
     @property
     def is_infinite(self) -> bool:
@@ -60,28 +85,23 @@ class LogValue:
         # equal to hash(q) when e == 0, as LogValue(q) == q
         return hash(self.q) if self.e == 0 else hash((self.q, self.e))
 
-    def _key(self):
-        if self.is_infinite:
-            return (1, Fraction(0), Fraction(0))
-        return (0, self.q, self.e)
-
     def __lt__(self, other):
-        return self._key() < as_logvalue(other)._key()
+        return self._k < as_logvalue(other)._k
 
     def __le__(self, other):
-        return self._key() <= as_logvalue(other)._key()
+        return self._k <= as_logvalue(other)._k
 
     def __gt__(self, other):
-        return self._key() > as_logvalue(other)._key()
+        return self._k > as_logvalue(other)._k
 
     def __ge__(self, other):
-        return self._key() >= as_logvalue(other)._key()
+        return self._k >= as_logvalue(other)._k
 
     def __add__(self, other):
         other = as_logvalue(other)
         if self.is_infinite or other.is_infinite:
             return INFINITY
-        return LogValue(self.q + other.q, self.e + other.e)
+        return trusted(self.q + other.q, self.e + other.e)
 
     __radd__ = __add__
 
@@ -93,22 +113,24 @@ class LogValue:
             return INFINITY
         if other.is_infinite:
             raise ValueError("subtracting infinity from a finite log-value")
-        return LogValue(self.q - other.q, self.e - other.e)
+        return trusted(self.q - other.q, self.e - other.e)
 
     def __neg__(self):
         if self.is_infinite:
             raise ValueError("-infinity is not a log-value")
-        return LogValue(-self.q, -self.e)
+        return trusted(-self.q, -self.e)
 
     def scale(self, k: int) -> "LogValue":
         """k-fold sum for an integer k >= 0; scale(0) is 0 even at infinity."""
+        if not isinstance(k, int):
+            raise TypeError(f"scale factor must be an int, not {type(k).__name__}")
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
         if k == 0:
             return ZERO
         if self.is_infinite:
             return INFINITY
-        return LogValue(k * self.q, k * self.e)
+        return trusted(k * self.q, k * self.e)
 
     def __str__(self):
         if self.is_infinite:
@@ -119,6 +141,21 @@ class LogValue:
         return f"{self.q}{sign}{abs(self.e)}*eps"
 
     __repr__ = __str__
+
+
+_set_q = LogValue.q.__set__
+_set_e = LogValue.e.__set__
+_set_k = LogValue._k.__set__
+_new = object.__new__
+
+
+def trusted(q: Fraction, e: Fraction = _F0) -> LogValue:
+    """The finite LogValue (q, e) of two Fractions, built without checks."""
+    v = _new(LogValue)
+    _set_q(v, q)
+    _set_e(v, e)
+    _set_k(v, (0, q, e))
+    return v
 
 
 def as_logvalue(x) -> LogValue:

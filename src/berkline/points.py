@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ChainNotStabilized, MalformedChain, PointOutsideDisc
 from .gauss import gauss_valuation, roots_in_disc
-from .logvalue import INFINITY, LogValue, as_logvalue
+from .logvalue import INFINITY, LogValue, as_logvalue, trusted
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _dist(a, b) -> LogValue:
     v = a.valuation_of_difference(b)
     # a Fraction, or the float INF for equal operands; a type test is far
     # cheaper than comparing a Fraction with a float
-    return INFINITY if isinstance(v, float) else LogValue(v)
+    return INFINITY if isinstance(v, float) else trusted(v)
 
 
 @dataclass(frozen=True)

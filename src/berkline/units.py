@@ -25,7 +25,8 @@ from fractions import Fraction
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
 from .field import PadicElem, PuiseuxElem
-from .gauss import gauss_valuation, newton_polygon, roots_in_disc
+from .gauss import (_classify, _supporting_line, gauss_valuation, newton_polygon,
+                    roots_in_disc)
 from .logvalue import ZERO, LogValue, as_logvalue
 from .points import DiscPoint, _dist, classify
 from .poly import Polynomial, RationalFunction
@@ -338,18 +339,12 @@ def leading_class(f: RationalFunction, dom: Domain) -> LeadingClass:
 
 
 def _unique_argmin(g: Polynomial, s: LogValue):
-    best = None
-    best_i = None
-    tie = False
-    for i, c in enumerate(g.coeffs):
-        if c.is_zero():
-            continue
-        w = LogValue(c.valuation()) + s.scale(i)
-        if best is None or w < best:
-            best, best_i, tie = w, i, False
-        elif w == best:
-            tie = True
-    return None if tie else best_i
+    known, unknown = _classify(enumerate(g.coeffs))
+    if unknown:
+        # a truncated zero has no valuation: this raises PrecisionExhausted
+        g.coeffs[unknown[0][0]].valuation()
+    _, i, tie = _supporting_line(known, [], s)
+    return None if tie else i
 
 
 def homotopy_check(f0: RationalFunction, f1: RationalFunction,

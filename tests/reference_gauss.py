@@ -1,0 +1,106 @@
+"""The valuation loops of ``berkline.gauss`` and ``berkline.units`` as they
+were while they compared one log-value per term: the test oracle.
+
+``gauss_valuation``, ``newton_polygon`` with ``_polygon``, ``_lower_hull``
+and ``_hull_height``, and ``_unique_argmin`` are kept verbatim apart from
+their log-value class, the dataclass ``RefLogValue``.  They build a
+log-value or a ``Fraction`` for every term and share no arithmetic with the
+library's int-lattice loops; ``tests/test_gauss_reference.py`` checks the
+library against them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from berkline.errors import PrecisionExhausted, ZeroPolynomial
+from berkline.gauss import NewtonPolygon, _coeff_values
+from berkline.poly import Polynomial
+from reference_logvalue import (REF_INFINITY as INFINITY, REF_ZERO as ZERO,
+                                RefLogValue as LogValue,
+                                ref_as_logvalue as as_logvalue)
+
+
+def gauss_valuation(f: Polynomial, a=None, s=ZERO) -> LogValue:
+    """Valuation of f at the disc point D(a, 2**(-s)); +infinity for f = 0."""
+    s = as_logvalue(s)
+    known, unknown = _coeff_values(f, a)
+    if not known and not unknown:
+        return INFINITY
+    best = None
+    for i, v in known:
+        w = LogValue(v) + s.scale(i)
+        if best is None or w < best:
+            best = w
+    for i, p in unknown:
+        lb = LogValue(p) + s.scale(i)
+        if best is None or lb < best:
+            raise PrecisionExhausted(
+                f"coefficient {i} is only known below t^{p}", witness=i
+            )
+    return best
+
+
+def newton_polygon(f: Polynomial) -> NewtonPolygon:
+    if f.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no Newton polygon")
+    known, unknown = _coeff_values(f)
+    return _polygon(known, unknown, f.degree)
+
+
+def _polygon(known, unknown, degree) -> NewtonPolygon:
+    """The Newton polygon of the classified points of a nonzero polynomial."""
+    if not known:
+        raise PrecisionExhausted("all coefficients below their precision bounds")
+    pts = sorted(known)
+    hull = _lower_hull(pts)
+    # a truncated-zero coefficient is tolerable only strictly inside the known
+    # index range and with its bound at or above the hull there; anywhere else
+    # it could change mult0, the degree, or cut the hull
+    for i, p in unknown:
+        if i < hull[0][0] or i > hull[-1][0] or Fraction(p) < _hull_height(hull, i):
+            raise PrecisionExhausted(
+                f"coefficient {i} known only below t^{p} could cut the hull",
+                witness=i,
+            )
+    mult0 = pts[0][0]
+    segments = []
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        segments.append((Fraction(v2 - v1, i2 - i1), i2 - i1))
+    return NewtonPolygon(tuple(hull), tuple(segments), mult0, degree)
+
+
+def _lower_hull(pts):
+    """Monotone chain; collinear interior points are dropped."""
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def _hull_height(hull, x):
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if x1 <= x <= x2:
+            return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
+    return Fraction(hull[0][1])
+
+
+def _unique_argmin(g: Polynomial, s: LogValue):
+    best = None
+    best_i = None
+    tie = False
+    for i, c in enumerate(g.coeffs):
+        if c.is_zero():
+            continue
+        w = LogValue(c.valuation()) + s.scale(i)
+        if best is None or w < best:
+            best, best_i, tie = w, i, False
+        elif w == best:
+            tie = True
+    return None if tie else best_i

@@ -1,4 +1,5 @@
-"""LogValue: equality and hashing agree with the ordering."""
+"""LogValue: equality and hashing agree with the ordering; scale and the
+construction hook."""
 
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from berkline import INFINITY, LogValue
+from berkline.logvalue import trusted
 
 
 @pytest.mark.parametrize("x", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
@@ -62,3 +64,41 @@ def test_order_is_lexicographic_with_infinity_on_top():
     shuffled = rng.sample(pool, len(pool))
     assert ([_order_key(v) for v in sorted(shuffled)]
             == sorted(_order_key(v) for v in shuffled))
+
+
+@pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(2), 1.5, 2.0, "2"])
+def test_scale_takes_only_an_int_factor(k):
+    # a float stored as q would read as +infinity through is_infinite
+    with pytest.raises(TypeError):
+        LogValue(5).scale(k)
+    with pytest.raises(TypeError):
+        INFINITY.scale(k)
+
+
+def test_scale_by_an_int():
+    assert LogValue(5, -1).scale(3) == LogValue(15, -3)
+    assert LogValue(5).scale(True) == LogValue(5)
+    assert INFINITY.scale(0) == 0 and INFINITY.scale(2) is INFINITY
+    with pytest.raises(ValueError):
+        LogValue(5).scale(-1)
+
+
+def test_only_the_validating_constructor_runs_the_post_init_hook(monkeypatch):
+    # the benchmark's tracer counts validated constructions by patching
+    # LogValue.__post_init__ on the class, by that name
+    calls = []
+    post_init = LogValue.__dict__["__post_init__"]
+
+    def counted(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(LogValue, "__post_init__", counted)
+    x = LogValue(Fraction(3, 2), -1)
+    assert len(calls) == 1 and x == LogValue(Fraction(3, 2), -1)
+    calls.clear()
+    y = (x + x - LogValue(1, 1)).scale(2)
+    assert len(calls) == 1 and y == LogValue(4, -6)
+    calls.clear()
+    z = trusted(Fraction(1, 3))
+    assert not calls and (z.q, z.e) == (Fraction(1, 3), 0)
