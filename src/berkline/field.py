@@ -269,17 +269,29 @@ def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
 
     ``acc`` maps integer exponents on the lattice (1/den)Z to int coefficient
     numerators over ``cden``, already reduced mod p over F_p (where cden is
-    1); ``prec`` is INF or a Fraction.  Zero coefficients are dropped,
-    exponents at or above ``prec`` truncated, and both lattices coarsened
-    until gcd(den, *exps) == 1 and gcd(cden, *nums) == 1, so that equal
-    values have equal fields.
+    1); zero coefficients are dropped and the rest sorted, then
+    ``_lattice_terms`` builds the element.  Element arithmetic, ``truncated``
+    and ``poly._shift`` accumulate in dicts and come here; polynomial
+    products hand the kernel's sorted output to ``_lattice_terms`` directly.
     """
-    if prec == INF:
-        exps = sorted(e for e, c in acc.items() if c)
-    else:
-        bound = _lattice_bound(prec, den)
-        exps = sorted(e for e, c in acc.items() if c and e < bound)
-    nums = [acc[e] for e in exps]
+    exps = sorted([e for e, c in acc.items() if c])
+    return _lattice_terms(fld, exps, [acc[e] for e in exps], den, cden, prec)
+
+
+def _lattice_terms(fld, exps, nums, den, cden, prec) -> "PuiseuxElem":
+    """The canonical element sum(n/cden * t**(e/den)) over the paired lists.
+
+    ``exps`` is a strictly increasing list of ints on the lattice (1/den)Z
+    and ``nums`` the nonzero int numerators over ``cden`` that go with them,
+    reduced mod p over F_p (where cden is 1); ``prec`` is INF or a Fraction.
+    The lists are cut at the first exponent at or above ``prec``, and both
+    lattices coarsened until gcd(den, *exps) == 1 and gcd(cden, *nums) == 1,
+    so that equal values have equal fields.
+    """
+    if prec != INF:
+        k = bisect.bisect_left(exps, _lattice_bound(prec, den))
+        if k < len(exps):
+            exps, nums = exps[:k], nums[:k]
     if den != 1:
         g = math.gcd(den, *exps)
         if g != 1:
@@ -312,10 +324,10 @@ class PuiseuxElem:
     nonzero ints, one per exponent, over the positive ``cden`` with
     gcd(cden, *nums) == 1 (so 1 when there are no terms); over F_p, ``cden``
     is 1 and ``nums`` lie in range(1, p).  ``prec`` is an exclusive Fraction
-    bound or INF.  Results are built by ``_lattice_elem``, except where they
-    are canonical by construction (negation, zeros, the inverse of a
-    monomial).  Equal values therefore have equal fields, which is what
-    equality and hash compare.  ``valuation_of_difference`` reads
+    bound or INF.  Results are built by ``_lattice_terms``, most of them
+    through ``_lattice_elem``, except where they are canonical by
+    construction (negation, zeros, the inverse of a monomial).  Equal values
+    therefore have equal fields, which is what equality and hash compare.  ``valuation_of_difference`` reads
     v(a - b) by walking both lattices to the first term where they differ,
     without building a - b.
     """

@@ -1,7 +1,9 @@
 """The convolution kernel behind every polynomial product.
 
-``poly._try_kernel_mul`` sends it each product, exact or truncated: mod p
-over F_p((t)), over Z (p = 0) for Q((t)) and Q_p.  Taylor shifts
+Two callers in ``poly`` use it, mod p over F_p((t)) and over Z (p = 0) for
+Q((t)) and Q_p: ``_try_kernel_mul``, once per binary product, exact or
+truncated, and ``Polynomial.from_roots``, once per linear factor of an exact
+chain, feeding each output back in as the next left operand.  Taylor shifts
 (``Polynomial.recenter``) do not call it.  There is one
 implementation, the pure-Python one in ``_purekernel``.  Both names stay:
 ``poly`` calls through the module attribute ``poly_mul_modp`` so that a

@@ -4,12 +4,26 @@ A polynomial stores its coefficients in the variable (T - center); recentering
 is an exact Taylor shift.  Products, and shifts whose coefficients and center
 are all exact, run on one int-series encoding of the coefficients
 (``_series``): exponents on the lcm lattice, numerators over one common
-denominator, a p-adic number as the one-term series at exponent 0.  A
-truncated product is truncated once per output coefficient; a truncated
-shift, and ``divide_linear`` always, take the element-wise loop.  Rational
-functions keep numerator and denominator over the same center and may carry
-the root lists they were built from.  Once proven complete by exact division
-(``RationalFunction.certified_roots``), those lists answer divisor
+denominator, a p-adic number as the one-term series at exponent 0.  The
+routes:
+
+* ``f * g`` calls ``_try_kernel_mul``, a kernel chain of two factors
+  (``_kernel_product``): each output coefficient is decoded once from the
+  kernel's sorted terms (``_decode_flat``) and, when an input is
+  truncated, truncated once;
+* ``from_roots`` with an exact center, lead and roots is one kernel chain
+  of all its factors: each is encoded once, each kernel output feeds the
+  next product as it stands, and only the last is decoded.  A truncated
+  input multiplies the factors in one by one through ``f * g``;
+* ``recenter`` of exact coefficients by an exact shift is a Horner shift on
+  int series, decoded once per output from dicts (``_decode``); at its own
+  exact center a polynomial is returned as it is;
+* a truncated shift, and ``divide_linear`` always, take the element-wise
+  loop.
+
+Rational functions keep numerator and denominator over the same center and
+may carry the root lists they were built from.  Once proven complete by exact
+division (``RationalFunction.certified_roots``), those lists answer divisor
 bookkeeping directly, without any root finding.
 """
 
@@ -21,8 +35,8 @@ from dataclasses import dataclass, field as dc_field
 from . import kernel
 from ._purekernel import _split
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
-from .field import (INF, PadicElem, PadicField, _lattice_elem, _product_prec,
-                    cached)
+from .field import (INF, PadicElem, PadicField, _lattice_elem, _lattice_terms,
+                    _product_prec, cached)
 
 
 @dataclass(frozen=True)
@@ -62,12 +76,25 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, fld, roots, center=None, lead=None):
-        """The monic polynomial with the given roots (times an optional lead)."""
+        """The monic polynomial with the given roots (times an optional lead).
+
+        With the center, the lead and every root exact, the lead and the
+        linear factors are multiplied in one kernel chain
+        (``_kernel_product``): each is encoded once and the result decoded
+        once.  Otherwise they are multiplied in one by one, each product
+        through ``_try_kernel_mul``.
+        """
         center = fld.zero() if center is None else center
         out = cls.from_coeffs(fld, [fld.one() if lead is None else lead], center)
-        for r in roots:
-            shift = r - center
-            out = out * cls(center, (-shift, fld.one()))
+        shifts = [r - center for r in roots]
+        one = fld.one()
+        # an exact shift r - center means an exact root and center
+        if out.coeffs and shifts and out.coeffs[0].is_exact \
+                and all(d.is_exact for d in shifts):
+            factors = [out.coeffs, *((-d, one) for d in shifts)]
+            return cls(center, _kernel_product(fld, factors))
+        for d in shifts:
+            out = out * cls(center, (-d, one))
         return out
 
     def _check_compatible(self, other):
@@ -107,6 +134,9 @@ class Polynomial:
         )
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError(
+                f"polynomial exponent must be an int, not {type(n).__name__}")
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
         if n == 0:
@@ -129,8 +159,12 @@ class Polynomial:
         coefficient exact, it runs on int series: coefficient i, over the
         common denominator L, is scaled by E**(n-i), shifted by D (mod p over
         F_p) and output j is decoded once, over L*E**(n-j).  A truncated
-        coefficient or d takes the element-wise loop.
+        coefficient or d takes the element-wise loop.  At its own exact
+        center, a polynomial is returned as it is; a truncated center
+        differs from itself by a truncated zero, which the loop applies.
         """
+        if a is self.center and a.is_exact:
+            return self
         d = a - self.center
         if d.is_zero():
             return Polynomial(a, self.coeffs)
@@ -213,15 +247,48 @@ def _series(fld, coeffs, lat):
     return counts, exps, cofs, cden
 
 
-def _decode(fld, acc, lat, cden, prec=INF):
-    """The element with int series ``acc`` over ``cden`` on the lattice
-    (1/lat)Z, truncated at ``prec``; over Q_p, the reduced number
-    acc[0]/cden."""
+def _decode(fld, acc, lat, cden):
+    """The exact element with int series ``acc`` over ``cden`` on the
+    lattice (1/lat)Z; over Q_p, the reduced number acc[0]/cden."""
     if type(fld) is PadicField:
         n = acc.get(0, 0)
         g = math.gcd(n, cden)
         return PadicElem(fld, n // g, cden // g)
-    return _lattice_elem(fld, acc, lat, cden, prec)
+    return _lattice_elem(fld, acc, lat, cden, INF)
+
+
+def _modulus(fld) -> int:
+    """The kernel's p: the characteristic over F_p, 0 (over Z) otherwise."""
+    return 0 if type(fld) is PadicField else fld.char
+
+
+def _decode_flat(fld, out, lat, cden, precs=None) -> tuple:
+    """The coefficients of the kernel output ``out`` over ``cden`` on the
+    lattice (1/lat)Z, output k truncated at ``precs[k]`` when given, with
+    trailing exact zeros dropped.
+
+    The kernel returns each coefficient's terms sorted and zero-free, so
+    each slice goes straight to ``_lattice_terms``; over Q_p a coefficient
+    is one term at exponent 0, or none, and is reduced once.
+    """
+    counts, exps, cofs = out
+    res = []
+    pos = 0
+    if type(fld) is PadicField:
+        for c in counts:
+            n = cofs[pos] if c else 0
+            pos += c
+            g = math.gcd(n, cden)
+            res.append(PadicElem(fld, n // g, cden // g))
+    else:
+        for k, c in enumerate(counts):
+            end = pos + c
+            res.append(_lattice_terms(fld, exps[pos:end], cofs[pos:end], lat,
+                                      cden, INF if precs is None else precs[k]))
+            pos = end
+    while res and res[-1].is_zero():
+        res.pop()
+    return tuple(res)
 
 
 def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -237,23 +304,34 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     never returns None; ``perfbench/tracing.py`` patches it by this name.
     """
     fld = f.field
-    both = f.coeffs + g.coeffs
-    lat = _lattice(fld, both)
-    *kf, cf = _series(fld, f.coeffs, lat)
-    *kg, cg = _series(fld, g.coeffs, lat)
-    p = 0 if type(fld) is PadicField else fld.char
-    terms = _split(*kernel.poly_mul_modp(*kf, *kg, p))
-    precs = [INF] * len(terms)
-    if not all(c.is_exact for c in both):
+    precs = None
+    if not all(c.is_exact for c in f.coeffs + g.coeffs):
+        precs = [INF] * (len(f.coeffs) + len(g.coeffs) - 1)
         for i, a in enumerate(f.coeffs):
             for j, b in enumerate(g.coeffs):
                 precs[i + j] = min(precs[i + j], _product_prec(a, b))
-    cden = cf * cg
-    out = [_decode(fld, dict(t), lat, cden, prec)
-           for t, prec in zip(terms, precs)]
-    while out and out[-1].is_zero():
-        out.pop()
-    return Polynomial(f.center, tuple(out))
+    return Polynomial(f.center,
+                      _kernel_product(fld, (f.coeffs, g.coeffs), precs))
+
+
+def _kernel_product(fld, factors, precs=None) -> tuple:
+    """The coefficients of the product of the coefficient tuples
+    ``factors``, as one kernel chain.
+
+    Every factor goes on one lattice and is encoded once; each flat kernel
+    output is the next left operand as it stands, the common denominators
+    multiply, and only the last output is decoded (``_decode_flat``), output
+    k truncated at ``precs[k]`` when given.  The kernel is called through
+    the module attribute, which ``perfbench/tracing.py`` patches.
+    """
+    lat = _lattice(fld, [c for f in factors for c in f])
+    *acc, cden = _series(fld, factors[0], lat)
+    p = _modulus(fld)
+    for f in factors[1:]:
+        *k, c = _series(fld, f, lat)
+        acc = kernel.poly_mul_modp(*acc, *k, p)
+        cden *= c
+    return _decode_flat(fld, acc, lat, cden, precs)
 
 
 def _shift(fld, coeffs, d) -> tuple:
@@ -272,7 +350,7 @@ def _shift(fld, coeffs, d) -> tuple:
     for i, t in enumerate(_split(*kc)):
         w = big_e ** (n - i)
         b.append(dict(t) if w == 1 else {e: x * w for e, x in t})
-    p = 0 if type(fld) is PadicField else fld.char
+    p = _modulus(fld)
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             acc = b[j]

@@ -165,12 +165,28 @@ def _sides(f: RationalFunction):
 
 def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
     """Roots of g with v(z - center) >= s (closed) or > s (open): counted from
-    its certified root list when given, else from a Newton polygon."""
+    its certified root list when given, else from a Newton polygon.
+
+    A root list is compared on plain values: v = v(r - center) is a Fraction,
+    or the float INF for r == center, which lies in every disc of finite
+    radius and in the closed disc of infinite radius only.  A finite v lies
+    in the disc when v > s.q, or when v == s.q and the eps part e of s
+    allows it: (v, 0) >= (s.q, e) when e <= 0, and (v, 0) > (s.q, e) when
+    e < 0.
+    """
     if roots is None:
         return roots_in_disc(g, center, s, closed=closed)
-    if closed:
-        return sum(1 for r in roots if _dist(r, center) >= s)
-    return sum(1 for r in roots if _dist(r, center) > s)
+    if s.is_infinite:
+        vals = [r.valuation_of_difference(center) for r in roots]
+        return sum(isinstance(v, float) for v in vals) if closed else 0
+    q = s.q
+    tie = s.e <= 0 if closed else s.e < 0
+    n = 0
+    for r in roots:
+        v = r.valuation_of_difference(center)
+        if isinstance(v, float) or v > q or (tie and v == q):
+            n += 1
+    return n
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ coefficients included; with every coefficient and the center exact,
 ``elementwise_mul`` and ``elementwise_recenter`` below are the loops on field
 elements that define both results: every product, and every exact shift,
 must equal theirs in value and in each coefficient's precision, over F_2,
-F_3, Q((t)), Q_3 and Q_5.
+F_3, Q((t)), Q_3 and Q_5.  ``Polynomial.from_roots`` with exact inputs
+multiplies all its factors in one kernel chain; ``sequential_from_roots``
+is the loop of binary products it replaces, and the two must agree in every
+stored field.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -294,3 +298,151 @@ def test_from_coeffs_rejects_another_field():
         Polynomial.from_coeffs(q, [q.one()], center=f3.t(1))
     with pytest.raises(BackendMismatch):
         Polynomial.from_coeffs(PadicField(3), [PadicField(5).one()])
+
+
+@pytest.mark.parametrize("n", [Fraction(0), 0.0, 2.0, Fraction(2), "2", None])
+def test_pow_rejects_non_int_exponents(n):
+    fld = PuiseuxField(3)
+    f = Polynomial.from_roots(fld, [fld.t(1), fld.one()])
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        f ** n
+
+
+def sequential_from_roots(fld, roots, center=None, lead=None, mul=None):
+    """``from_roots`` as a loop of binary products, one linear factor at a
+    time: the route the int-series chain replaces for exact inputs."""
+    center = fld.zero() if center is None else center
+    out = Polynomial.from_coeffs(fld, [fld.one() if lead is None else lead],
+                                 center)
+    for r in roots:
+        lin = Polynomial(center, (-(r - center), fld.one()))
+        out = out * lin if mul is None else mul(out, lin)
+    return out
+
+
+def stored(f):
+    """Every stored field of every coefficient, precision included."""
+    return [(c.exps, c.nums, c.den, c.cden, c.prec)
+            if isinstance(c.field, PuiseuxField) else (c.num, c.den)
+            for c in f.coeffs]
+
+
+def rand_roots(rng, fld, center, make=rand_elem):
+    """Up to six roots, some repeated, some in pairs r, -r, some equal to
+    the center; returns (roots, the shapes they have)."""
+    roots = [make(rng, fld) for _ in range(rng.randint(0, 6))]
+    kinds = set()
+    r = rng.random()
+    if roots and r < 0.2:
+        roots.append(rng.choice(roots))
+        kinds.add("repeated root")
+    elif roots and r < 0.4:
+        roots = [x for y in roots[:3] for x in (y, -y)]
+        kinds.add("r and -r")
+    elif r < 0.55:
+        roots.insert(rng.randrange(len(roots) + 1), center)
+        kinds.add("root at the center")
+    if not roots:
+        kinds.add("no roots")
+    if len({x.den for x in roots if getattr(x, "exps", None)}) > 1:
+        kinds.add("mixed lattices")
+    return roots, kinds
+
+
+def rand_lead(rng, fld, make=rand_elem):
+    r = rng.random()
+    if r < 0.3:
+        return None, "no lead"
+    if r < 0.4:
+        return fld.zero(), "zero lead"
+    return make(rng, fld, True), "lead"
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_from_roots_chain_matches_sequential(fld):
+    rng = random.Random(1701)
+    seen = set()
+    for k in range(2000):
+        center = fld.zero() if k % 3 else rand_elem(rng, fld, True)
+        roots, kinds = rand_roots(rng, fld, center)
+        lead, lead_kind = rand_lead(rng, fld)
+        got = Polynomial.from_roots(fld, roots, center, lead)
+        want = sequential_from_roots(fld, roots, center, lead)
+        assert stored(got) == stored(want)
+        assert got == want and got.center is center
+        if "r and -r" in kinds and center.is_zero() and lead is not None \
+                and not lead.is_zero():
+            # (T^2 - r^2)^m: every odd coefficient is an exact zero
+            assert all(c.is_zero() for c in got.coeffs[1::2])
+            seen.add("odd coefficients cancel")
+        if "root at the center" in kinds and not center.is_zero():
+            seen.add("root at a nonzero center")
+        seen |= kinds | {lead_kind}
+    want_seen = {"repeated root", "r and -r", "root at the center", "no roots",
+                 "no lead", "zero lead", "lead", "odd coefficients cancel",
+                 "root at a nonzero center"}
+    if isinstance(fld, PuiseuxField):
+        want_seen.add("mixed lattices")
+    assert seen == want_seen
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_truncated_from_roots_multiplies_one_factor_at_a_time(fld, monkeypatch):
+    """A truncated root, lead or center keeps the loop through
+    ``_try_kernel_mul``, whose precisions are the element-wise loop's."""
+    rng = random.Random(1702)
+    calls = []
+    mul = poly_mod._try_kernel_mul
+    monkeypatch.setattr(poly_mod, "_try_kernel_mul",
+                        lambda f, g: calls.append(1) or mul(f, g))
+    truncated = 0
+    for k in range(400):
+        center = rand_trunc(rng, fld, True) if k % 4 == 0 else fld.zero()
+        roots, _ = rand_roots(rng, fld, center, rand_trunc)
+        lead, _ = rand_lead(rng, fld, rand_trunc)
+        calls.clear()
+        got = Polynomial.from_roots(fld, roots, center, lead)
+        want = sequential_from_roots(fld, roots, center, lead,
+                                     mul=elementwise_mul)
+        assert got == want
+        assert precs(got) == precs(want)
+        inputs = [center, *roots] + ([] if lead is None else [lead])
+        if not all(x.is_exact for x in inputs):
+            truncated += 1
+            assert len(calls) == len(roots)
+    assert truncated > 150
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_truncation_cuts_at_the_bound(char):
+    """A term exactly at the precision bound is cut, in products and in
+    ``truncated``."""
+    fld = PuiseuxField(char)
+    a = fld.elem([(0, 1), (1, 1)], prec=2)          # 1 + t + O(t^2)
+    b = fld.elem([(1, 1), (2, 1)])                  # t + t^2
+    got = Polynomial.from_coeffs(fld, [a]) * Polynomial.from_coeffs(fld, [b])
+    (c,) = got.coeffs
+    assert c.prec == 3 and c.exps == (1, 2) and c.nums == (1, 2)
+    assert a * b == c
+    x = fld.elem([(0, 1), (Fraction(3, 2), 1), (2, 1)]).truncated(2)
+    assert (x.exps, x.den, x.prec) == ((0, 3), 2, 2)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_recenter_at_its_own_center(fld):
+    """At its own exact center a polynomial comes back as it is; at an
+    equal center that is another object, the result carries that object."""
+    rng = random.Random(1703)
+    c = rand_elem(rng, fld, True)
+    f = rand_poly(rng, fld, 4, c)
+    assert f.recenter(c) is f
+    twin = dataclasses.replace(c)
+    assert twin == c and twin is not c
+    g = f.recenter(twin)
+    assert g == f and g.center is twin and g.coeffs is f.coeffs
+    if isinstance(fld, PuiseuxField):
+        # a truncated center differs from itself by a truncated zero
+        t = fld.elem([(0, 1), (1, 1)], prec=3)
+        h = Polynomial.from_coeffs(fld, [fld.one(), fld.t(1), fld.one()], t)
+        assert h.recenter(t) == elementwise_recenter(h, t)
+        assert precs(h.recenter(t)) == precs(elementwise_recenter(h, t))

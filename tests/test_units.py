@@ -1,5 +1,6 @@
 """Reduced-unit classes, domain certification, balancing, homotopy decision."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,7 +13,11 @@ from berkline import (DiscPoint, Domain, ExcludedDisc, LogValue, Polynomial,
                       reduced_unit, unit_class)
 from berkline.errors import (BadDomain, NotCertified, VanishesOnDomain,
                              ZeroElement)
-from conftest import rand_puiseux
+from berkline.field import PadicField, PuiseuxField
+from berkline.logvalue import INFINITY
+from berkline.points import _dist
+from berkline.units import _count_in_disc
+from conftest import rand_padic, rand_puiseux
 
 lv = lambda q, e=0: LogValue(Fraction(q), Fraction(e))
 
@@ -376,3 +381,46 @@ class TestHomotopyPuncturedDisc:
             Polynomial.from_coeffs(FQ, [FQ.t(3), FQ.one()]),
             Polynomial.variable(FQ))
         assert not homotopy_check(one, f1, dom)
+
+
+@pytest.mark.parametrize("fld", [PuiseuxField(0), PuiseuxField(3), PadicField(3)],
+                         ids=["Q", "F3", "Q3"])
+def test_root_list_counts_match_logvalue_comparisons(fld):
+    """Counting a root list on plain valuations agrees with comparing the
+    log-distances _dist(r, c) >= s (closed) and > s (open)."""
+    rng = random.Random(1704)
+    make = ((lambda: rand_padic(rng, fld)) if isinstance(fld, PadicField)
+            else (lambda: rand_puiseux(rng, fld)))
+    seen = set()
+    for _ in range(2000):
+        center = make()
+        roots = [make() for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.3:
+            # the center itself, and an equal element that is another object
+            roots += [center, dataclasses.replace(center)]
+        if rng.random() < 0.15:
+            s = INFINITY
+        else:
+            # radii at the roots' distances, so that ties are common
+            dists = [_dist(r, center) for r in roots]
+            qs = [d.q for d in dists if not d.is_infinite] or [Fraction(0)]
+            q = rng.choice(qs) + rng.choice([0, 0, 0, Fraction(-1, 2), 1])
+            s = lv(q, rng.choice([-1, Fraction(-1, 3), 0, 0, Fraction(1, 2), 2]))
+        poly = Polynomial.from_roots(fld, roots)
+        for closed in (True, False):
+            got = _count_in_disc(poly, roots, center, s, closed)
+            want = sum(1 for r in roots
+                       if (_dist(r, center) >= s if closed
+                           else _dist(r, center) > s))
+            assert got == want
+            ties = sum(1 for r in roots if _dist(r, center).q == s.q)
+            seen.add(("closed" if closed else "open",
+                      "inf" if s.is_infinite else (s.e > 0) - (s.e < 0),
+                      "tie" if ties else "no tie"))
+        if any(r.valuation_of_difference(center) == float("inf") for r in roots):
+            seen.add("root at the center")
+    for kind in ("closed", "open"):
+        for e in (-1, 0, 1):
+            assert (kind, e, "tie") in seen
+        assert (kind, "inf", "tie") in seen and (kind, "inf", "no tie") in seen
+    assert "root at the center" in seen
