@@ -21,6 +21,10 @@ acceptor decides validity over exactly the keywords that document uses
 ``$schema`` and ``$id`` are ignored) and raises on any other, so a valid
 payload never imports jsonschema.  jsonschema is loaded only to word a
 rejection, and stays the authority for that wording.
+
+Each ``_cmd_*`` imports ``serialize`` and its compute modules when it runs,
+so a call loads only what parsing, validation, emit and its own command
+need, and a payload rejected before dispatch loads neither.
 """
 
 from __future__ import annotations
@@ -33,15 +37,7 @@ import re
 import sys
 from importlib import resources
 
-from . import serialize as ser
-from .cancel import (UNIT_ANNULUS, SectionComponent, SectionData, splitting_delta,
-                     y1_divisor, y2_divisor)
 from .errors import BerkError
-from .gauss import newton_polygon, root_count_annulus
-from .points import classify, eval_point
-from .sheaf import HostTree, cohomology, constant_sheaf, kummer_sheaf, make_cellular_sheaf, shriek_extend
-from .skeleton import build_skeleton
-from .units import boundary_degrees, direction_slopes, exterior_degree, homotopy_check
 
 COMMANDS = ("eval", "classify", "skeleton", "np", "sheaf", "balance",
             "homotopy", "cancel")
@@ -256,12 +252,11 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _field(payload):
-    return ser.field_from_json(payload["field"])
-
-
 def _cmd_eval(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .points import eval_point
+
+    fld = ser.field_from_json(payload["field"])
     poly = ser.poly_from_json(payload["poly"], fld)
     point = ser.point_from_json(payload["point"], fld)
     value = eval_point(poly, point)
@@ -269,7 +264,10 @@ def _cmd_eval(payload):
 
 
 def _cmd_classify(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .points import classify
+
+    fld = ser.field_from_json(payload["field"])
     point = ser.point_from_json(payload["point"], fld)
     c = classify(point)
     _emit({
@@ -280,7 +278,10 @@ def _cmd_classify(payload):
 
 
 def _cmd_skeleton(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .skeleton import build_skeleton
+
+    fld = ser.field_from_json(payload["field"])
     centers = [ser.elem_from_json(c, fld) for c in payload["centers"]]
     s_floor = ser.logvalue_from_json(payload.get("s_floor", "inf"))
     sk = build_skeleton(centers, s_floor)
@@ -291,7 +292,10 @@ def _cmd_skeleton(payload):
 
 
 def _cmd_np(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .gauss import newton_polygon, root_count_annulus
+
+    fld = ser.field_from_json(payload["field"])
     poly = ser.poly_from_json(payload["poly"], fld)
     np_ = newton_polygon(poly)
     out = ser.newton_polygon_to_json(np_)
@@ -309,11 +313,17 @@ def _cmd_np(payload):
 
 
 def _cmd_sheaf(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .sheaf import (HostTree, cohomology, constant_sheaf, kummer_sheaf,
+                        make_cellular_sheaf, shriek_extend)
+
+    fld = ser.field_from_json(payload["field"])
     n = int(payload["n"])
     spec = payload["sheaf"]
     kind = spec["kind"]
     if kind in ("kummer", "constant"):
+        from .skeleton import build_skeleton
+
         centers = [ser.elem_from_json(c, fld) for c in payload["centers"]]
         sk = build_skeleton(centers,
                             ser.logvalue_from_json(payload.get("s_floor", "inf")))
@@ -344,7 +354,10 @@ def _cmd_sheaf(payload):
 
 
 def _cmd_balance(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .units import boundary_degrees, direction_slopes, exterior_degree
+
+    fld = ser.field_from_json(payload["field"])
     f = ser.ratfunc_from_json(payload["f"], fld)
     if "point" in payload:
         x = ser.point_from_json(payload["point"], fld)
@@ -361,7 +374,10 @@ def _cmd_balance(payload):
 
 
 def _cmd_homotopy(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .units import homotopy_check
+
+    fld = ser.field_from_json(payload["field"])
     f0 = ser.ratfunc_from_json(payload["f0"], fld)
     f1 = ser.ratfunc_from_json(payload["f1"], fld)
     dom = ser.domain_from_json(payload["domain"], fld)
@@ -369,7 +385,11 @@ def _cmd_homotopy(payload):
 
 
 def _cmd_cancel(payload):
-    fld = _field(payload)
+    from . import serialize as ser
+    from .cancel import (UNIT_ANNULUS, SectionComponent, SectionData,
+                         splitting_delta, y1_divisor, y2_divisor)
+
+    fld = ser.field_from_json(payload["field"])
     ann = (ser.annulus_from_json(payload["annulus"]) if "annulus" in payload
            else UNIT_ANNULUS)
     N = int(payload["N"])

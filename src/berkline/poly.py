@@ -159,11 +159,15 @@ class Polynomial:
         coefficient exact, it runs on int series: coefficient i, over the
         common denominator L, is scaled by E**(n-i), shifted by D (mod p over
         F_p) and output j is decoded once, over L*E**(n-j).  A truncated
-        coefficient or d takes the element-wise loop.  At its own exact
-        center, a polynomial is returned as it is; a truncated center
-        differs from itself by a truncated zero, which the loop applies.
+        coefficient or d takes the element-wise loop.
+
+        At its own center object, exact or truncated, a polynomial is
+        returned as it is: T - a is then T - center, the same variable, so
+        every coefficient is unchanged.  The difference a - center computed
+        on elements would be a truncated zero when a is truncated, and the
+        loop would spread that O(t^p) into each coefficient.
         """
-        if a is self.center and a.is_exact:
+        if a is self.center:
             return self
         d = a - self.center
         if d.is_zero():

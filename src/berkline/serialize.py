@@ -3,6 +3,9 @@
 Rationals travel as exact strings "a/b" (denominator omitted when 1);
 log-values as {"q": ..., "e": ...} or the string "inf"; field elements carry
 their backend tag so a document is self-describing given the field config.
+
+Points, domains and annuli are built by modules a CLI command may not need;
+their decoders import them when they run.
 """
 
 from __future__ import annotations
@@ -11,14 +14,9 @@ import math
 import re
 from fractions import Fraction
 
-from .cancel import AnnulusSpec, Divisor
 from .field import INF, PadicElem, PadicField, PuiseuxElem, PuiseuxField
-from .gauss import NewtonPolygon
 from .logvalue import INFINITY, LogValue
-from .points import ChainPoint, CoordVector, DiscPoint
 from .poly import Polynomial, RationalFunction
-from .skeleton import Skeleton
-from .units import Domain, ExcludedDisc, UnitClass
 
 
 def frac_to_json(x) -> str:
@@ -177,6 +175,8 @@ def ratfunc_from_json(obj, fld=None):
 
 
 def point_to_json(x):
+    from .points import ChainPoint, DiscPoint
+
     if isinstance(x, DiscPoint):
         return {"kind": "disc", "center": elem_to_json(x.center),
                 "s": logvalue_to_json(x.s)}
@@ -187,6 +187,8 @@ def point_to_json(x):
 
 
 def point_from_json(obj, fld=None):
+    from .points import ChainPoint, DiscPoint
+
     if obj["kind"] == "disc":
         return DiscPoint(elem_from_json(obj["center"], fld),
                          logvalue_from_json(obj["s"]))
@@ -238,6 +240,8 @@ def domain_to_json(d: Domain):
 
 
 def domain_from_json(obj, fld=None):
+    from .units import Domain, ExcludedDisc
+
     return Domain(
         elem_from_json(obj["bound"]["center"], fld),
         logvalue_from_json(obj["bound"]["s"]),
@@ -263,6 +267,8 @@ def cohomology_to_json(res):
 
 
 def annulus_from_json(obj) -> AnnulusSpec:
+    from .cancel import AnnulusSpec
+
     return AnnulusSpec(logvalue_from_json(obj["s_lo"]),
                        logvalue_from_json(obj["s_hi"]))
 

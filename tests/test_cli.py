@@ -232,8 +232,8 @@ class TestCancel:
             calls.append(args)
             return real(*args)
 
+        # cli imports y2_divisor from cancel when the command runs
         monkeypatch.setattr(berkline.cancel, "y2_divisor", counted)
-        monkeypatch.setattr(berkline.cli, "y2_divisor", counted)
         code, _, _ = run(capsys, ["cancel", "--field", FIELD_F2,
                                   "--g", "t", "--N", "5"])
         assert (code, len(calls)) == (0, 1)
@@ -433,12 +433,13 @@ class TestErrors:
         assert doc["detail"].startswith("zero denominator in ")
 
     def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
-        from berkline import cli
+        from berkline import skeleton
 
         def boom(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "build_skeleton", boom)
+        # cli imports build_skeleton from skeleton when the command runs
+        monkeypatch.setattr(skeleton, "build_skeleton", boom)
         code, out, err = run(capsys, ["skeleton", "--centers", "[0]"])
         assert (code, out) == (4, "")
         assert json.loads(err) == {"error": "internal",

@@ -440,9 +440,32 @@ def test_recenter_at_its_own_center(fld):
     assert twin == c and twin is not c
     g = f.recenter(twin)
     assert g == f and g.center is twin and g.coeffs is f.coeffs
-    if isinstance(fld, PuiseuxField):
-        # a truncated center differs from itself by a truncated zero
-        t = fld.elem([(0, 1), (1, 1)], prec=3)
-        h = Polynomial.from_coeffs(fld, [fld.one(), fld.t(1), fld.one()], t)
-        assert h.recenter(t) == elementwise_recenter(h, t)
-        assert precs(h.recenter(t)) == precs(elementwise_recenter(h, t))
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_recenter_at_its_own_truncated_center(fld):
+    """c - c is a truncated zero, but T - c is exactly T - c: the shift at
+    the center object itself keeps every coefficient's precision."""
+    c = fld.elem([(0, 1), (1, 1)], prec=3)          # 1 + t + O(t^3)
+    h = Polynomial.from_coeffs(fld, [fld.one(), fld.t(1), fld.one()], c)
+    got = h.recenter(c)
+    assert got is h
+    assert precs(got) == [INF, INF, INF]
+    # the element loop adds O(t^3) * c_{j+1} to each coefficient
+    assert precs(elementwise_recenter(h, c))[:2] == [4, 3]
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_recenter_at_truncated_center_refines_elementwise(fld):
+    rng = random.Random(1801)
+    sharper = 0
+    for _ in range(300):
+        c = rand_trunc(rng, fld)
+        f = rand_poly(rng, fld, rng.randint(0, 5), c, rand_trunc)
+        got, want = f.recenter(c), elementwise_recenter(f, c)
+        assert len(got.coeffs) == len(want.coeffs)
+        for x, y in zip(got.coeffs, want.coeffs):
+            assert x.agrees_with(y)
+            assert x.prec >= y.prec
+            sharper += x.prec > y.prec
+    assert sharper
