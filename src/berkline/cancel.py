@@ -10,9 +10,9 @@ returns the original section once, and for g = 1 it vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import BoundarySolution, ResourceLimit, ZeroPolynomial
 from .gauss import NewtonPolygon, _classify, _polygon
 from .logvalue import LogValue, ZERO, as_logvalue
@@ -20,38 +20,39 @@ from .poly import Polynomial, RationalFunction
 from .units import Domain, ExcludedDisc, require_unit
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Record):
     """Formal sum of valuation classes with nonzero multiplicities."""
 
-    entries: tuple  # ((LogValue, int), ...)
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = self.entries
-        if type(entries) is tuple and all(
+    def __init__(self, entries: tuple):  # ((LogValue, int), ...)
+        if not (type(entries) is tuple and all(
                 isinstance(s, LogValue) and type(m) is int and m
-                for s, m in entries):
-            return
-        object.__setattr__(
-            self, "entries",
-            tuple((as_logvalue(s), int(m)) for s, m in entries if m),
-        )
+                for s, m in entries)):
+            entries = tuple((as_logvalue(s), int(m)) for s, m in entries if m)
+        setfield(self, "entries", entries)
 
     @property
     def total_mass(self) -> int:
         return sum(m for _, m in self.entries)
 
 
-@dataclass(frozen=True)
-class AnnulusSpec:
+def trusted_divisor(entries: tuple) -> Divisor:
+    """The Divisor of a tuple of (LogValue, nonzero int) pairs, built
+    without the scan that ``Divisor(entries)`` makes."""
+    d = object.__new__(Divisor)
+    setfield(d, "entries", entries)
+    return d
+
+
+class AnnulusSpec(Record):
     """Closed annulus s_hi <= v <= s_lo (radii 2**-s_lo <= |t| <= 2**-s_hi)."""
 
-    s_lo: LogValue
-    s_hi: LogValue
+    _fields = ("s_lo", "s_hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s_lo", as_logvalue(self.s_lo))
-        object.__setattr__(self, "s_hi", as_logvalue(self.s_hi))
+    def __init__(self, s_lo: LogValue, s_hi: LogValue):
+        setfield(self, "s_lo", as_logvalue(s_lo))
+        setfield(self, "s_hi", as_logvalue(s_hi))
         if not self.s_hi < self.s_lo:
             raise ValueError("annulus needs s_hi < s_lo")
 
@@ -87,7 +88,7 @@ def y1_divisor(N: int, fld) -> Divisor:
         raise ResourceLimit(f"Y1 needs more than {Y1_ENTRY_CAP} entries",
                             witness=Y1_ENTRY_CAP)
     mult = p ** a if p else 1
-    return Divisor(((ZERO, mult),) * N)
+    return trusted_divisor(((ZERO, mult),) * N)
 
 
 def _solution_polygon(num: Polynomial, den: Polynomial, N: int) -> NewtonPolygon:
@@ -133,21 +134,23 @@ def y2_divisor(g: RationalFunction, N: int, ann: AnnulusSpec) -> Divisor:
     return Divisor(tuple(entries))
 
 
-@dataclass(frozen=True)
-class SectionComponent:
-    u: str                    # constant marker into U
-    g: RationalFunction       # the reduced-unit component over the annulus
-    mult: int
+class SectionComponent(Record):
+    _fields = ("u", "g", "mult")
+
+    def __init__(self, u: str, g: RationalFunction, mult: int):
+        setfield(self, "u", u)  # constant marker into U
+        setfield(self, "g", g)  # the reduced-unit component over the annulus
+        setfield(self, "mult", mult)
 
 
-@dataclass(frozen=True)
-class SectionData:
+class SectionData(Record):
     """A constant-u section of Sym^k(U x units) over the annulus."""
 
-    k: int
-    components: tuple
+    _fields = ("k", "components")
 
-    def __post_init__(self):
+    def __init__(self, k: int, components: tuple):
+        setfield(self, "k", k)
+        setfield(self, "components", components)
         if sum(c.mult for c in self.components) != self.k:
             raise ValueError("component multiplicities must sum to k")
         if any(c.mult <= 0 for c in self.components):

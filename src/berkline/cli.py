@@ -35,7 +35,6 @@ import json
 import os
 import re
 import sys
-from importlib import resources
 
 from .errors import BerkError
 
@@ -52,9 +51,19 @@ class UnsupportedSchema(Exception):
     defect in berkline, not in the input."""
 
 
+_SCHEMA = "schemas/berkline.schema.json"
+
+
 @functools.cache
 def _schema_defs():
-    text = resources.files("berkline").joinpath("schemas/berkline.schema.json").read_text()
+    path = os.path.join(os.path.dirname(__file__), *_SCHEMA.split("/"))
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    else:
+        # no file beside the module, as in a zip import
+        from importlib import resources
+        text = resources.files("berkline").joinpath(_SCHEMA).read_text(encoding="utf-8")
     return json.loads(text)["$defs"]
 
 

@@ -35,9 +35,9 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import (BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted,
                      ResourceLimit)
 
@@ -315,8 +315,7 @@ def _product_prec(x, y):
                y.prec + x.valuation_lower_bound())
 
 
-@dataclass(frozen=True)
-class PuiseuxElem:
+class PuiseuxElem(Record):
     """sum(nums[i]/cden * t**(exps[i]/den)) + O(t**prec), in canonical form.
 
     ``exps`` are strictly increasing ints, ``den`` is positive with
@@ -332,12 +331,16 @@ class PuiseuxElem:
     without building a - b.
     """
 
-    field: PuiseuxField
-    exps: tuple
-    nums: tuple
-    den: int
-    cden: int
-    prec: object
+    _fields = ("field", "exps", "nums", "den", "cden", "prec")
+
+    def __init__(self, field: PuiseuxField, exps: tuple, nums: tuple, den: int,
+                 cden: int, prec):
+        setfield(self, "field", field)
+        setfield(self, "exps", exps)
+        setfield(self, "nums", nums)
+        setfield(self, "den", den)
+        setfield(self, "cden", cden)
+        setfield(self, "prec", prec)
 
     @cached
     def coefs(self) -> tuple:
@@ -594,8 +597,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PadicElem:
+class PadicElem(Record):
     """The rational num/den with the p-adic valuation, in canonical form.
 
     ``num`` and ``den`` are ints with ``den > 0`` and gcd(num, den) == 1,
@@ -605,9 +607,12 @@ class PadicElem:
     v(n1*d2 - n2*d1) - v(d1*d2) without building a - b.
     """
 
-    field: PadicField
-    num: int
-    den: int
+    _fields = ("field", "num", "den")
+
+    def __init__(self, field: PadicField, num: int, den: int):
+        setfield(self, "field", field)
+        setfield(self, "num", num)
+        setfield(self, "den", den)
 
     @cached
     def value(self) -> Fraction:

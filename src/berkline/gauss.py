@@ -10,9 +10,9 @@ itself (valuation +infinity) is reported separately as ``mult0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import (CoefficientOverflow, PrecisionExhausted, ZeroConstantTerm,
                      ZeroPolynomial)
 from .logvalue import INFINITY, ZERO, LogValue, as_logvalue, trusted
@@ -170,14 +170,16 @@ def spectral_limit(f: Polynomial, r, a=None, n_max: int = 64,
     return spectral_profile(f, [r], a, n_max, max_coeffs)[0]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Lower convex hull of (i, v(c_i)); slopes strictly increase."""
 
-    vertices: tuple      # ((index, Fraction valuation), ...)
-    segments: tuple      # ((Fraction slope, int width), ...)
-    mult0: int           # multiplicity of the root at the center
-    degree: int
+    _fields = ("vertices", "segments", "mult0", "degree")
+
+    def __init__(self, vertices: tuple, segments: tuple, mult0: int, degree: int):
+        setfield(self, "vertices", vertices)  # ((index, Fraction valuation), ...)
+        setfield(self, "segments", segments)  # ((Fraction slope, int width), ...)
+        setfield(self, "mult0", mult0)        # multiplicity of the root at the center
+        setfield(self, "degree", degree)
 
     def root_valuations(self):
         """(valuation, multiplicity) per finite root class, valuation = -slope."""

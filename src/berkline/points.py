@@ -9,20 +9,18 @@ smallest member truncates a type-4 point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import ChainNotStabilized, MalformedChain, PointOutsideDisc
 from .gauss import gauss_valuation, roots_in_disc
 from .logvalue import INFINITY, LogValue, as_logvalue, trusted
 
 
-@dataclass(frozen=True)
-class DiscPoint:
-    center: object
-    s: LogValue
+class DiscPoint(Record):
+    _fields = ("center", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_logvalue(self.s))
+    def __init__(self, center, s: LogValue):
+        setfield(self, "center", center)
+        setfield(self, "s", as_logvalue(s))
 
     @property
     def is_classical(self) -> bool:
@@ -55,14 +53,13 @@ class DiscPoint:
         return f"D({self.center.canonical_str()}, s={self.s})"
 
 
-@dataclass(frozen=True)
-class ChainPoint:
+class ChainPoint(Record):
     """Finite truncation of a nested chain of discs (type-4 data)."""
 
-    discs: tuple
+    _fields = ("discs",)
 
-    def __post_init__(self):
-        discs = tuple(self.discs)
+    def __init__(self, discs: tuple):
+        discs = tuple(discs)
         if len(discs) < 2:
             raise MalformedChain("a chain needs at least two discs")
         for d1, d2 in zip(discs, discs[1:]):
@@ -70,7 +67,7 @@ class ChainPoint:
                 raise MalformedChain("chain radii must strictly shrink")
             if not d1.contains(d2):
                 raise MalformedChain("chain discs must be strictly nested")
-        object.__setattr__(self, "discs", discs)
+        setfield(self, "discs", discs)
 
     @property
     def last(self) -> DiscPoint:
@@ -89,11 +86,14 @@ def _dist(a, b) -> LogValue:
     return INFINITY if isinstance(v, float) else trusted(v)
 
 
-@dataclass(frozen=True)
-class PointClassification:
-    type: int
-    residue_transcendental: bool = False
-    value_group_extended: bool = False
+class PointClassification(Record):
+    _fields = ("type", "residue_transcendental", "value_group_extended")
+
+    def __init__(self, type: int, residue_transcendental: bool = False,
+                 value_group_extended: bool = False):
+        setfield(self, "type", type)
+        setfield(self, "residue_transcendental", residue_transcendental)
+        setfield(self, "value_group_extended", value_group_extended)
 
 
 def classify(x) -> PointClassification:
@@ -117,12 +117,14 @@ def meet(x: DiscPoint, y: DiscPoint) -> DiscPoint:
     return DiscPoint(x.center, s)
 
 
-@dataclass(frozen=True)
-class CoordVector:
+class CoordVector(Record):
     """Retraction coordinates (s_a)_{a in A} of a point, in log scale."""
 
-    index: tuple   # centers a in A
-    values: tuple  # LogValue per a
+    _fields = ("index", "values")
+
+    def __init__(self, index: tuple, values: tuple):
+        setfield(self, "index", index)    # centers a in A
+        setfield(self, "values", values)  # LogValue per a
 
     def check_tree_inequalities(self) -> bool:
         """Both retraction constraints, transcribed to log scale:

@@ -30,21 +30,23 @@ bookkeeping directly, without any root finding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from . import kernel
+from ._record import Record, setfield
 from ._purekernel import _split
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
 from .field import (INF, PadicElem, PadicField, _lattice_elem, _lattice_terms,
                     _product_prec, cached)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Coefficients c_0..c_n in (T - center), leading one nonzero."""
 
-    center: object
-    coeffs: tuple
+    _fields = ("center", "coeffs")
+
+    def __init__(self, center, coeffs: tuple):
+        setfield(self, "center", center)
+        setfield(self, "coeffs", coeffs)
 
     @property
     def field(self):
@@ -369,20 +371,21 @@ def _shift(fld, coeffs, d) -> tuple:
                  for j in range(n + 1))
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """num/den over a common center, with optional certified root lists."""
 
-    num: Polynomial
-    den: Polynomial
-    reduced: bool = False
-    num_roots: tuple = dc_field(default=())
-    den_roots: tuple = dc_field(default=())
+    _fields = ("num", "den", "reduced", "num_roots", "den_roots")
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __init__(self, num: Polynomial, den: Polynomial, reduced: bool = False,
+                 num_roots: tuple = (), den_roots: tuple = ()):
+        setfield(self, "num", num)
+        setfield(self, "den", den)
+        setfield(self, "reduced", reduced)
+        setfield(self, "num_roots", num_roots)
+        setfield(self, "den_roots", den_roots)
+        if den.is_zero():
             raise ZeroDenominator("zero denominator")
-        self.num._check_compatible(self.den)
+        num._check_compatible(den)
 
     @property
     def field(self):

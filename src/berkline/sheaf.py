@@ -20,22 +20,22 @@ chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record, setfield
 from .errors import NotOpenSubtree, RootlessSkeleton, ShapeMismatch
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
-class HostTree:
+class HostTree(Record):
     """Rooted finite tree on hashable vertex ids; edges are (child, parent)."""
 
-    vertices: tuple
-    edges: tuple
-    root: object = None
+    _fields = ("vertices", "edges", "root")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple, edges: tuple, root=None):
+        setfield(self, "vertices", vertices)
+        setfield(self, "edges", edges)
+        setfield(self, "root", root)
         ids = set(self.vertices)
         if len(ids) != len(self.vertices):
             raise ShapeMismatch("duplicate vertex ids")
@@ -78,14 +78,18 @@ class HostTree:
         return None
 
 
-@dataclass(frozen=True)
-class TreeSheaf:
-    tree: HostTree
-    modulus: int
-    vertex_ranks: dict      # vertex id -> rank
-    edge_ranks: dict        # edge index -> rank
-    cosp: dict              # (vertex id, edge index) -> matrix (rows x cols = r_e x r_v)
-    open_ends: frozenset    # incidences with zero stalk beyond
+class TreeSheaf(Record):
+    _fields = ("tree", "modulus", "vertex_ranks", "edge_ranks", "cosp", "open_ends")
+
+    def __init__(self, tree: HostTree, modulus: int, vertex_ranks: dict,
+                 edge_ranks: dict, cosp: dict, open_ends: frozenset):
+        setfield(self, "tree", tree)
+        setfield(self, "modulus", modulus)
+        setfield(self, "vertex_ranks", vertex_ranks)  # vertex id -> rank
+        setfield(self, "edge_ranks", edge_ranks)      # edge index -> rank
+        # (vertex id, edge index) -> matrix (rows x cols = r_e x r_v)
+        setfield(self, "cosp", cosp)
+        setfield(self, "open_ends", open_ends)  # incidences with zero stalk beyond
 
 
 def make_cellular_sheaf(tree: HostTree, modulus: int, vertex_ranks,
@@ -119,12 +123,14 @@ def make_cellular_sheaf(tree: HostTree, modulus: int, vertex_ranks,
     return TreeSheaf(tree, modulus, vranks, eranks, norm, open_ends)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(Record):
     """Invariant factors of H0 and H1, each factor > 1 and dividing n."""
 
-    H0: tuple
-    H1: tuple
+    _fields = ("H0", "H1")
+
+    def __init__(self, H0: tuple, H1: tuple):
+        setfield(self, "H0", H0)
+        setfield(self, "H1", H1)
 
 
 def differential_matrix(F: TreeSheaf):

@@ -8,20 +8,23 @@ materialized; they live implicitly on edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import DuplicateCenters, PointOutsideDisc, ShapeMismatch
 from .logvalue import INFINITY, ZERO, as_logvalue
 from .points import DiscPoint, _dist
 from .sheaf import HostTree
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    vertices: tuple       # DiscPoint per vertex, sorted by (s, center string)
-    edges: tuple          # (child_index, parent_index), child is the smaller disc
-    root: int
-    leaves: tuple
+class Skeleton(Record):
+    _fields = ("vertices", "edges", "root", "leaves")
+
+    def __init__(self, vertices: tuple, edges: tuple, root: int, leaves: tuple):
+        # DiscPoint per vertex, sorted by (s, center string)
+        setfield(self, "vertices", vertices)
+        # (child_index, parent_index), child is the smaller disc
+        setfield(self, "edges", edges)
+        setfield(self, "root", root)
+        setfield(self, "leaves", leaves)
 
     @property
     def edge_lengths(self):

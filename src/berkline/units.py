@@ -19,9 +19,9 @@ inside the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
 from .field import PadicElem, PuiseuxElem
@@ -32,17 +32,19 @@ from .points import DiscPoint, _dist, classify
 from .poly import Polynomial, RationalFunction
 
 
-@dataclass(frozen=True)
-class UnitClass:
+class UnitClass(Record):
     """Image of a nonzero element in (value group) x (residue units).
 
     ``modulus`` is the residue characteristic; 0 means the residue units are
     Q^x (rational-coefficient puiseux backend), else integers mod p.
     """
 
-    q: Fraction
-    res: object
-    modulus: int
+    _fields = ("q", "res", "modulus")
+
+    def __init__(self, q: Fraction, res, modulus: int):
+        setfield(self, "q", q)
+        setfield(self, "res", res)
+        setfield(self, "modulus", modulus)
 
     def __mul__(self, other):
         if self.modulus != other.modulus:
@@ -102,14 +104,13 @@ def char_poly_point(units) -> tuple:
     return poly, unit_class(signed)
 
 
-@dataclass(frozen=True)
-class ExcludedDisc:
-    center: object
-    s: LogValue
-    closed: bool = True
+class ExcludedDisc(Record):
+    _fields = ("center", "s", "closed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_logvalue(self.s))
+    def __init__(self, center, s: LogValue, closed: bool = True):
+        setfield(self, "center", center)
+        setfield(self, "s", as_logvalue(s))
+        setfield(self, "closed", closed)
         if self.s.is_infinite and not self.closed:
             raise BadDomain("an open disc of radius zero excludes nothing")
 
@@ -127,17 +128,15 @@ def _meet(di: ExcludedDisc, dj: ExcludedDisc) -> bool:
     return d > m or (d == m and any(x.closed for x in (di, dj) if x.s == m))
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Closed disc v(z - center) >= s minus pairwise disjoint excluded discs."""
 
-    center: object
-    s: LogValue
-    excluded: tuple = ()
+    _fields = ("center", "s", "excluded")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_logvalue(self.s))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
+    def __init__(self, center, s: LogValue, excluded: tuple = ()):
+        setfield(self, "center", center)
+        setfield(self, "s", as_logvalue(s))
+        setfield(self, "excluded", tuple(excluded))
         for d in self.excluded:
             if not d.s > self.s:
                 raise BadDomain("excluded disc must be strictly smaller")
@@ -189,11 +188,13 @@ def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ReducedUnit:
-    f: RationalFunction
-    domain: Domain
-    certified: bool
+class ReducedUnit(Record):
+    _fields = ("f", "domain", "certified")
+
+    def __init__(self, f: RationalFunction, domain: Domain, certified: bool):
+        setfield(self, "f", f)
+        setfield(self, "domain", domain)
+        setfield(self, "certified", certified)
 
 
 def _certified_hole_counts(f: RationalFunction, dom: Domain):
@@ -321,14 +322,16 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
     return slopes
 
 
-@dataclass(frozen=True)
-class LeadingClass:
+class LeadingClass(Record):
     """Valuation-and-residue data of a certified unit at the domain boundary."""
 
-    w: LogValue
-    res_q: Fraction
-    res: object
-    modulus: int
+    _fields = ("w", "res_q", "res", "modulus")
+
+    def __init__(self, w: LogValue, res_q: Fraction, res, modulus: int):
+        setfield(self, "w", w)
+        setfield(self, "res_q", res_q)
+        setfield(self, "res", res)
+        setfield(self, "modulus", modulus)
 
 
 def leading_class(f: RationalFunction, dom: Domain) -> LeadingClass:

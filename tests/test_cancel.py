@@ -284,6 +284,19 @@ class TestY1Mass:
             assert d.entries == ((LogValue(0), mult),) * (N // mult)
 
     @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_entries_meet_the_divisor_invariant(self, fld):
+        # y1_divisor builds its Divisor without the scan that Divisor(entries)
+        # makes, so its entries must be what that scan keeps as they are
+        for N in range(1, 201):
+            d = y1_divisor(N, fld)
+            assert type(d) is Divisor and type(d.entries) is tuple
+            assert all(type(e) is tuple and len(e) == 2 for e in d.entries)
+            assert all(isinstance(s, LogValue) and type(m) is int and m != 0
+                       for s, m in d.entries)
+            assert d.total_mass == N
+            assert Divisor(d.entries).entries is d.entries
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
     def test_delta_matches_built_y1(self, fld):
         for kind, num, den in sections(fld):
             if kind == "rational":
@@ -314,6 +327,7 @@ class TestY1EntryCap:
             raise AssertionError("Y1 was built")
 
         monkeypatch.setattr(cancel, "Divisor", refuse)
+        monkeypatch.setattr(cancel, "trusted_divisor", refuse)
         cap = cancel.Y1_ENTRY_CAP
         for N in (cap + 1, 10 ** 12):
             with pytest.raises(ResourceLimit) as info:

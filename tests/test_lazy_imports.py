@@ -63,10 +63,12 @@ LOADED = {
 }
 
 
-def _child(code):
-    """Run code in a new interpreter; its last stdout line, decoded."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=CHILD_ENV)
+def _child(code, *flags):
+    """Run code in a new interpreter, started with the given flags; its last
+    stdout line, decoded."""
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, check=True,
+                          env=CHILD_ENV)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -105,6 +107,29 @@ def test_command_loads_only_its_modules(path):
     else:
         assert code in (0, 3)
         assert loaded == LOADED[command]
+
+
+# standard-library modules no accepted call loads: dataclasses and inspect,
+# which it imports, and importlib.resources and pathlib, which it imports
+NOT_AT_STARTUP = ("dataclasses", "inspect", "importlib.resources", "pathlib")
+
+
+@pytest.mark.parametrize("path", [p for p in _problems() if "__bad_" not in p.stem],
+                         ids=lambda p: p.stem)
+def test_accepted_call_loads_no_dataclasses_or_resources(path):
+    """Run under ``python -S``, so that no .pth file imports any of these
+    first.  Payloads rejected before dispatch are exempt: jsonschema, which
+    words the rejection, imports dataclasses itself."""
+    argv = [path.stem.split("__")[0], "--problem", str(path)]
+    code = ("import contextlib, io, json, sys\n"
+            "from berkline import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {NOT_AT_STARTUP!r} "
+            "if m in sys.modules]]))\n")
+    exit_code, loaded = _child(code, "-S")
+    assert exit_code in (0, 3) and loaded == []
 
 
 @pytest.mark.parametrize("argv", [
