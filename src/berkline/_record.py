@@ -6,8 +6,12 @@ A record class lists its fields in ``_fields`` and writes its own
 ``Record`` supplies what a frozen dataclass would generate, with the same
 results: ``==`` on the field tuple between instances of one class only
 (``NotImplemented`` otherwise), ``hash`` of the field tuple, the repr
-``Name(f=..., ...)``, and ``AttributeError`` on setting or deleting an
-attribute.  A class may define its own ``__eq__``, ``__hash__`` or
+``Name(f=..., ...)``, ``__match_args__`` (the fields, for positional
+``match`` patterns), and ``AttributeError`` on setting or deleting an
+attribute, the guard it shares with ``LogValue`` through ``Frozen``.  The
+``dataclasses`` helpers (``replace``, ``fields``, ``asdict``) do not apply
+to records; ``type(x)(*x._values(x))`` rebuilds one through its
+``__init__``.  A class may define its own ``__eq__``, ``__hash__`` or
 ``__repr__`` instead; one that defines ``__eq__`` alone must name its hash,
 as Python otherwise sets it to None.  Instances keep a ``__dict__``, so
 ``field.cached`` values and default pickling and copying work unchanged.
@@ -18,12 +22,25 @@ from operator import attrgetter
 setfield = object.__setattr__
 
 
-class Record:
+class Frozen:
+    """Refuses setting and deleting attributes, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record(Frozen):
     __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
         get = attrgetter(*cls._fields)
         if len(cls._fields) == 1:
             one = get
@@ -43,9 +60,3 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -51,20 +51,11 @@ class UnsupportedSchema(Exception):
     defect in berkline, not in the input."""
 
 
-_SCHEMA = "schemas/berkline.schema.json"
-
-
 @functools.cache
 def _schema_defs():
-    path = os.path.join(os.path.dirname(__file__), *_SCHEMA.split("/"))
-    if os.path.isfile(path):
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    else:
-        # no file beside the module, as in a zip import
-        from importlib import resources
-        text = resources.files("berkline").joinpath(_SCHEMA).read_text(encoding="utf-8")
-    return json.loads(text)["$defs"]
+    # the module's own loader reads a file beside it, on disk or in a zip
+    path = os.path.join(os.path.dirname(__file__), "schemas", "berkline.schema.json")
+    return json.loads(__spec__.loader.get_data(path))["$defs"]
 
 
 def _is_number(x):

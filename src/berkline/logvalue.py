@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._record import Frozen
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -35,7 +37,7 @@ _F0 = Fraction(0)
 _INF_KEY = (1, 0, 0)
 
 
-class LogValue:
+class LogValue(Frozen):
     """Element (q, e) of Q + Q*eps, ordered lexicographically.
 
     ``q`` may be +infinity, in which case the element is the absorbing top
@@ -60,12 +62,6 @@ class LogValue:
         _set_q(self, q)
         _set_e(self, e)
         _set_k(self, _INF_KEY if isinstance(q, float) else (0, q, e))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return LogValue, (self.q, self.e)

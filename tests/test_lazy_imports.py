@@ -72,8 +72,14 @@ def _child(code, *flags):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _fresh_main(argv):
-    """cli.main(argv) in a new interpreter: (exit code, the berkline modules
+# standard-library modules no accepted call loads: dataclasses and the
+# inspect it imports, importlib.resources and the pathlib it imports
+NOT_AT_STARTUP = ("dataclasses", "inspect", "importlib.resources", "pathlib")
+
+
+def _fresh_main(argv, *flags):
+    """cli.main(argv) in a new interpreter, started with the given flags:
+    (exit code, the berkline modules loaded, the NOT_AT_STARTUP modules
     loaded).  The command's own output is captured and dropped."""
     code = ("import contextlib, io, json, sys\n"
             "from berkline import cli\n"
@@ -82,9 +88,10 @@ def _fresh_main(argv):
             f"    code = cli.main({argv!r})\n"
             "mods = [m.split('.', 1)[1] for m in sys.modules "
             "if m.startswith('berkline.')]\n"
-            "print(json.dumps([code, mods]))\n")
-    exit_code, mods = _child(code)
-    return exit_code, set(mods)
+            f"std = [m for m in {NOT_AT_STARTUP!r} if m in sys.modules]\n"
+            "print(json.dumps([code, mods, std]))\n")
+    exit_code, mods, std = _child(code, *flags)
+    return exit_code, set(mods), std
 
 
 def _problems():
@@ -94,7 +101,7 @@ def _problems():
 @pytest.mark.parametrize("path", _problems(), ids=lambda p: p.stem)
 def test_command_loads_only_its_modules(path):
     command = path.stem.split("__")[0]
-    code, loaded = _fresh_main([command, "--problem", str(path)])
+    code, loaded, _ = _fresh_main([command, "--problem", str(path)])
     if "__bad_" in path.stem:
         # rejected before dispatch: not even the decoders are loaded
         assert (code, loaded) == (2, {"cli", "errors"})
@@ -109,27 +116,14 @@ def test_command_loads_only_its_modules(path):
         assert loaded == LOADED[command]
 
 
-# standard-library modules no accepted call loads: dataclasses and inspect,
-# which it imports, and importlib.resources and pathlib, which it imports
-NOT_AT_STARTUP = ("dataclasses", "inspect", "importlib.resources", "pathlib")
-
-
 @pytest.mark.parametrize("path", [p for p in _problems() if "__bad_" not in p.stem],
                          ids=lambda p: p.stem)
 def test_accepted_call_loads_no_dataclasses_or_resources(path):
     """Run under ``python -S``, so that no .pth file imports any of these
     first.  Payloads rejected before dispatch are exempt: jsonschema, which
     words the rejection, imports dataclasses itself."""
-    argv = [path.stem.split("__")[0], "--problem", str(path)]
-    code = ("import contextlib, io, json, sys\n"
-            "from berkline import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    code = cli.main({argv!r})\n"
-            f"print(json.dumps([code, [m for m in {NOT_AT_STARTUP!r} "
-            "if m in sys.modules]]))\n")
-    exit_code, loaded = _child(code, "-S")
-    assert exit_code in (0, 3) and loaded == []
+    code, _, loaded = _fresh_main([path.stem.split("__")[0], "--problem", str(path)], "-S")
+    assert code in (0, 3) and loaded == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -138,7 +132,7 @@ def test_accepted_call_loads_no_dataclasses_or_resources(path):
     ["cancel", "--g", "t"],
 ], ids=["bad_json", "schema_error", "missing_N"])
 def test_rejected_payload_loads_no_compute_module(argv):
-    assert _fresh_main(argv) == (2, {"cli", "errors"})
+    assert _fresh_main(argv)[:2] == (2, {"cli", "errors"})
 
 
 def test_import_berkline_loads_no_compute_module():

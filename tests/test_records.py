@@ -4,9 +4,9 @@ The classes below were frozen dataclasses; each is now a ``Record`` with a
 hand-written constructor.  For each one the test builds, with
 ``dataclasses.make_dataclass``, the frozen dataclass of the same name,
 fields and defaults (its twin), and checks on seeded instances that both
-agree on the constructor signature, repr, hash, equality within the class and
-against other classes, the frozen guard, and round trips through pickle,
-copy and deepcopy.  Pieces that a class writes itself (``OWN``) are not
+agree on the constructor signature, ``__match_args__``, repr, hash,
+equality within the class and against other classes, the frozen guard, and
+round trips through pickle, copy and deepcopy.  Pieces that a class writes itself (``OWN``) are not
 compared with the twin.  Validation errors are pinned by type and message.
 """
 
@@ -270,6 +270,15 @@ def test_fields_and_signature(cls):
     shape = lambda c: [(p.name, p.kind, p.default)
                        for p in inspect.signature(c).parameters.values()]
     assert shape(cls) == shape(_twin(cls))
+    assert cls.__match_args__ == _twin(cls).__match_args__ == cls._fields
+
+
+def test_positional_match_patterns():
+    match (Divisor(((INFINITY, 2),)), AnnulusSpec(1, -1)):
+        case (Divisor(((v, m),)), AnnulusSpec(lo, hi)):
+            assert (v, m, lo, hi) == (INFINITY, 2, 1, -1)
+        case _:
+            pytest.fail("positional patterns did not match")
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
