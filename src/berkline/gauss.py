@@ -53,13 +53,15 @@ def _exhausted(i, p):
 
 
 def _supporting_line(known, unknown, s: LogValue):
-    """(min_i(v_i + i*s), first i attaining it, whether another i does too).
+    """(min_i(v_i + i*s), the indices i attaining it, the first unknown
+    point on the line or None).
 
     ``known`` and ``unknown`` are the two lists of ``_classify``.  An unknown
     point (i, p) bounds v_i from below only, so the first one whose bound
     p + i*s lies below the minimum, or the first one at all when nothing is
-    known, raises PrecisionExhausted with witness i.  With nothing at all the
-    minimum is +infinity, attained nowhere.
+    known, raises PrecisionExhausted with witness i.  One whose bound lies
+    on the line leaves the minimum as it is, but not the terms on the line.
+    With nothing at all the minimum is +infinity, attained nowhere.
 
     All terms share the eps part of s, so v + i*s is ordered by the int pair
     (L*v + i*L*s.q, i*sign(s.e)), where L is the lcm of every denominator;
@@ -68,15 +70,15 @@ def _supporting_line(known, unknown, s: LogValue):
     if not known:
         if unknown:
             raise _exhausted(*unknown[0])
-        return INFINITY, None, False
+        return INFINITY, [], None
     if s.is_infinite:
         # i*s is +infinity for every i > 0: only index 0 counts
         if unknown and unknown[0][0] == 0:
             raise _exhausted(*unknown[0])
         i, v = known[0]
         if i == 0:
-            return as_logvalue(v), 0, False
-        return INFINITY, i, len(known) > 1
+            return as_logvalue(v), [0], None
+        return INFINITY, [i for i, _ in known], None
     sq, se = s.q, s.e
     sign = (se.numerator > 0) - (se.numerator < 0)
     L = math.lcm(sq.denominator, *[v.denominator for _, v in known],
@@ -86,13 +88,17 @@ def _supporting_line(known, unknown, s: LogValue):
     for i, v in known:
         key = (v.numerator * (L // v.denominator) + i * step, i * sign)
         if best is None or key < best:
-            best, best_i, tie = key, i, False
+            best, line = key, [i]
         elif key == best:
-            tie = True
+            line.append(i)
+    on_line = None
     for i, p in unknown:
-        if (p.numerator * (L // p.denominator) + i * step, i * sign) < best:
+        key = (p.numerator * (L // p.denominator) + i * step, i * sign)
+        if key < best:
             raise _exhausted(i, p)
-    return trusted(Fraction(best[0], L), best_i * se), best_i, tie
+        if key == best and on_line is None:
+            on_line = i, p
+    return trusted(Fraction(best[0], L), line[0] * se), line, on_line
 
 
 def naive_norm(f: Polynomial, r, a=None) -> float:

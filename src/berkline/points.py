@@ -38,8 +38,6 @@ class DiscPoint(Record):
             return False
         if self.s != other.s:
             return False
-        if self.s.is_infinite:
-            return (self.center - other.center).is_zero()
         return _dist(self.center, other.center) >= self.s
 
     # value-based equality: two discs are the same point iff the radii agree
@@ -79,7 +77,14 @@ class ChainPoint(Record):
 
 
 def _dist(a, b) -> LogValue:
-    """Ultrametric log-distance v(a - b), +infinity when equal."""
+    """Ultrametric log-distance v(a - b), +infinity when equal.
+
+    An element is at distance +infinity from itself, truncated or not: as in
+    ``Polynomial.recenter``, the same object is the same point, though the
+    difference of a truncated element with itself is a truncated zero.
+    """
+    if a is b:
+        return INFINITY
     v = a.valuation_of_difference(b)
     # a Fraction, or the float INF for equal operands; a type test is far
     # cheaper than comparing a Fraction with a float

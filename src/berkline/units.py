@@ -2,19 +2,24 @@
 
 A domain here is a closed bounding disc minus finitely many pairwise disjoint
 excluded discs (each open or closed).  Certification that a rational function
-is a unit on a domain, boundary degrees, direction slopes at type-2 points and
-the 1-unit homotopy decision all reduce to counting roots in discs and to
-Gauss valuations: counted from certified complete root lists when present,
-else by Newton polygons after recentering, so every answer is exact; no roots
-are ever computed.
+is a unit on a domain, boundary degrees and direction slopes at type-2 points
+reduce to counting roots in discs: counted from certified complete root lists
+when present, else by Newton polygons after recentering, so every answer is
+exact; no roots are ever computed.  The 1-unit homotopy decision adds leading
+forms at finitely many points.
 
-Two facts keep this finite.  The divisor of a rational function on P^1 has
+Three facts keep this finite.  The divisor of a rational function on P^1 has
 degree 0, so what lies beyond a closed disc (infinity included) is minus what
-lies inside it: ``exterior_degree`` and the "up" slope count only inside.  And
-a function without poles on a Berkovich affinoid takes its maximum modulus on
+lies inside it: ``exterior_degree`` and the "up" slope count only inside.  A
+function without poles on a Berkovich affinoid takes its maximum modulus on
 the Shilov boundary (Berkovich 1990), here the bounding Gauss point and one
-boundary point per hole: ``homotopy_check`` evaluates v(h) there and nowhere
-inside the domain.
+boundary point per hole: ``homotopy_check`` decides v(h) > 0 for h = f1/f0 - 1
+there and nowhere inside the domain.  And the graded reduction at a point is
+multiplicative, so v(h) > 0 there exactly when the leading forms (the terms
+on each polynomial's supporting line, with their residues) satisfy
+LT(n1) LT(d0) = LT(n0) LT(d1): h is never formed.  When every check passes,
+|f1| = |f0| on the domain, so f1 has no zeros, and its numerator is
+certified only when a check fails.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from ._record import Record, setfield
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
 from .field import PadicElem, PuiseuxElem
-from .gauss import (_classify, _supporting_line, gauss_valuation, newton_polygon,
-                    roots_in_disc)
-from .logvalue import ZERO, LogValue, as_logvalue
+from .gauss import (_classify, _exhausted, _supporting_line, gauss_valuation,
+                    newton_polygon, roots_in_disc)
+from .logvalue import LogValue, as_logvalue, trusted
 from .points import DiscPoint, _dist, classify
 from .poly import Polynomial, RationalFunction
 
@@ -68,10 +73,17 @@ def unit_class(c) -> UnitClass:
     """The class of a nonzero field element; 1-units map to the identity."""
     if c.is_zero():
         raise ZeroElement("the zero element has no unit class")
+    res = _residue(c)
+    return UnitClass(c.valuation(), res, c.field.residue_char)
+
+
+def _residue(c):
+    """The leading coefficient of a nonzero element as a residue: a Fraction
+    over Q((t)), an int mod p over F_p((t)) and Q_p."""
     if isinstance(c, PuiseuxElem):
         if not c.exps:
             raise PrecisionExhausted("element known only below its precision")
-        return UnitClass(c.valuation(), c.coefs[0], c.field.char)
+        return c.nums[0] if c.field.char else Fraction(c.nums[0], c.cden)
     if isinstance(c, PadicElem):
         p = c.field.p
         v = int(c.valuation())
@@ -80,8 +92,7 @@ def unit_class(c) -> UnitClass:
             num //= p ** v
         elif v < 0:
             den //= p ** -v
-        res = (num % p) * pow(den % p, -1, p) % p
-        return UnitClass(Fraction(v), res, p)
+        return (num % p) * pow(den % p, -1, p) % p
     raise TypeError(f"not a field element: {c!r}")
 
 
@@ -197,27 +208,46 @@ class ReducedUnit(Record):
         setfield(self, "certified", certified)
 
 
-def _certified_hole_counts(f: RationalFunction, dom: Domain):
+def _as_given(g: Polynomial, center) -> Polynomial:
+    """g itself: ``roots_in_disc`` recenters it, a root list never reads it."""
+    return g
+
+
+def _side_counts(which: str, poly: Polynomial, roots, dom: Domain,
+                 at=_as_given):
+    """Certify that one side of f has no roots on the domain; return its
+    roots in each excluded disc, in order.
+
+    Counted in the bounding disc first, then in the holes, from the
+    certified root list when there is one, else from ``at(poly, center)``.
+    """
+    if roots is not None:
+        at = _as_given
+    total = _count_in_disc(at(poly, dom.center), roots, dom.center, dom.s)
+    holes = tuple(_count_in_disc(at(poly, d.center), roots, d.center, d.s,
+                                 d.closed) for d in dom.excluded)
+    n = total - sum(holes)
+    if n > 0:
+        raise VanishesOnDomain(f"{which} has {n} root(s) on the domain",
+                               witness=_witness_disc(poly, dom, which))
+    return holes
+
+
+def _certified_hole_counts(f: RationalFunction, dom: Domain, at=_as_given):
     """Certify that f has neither zeros nor poles on the domain; return the
     roots of num, then of den, in each excluded disc, in order.
 
-    Each side is counted in the bounding disc first, then in the holes, and
-    num before den, so the first failure is always the same one."""
+    num is certified before den, so the first failure is always the same
+    one."""
+    return [_side_counts(which, poly, roots, dom, at)
+            for which, (poly, roots) in zip(("num", "den"), _unit_sides(f))]
+
+
+def _unit_sides(f: RationalFunction):
+    """_sides of f, which must be nonzero to be a unit."""
     if f.is_zero():
         raise ZeroElement("the zero function is not a unit anywhere")
-    counts = []
-    for which, (poly, roots) in zip(("num", "den"), _sides(f)):
-        total = _count_in_disc(poly, roots, dom.center, dom.s)
-        holes = tuple(_count_in_disc(poly, roots, d.center, d.s, d.closed)
-                      for d in dom.excluded)
-        count = total - sum(holes)
-        if count > 0:
-            raise VanishesOnDomain(
-                f"{which} has {count} root(s) on the domain",
-                witness=_witness_disc(poly, dom, which),
-            )
-        counts.append(holes)
-    return counts
+    return _sides(f)
 
 
 def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
@@ -230,8 +260,13 @@ def require_unit(f: RationalFunction, dom: Domain):
     """The hole counts of a certified unit, for queries that need f to be
     one: a zero or pole on the domain raises NotCertified, with the message
     and witness of its VanishesOnDomain."""
+    return _not_certified(_certified_hole_counts, f, dom)
+
+
+def _not_certified(certify, *args):
+    """certify(*args), with VanishesOnDomain raised as NotCertified."""
     try:
-        return _certified_hole_counts(f, dom)
+        return certify(*args)
     except VanishesOnDomain as exc:
         raise NotCertified(str(exc), witness=exc.witness) from exc
 
@@ -362,64 +397,151 @@ def _unique_argmin(g: Polynomial, s: LogValue):
     if unknown:
         # a truncated zero has no valuation: this raises PrecisionExhausted
         g.coeffs[unknown[0][0]].valuation()
-    _, i, tie = _supporting_line(known, [], s)
-    return None if tie else i
+    line = _supporting_line(known, [], s)[1]
+    return line[0] if len(line) == 1 else None
 
 
 def homotopy_check(f0: RationalFunction, f1: RationalFunction,
                    dom: Domain) -> bool:
     """Exact decision of |f1/f0 - 1| < 1 everywhere on the domain.
 
-    Once f0 and f1 are certified units, h = f1/f0 - 1 has no poles on the
-    domain: they are zeros of f0 and poles of f1.  The domain is the
-    increasing union of the affinoids X_r, the bounding disc minus the open
-    disc v(z - a) > r_a around each hole's center a, where r_a = s_a for an
-    open hole, r_a < s_a for a closed one, and r_a is any finite value for a
-    punctured one (s_a = inf).  By the maximum modulus principle |h| attains
-    its maximum over X_r on its Shilov boundary, the bounding point
-    zeta(c, s) and the points zeta(a, r_a).  Every point of the domain lies
-    in some X_r with each r_a as close to the end of its range as wished, so
-    v(h) > 0 on the domain if and only if it holds at the bounding point and,
-    for each hole, at zeta(a, r) for all r near that end; no interior point
-    needs a check.  Along r, v(h)(zeta(a, r)) is piecewise linear with
-    finitely many breakpoints, which gives one check per hole:
+    Where f0 has no zeros and f1 no poles, h = f1/f0 - 1 has no poles.  The
+    domain is the increasing union of the affinoids X_r, the bounding disc
+    minus the open disc v(z - a) > r_a around each hole's center a, where
+    r_a = s_a for an open hole, r_a < s_a for a closed one, and r_a is any
+    finite value for a punctured one (s_a = inf).  By the maximum modulus
+    principle |h| attains its maximum over X_r on its Shilov boundary, the
+    bounding point zeta(c, s) and the points zeta(a, r_a) (Baker and Rumely,
+    2010).  Every point of the domain lies in some X_r with each r_a as
+    close to the end of its range as wished, and v(h)(zeta(a, r)) is
+    piecewise linear in r, so v(h) > 0 on the domain if and only if it
+    holds at the bounding point and at one point per hole:
 
     - open hole: r = s_a;
     - closed hole of finite radius: the proxy s_a - eps, whose sign is that
       of v(h) just below s_a;
-    - punctured hole: beyond every breakpoint, v(h)(zeta(a, S)) =
-      (i_n - i_d) S + (v_n - v_d), where (i, v) is the first Newton-polygon
-      vertex of h's numerator and denominator written at a.  That is
-      positive for all large S if and only if (i_n - i_d, v_n - v_d) >
-      (0, 0), compared lexicographically.  When i_n = i_d, h extends over
-      the puncture and the same principle bounds v_n - v_d below by the
-      other checks, so the constant only decides which check answers first.
+    - punctured hole: r = S for every S beyond the last breakpoint.
+
+    Each check compares leading forms; h is never formed.  For g = sum c_i
+    (T - a)^i written at the point's center, LT(g) at radius s is g's
+    supporting line: the minimum m = min v(c_i) + i*s and, for each i that
+    attains it, the residue of c_i.  It is g's image in the graded reduction
+    at the point (Temkin, 2004), which is multiplicative, so with h =
+    (n1 d0 - n0 d1) / (n0 d1)
+
+        v(h) > 0  <=>  v(n1 d0 - n0 d1) > v(n0 d1)
+                  <=>  LT(n1) LT(d0) = LT(n0) LT(d1),
+
+    a product of forms adding the minima and convolving the residues by
+    index, mod p when the residue field is F_p.  At an eps radius each form
+    is one monomial, since different i give different eps parts.  At a
+    puncture the form for all large S is the lowest-index nonzero
+    coefficient, and the forms agree exactly when the first Newton vertices
+    (i, v) of h's numerator and denominator at a have (i_n - i_d, v_n - v_d)
+    > (0, 0); when i_n = i_d, h extends over the puncture and the maximum
+    modulus principle bounds v_n - v_d by the other checks.  A truncated
+    zero coefficient whose bound lies on or below the supporting line could
+    add a term to the form, so it raises PrecisionExhausted.
+
+    f0 is certified first, then f1's denominator: h then has no poles and
+    the checks are valid.  If they all pass, |f1/f0 - 1| < 1 on the domain,
+    so |f1| = |f0| at every point, type-1 points included, and f1 has no
+    zeros: its numerator needs no count.  When a check fails or runs out of
+    precision, the numerator is certified before the answer is given, so a
+    non-unit f1 raises NotCertified and never reads as False.  When the
+    denominator fails, f1 is certified as ``require_unit`` does, numerator
+    first.  So the errors are those of certifying f0, then f1.  A
+    denominator that f1 shares with f0 is certified with f0, and its leading
+    form, a nonzero factor of both products, cancels.  Each
+    polynomial is written at each center once per call, and f1's root
+    counts read those same polynomials.
     """
-    for f in (f0, f1):
-        require_unit(f, dom)
-    c0 = dom.center
-    n0, d0 = f0.num.recenter(c0), f0.den.recenter(c0)
-    n1, d1 = f1.num.recenter(c0), f1.den.recenter(c0)
-    h_num = n1 * d0 - n0 * d1
-    h_den = n0 * d1
-    if h_num.is_zero():
-        return True
+    shifted = {}
 
-    def positive(center, s: LogValue) -> bool:
-        """v(h) > 0 at the disc point D(center, s)."""
-        return (gauss_valuation(h_num, center, s)
-                - gauss_valuation(h_den, center, s)) > ZERO
+    def at(g, center):
+        key = id(g), id(center)
+        out = shifted.get(key)
+        if out is None:
+            out = shifted[key] = g.recenter(center)
+        return out
 
-    if not positive(None, dom.s):  # h is already written at c0
-        return False
+    _not_certified(_certified_hole_counts, f0, dom, at)
+    (num1, zeros), (den1, poles) = _unit_sides(f1)
+    if den1 is not f0.den:  # else it was certified with f0
+        try:
+            _side_counts("den", den1, poles, dom, at)
+        except (VanishesOnDomain, PrecisionExhausted):
+            require_unit(f1, dom)  # raises, on the numerator if that fails
+            raise
+    p = dom.field.residue_char
+
+    def small_at(a, s):
+        # a shared denominator cancels, so it is never written at a
+        d0, d1 = (den1, den1) if den1 is f0.den else \
+            (at(f0.den, a), at(den1, a))
+        return _forms_agree(at(num1, a), d0, at(f0.num, a), d1, s, p)
+
+    try:
+        small = all(small_at(a, s) for a, s in _shilov_points(dom))
+    except PrecisionExhausted:
+        _not_certified(_side_counts, "num", num1, zeros, dom, at)
+        raise
+    if not small:
+        _not_certified(_side_counts, "num", num1, zeros, dom, at)
+    return small
+
+
+def _shilov_points(dom: Domain):
+    """(center, radius) of each check: the bounding point, then per hole
+    s - eps when closed, s when open, +infinity for a puncture."""
+    yield dom.center, dom.s
     for d in dom.excluded:
-        if d.s.is_infinite:
-            (i_n, v_n), (i_d, v_d) = (
-                newton_polygon(g.recenter(d.center)).vertices[0]
-                for g in (h_num, h_den))
-            if not (i_n - i_d, v_n - v_d) > (0, 0):
-                return False
-        elif not positive(d.center, LogValue(d.s.q, d.s.e - 1)
-                          if d.closed else d.s):
-            return False
-    return True
+        if d.closed and not d.s.is_infinite:
+            yield d.center, trusted(d.s.q, d.s.e - 1)
+        else:
+            yield d.center, d.s
+
+
+def _forms_agree(n1, d0, n0, d1, s: LogValue, p: int) -> bool:
+    """v(n1 d0 / (n0 d1) - 1) > 0 at radius s around the center that all
+    four are written at: LT(n1) LT(d0) = LT(n0) LT(d1)."""
+    if d1 is d0:  # the graded reduction is a domain: LT(d0) cancels
+        return _leading_form(n1, s) == _leading_form(n0, s)
+    return (_times(_leading_form(n1, s), _leading_form(d0, s), p)
+            == _times(_leading_form(n0, s), _leading_form(d1, s), p))
+
+
+def _leading_form(g: Polynomial, s: LogValue):
+    """(m, {i: residue of c_i}) for the indices i on g's supporting line at
+    radius s, m its minimum; at s = +infinity, the lowest-index nonzero
+    coefficient and its valuation.
+
+    A truncated zero coefficient whose bound lies on or below the line
+    raises PrecisionExhausted: it could hold a term of the form.
+    """
+    known, unknown = _classify(enumerate(g.coeffs))
+    if s.is_infinite:
+        if not known:
+            raise _exhausted(*unknown[0])
+        i, m = known[0]
+        if unknown and unknown[0][0] < i:
+            raise _exhausted(*unknown[0])
+        line = (i,)
+    else:
+        m, line, on_line = _supporting_line(known, unknown, s)
+        if on_line:
+            raise _exhausted(*on_line)
+        m = m.q
+    return m, {i: _residue(g.coeffs[i]) for i in line}
+
+
+def _times(a, b, p: int):
+    """The product of two leading forms; residues mod p when p > 0."""
+    (qa, ra), (qb, rb) = a, b
+    out = {}
+    for i, x in ra.items():
+        for j, y in rb.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    if p:
+        out = {k: x % p for k, x in out.items()}
+    return qa + qb, {k: x for k, x in out.items() if x}

@@ -1,10 +1,14 @@
-"""The decision and counting code of ``berkline.units`` as it was before
-homotopy was decided on the Shilov boundary: the test oracle.
+"""Earlier decision and counting code of ``berkline.units``: the test oracle.
 
 ``homotopy_check`` here walks every Newton-polygon breakpoint of v(h) on the
 path to each hole, and ``exterior_degree`` counts roots beyond the bounding
-disc.  Both are kept verbatim, with ``direction_slopes``;
-``tests/test_units_reference.py`` checks the library against them.
+disc.  Both are kept verbatim, with ``direction_slopes``, from before
+homotopy was decided on the Shilov boundary.  ``shilov_homotopy_check`` is
+the Shilov-boundary decision as it was before it compared leading forms: it
+certifies f0 and f1 in full, forms h = f1/f0 - 1 by polynomial products and
+reads v(h) at each Shilov point with ``h_positive``, the point-level
+predicate.  ``tests/test_units_reference.py`` and ``tests/test_leading_forms.py``
+check the library against them.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from fractions import Fraction
 
 from berkline.errors import NotCertified, VanishesOnDomain
 from berkline.gauss import gauss_valuation, newton_polygon
-from berkline.logvalue import LogValue
+from berkline.logvalue import ZERO, LogValue
 from berkline.points import DiscPoint, _dist, classify
 from berkline.poly import Polynomial, RationalFunction
-from berkline.units import Domain, _count_in_disc, _sides, reduced_unit
+from berkline.units import (Domain, _count_in_disc, _sides, reduced_unit,
+                            require_unit)
 
 
 def exterior_degree(f: RationalFunction, dom: Domain) -> int:
@@ -142,4 +147,59 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
         else:
             if not positive(gn, gd, d.s):
                 return False
+    return True
+
+
+def h_positive(n0: Polynomial, d0: Polynomial, n1: Polynomial,
+               d1: Polynomial, s: LogValue) -> bool:
+    """v(h) > 0 at radius s around the center the four polynomials are
+    written at, for h = n1 d0 / (n0 d1) - 1, read from h by products.
+
+    At s = +infinity this is the puncture rule: v(h)(zeta(a, S)) > 0 for all
+    large S, read from the first Newton-polygon vertices of h's numerator
+    and denominator.
+    """
+    h_num = n1 * d0 - n0 * d1
+    h_den = n0 * d1
+    if h_num.is_zero():
+        return True
+    if s.is_infinite:
+        (i_n, v_n), (i_d, v_d) = (newton_polygon(g).vertices[0]
+                                  for g in (h_num, h_den))
+        return (i_n - i_d, v_n - v_d) > (0, 0)
+    return gauss_valuation(h_num, None, s) - gauss_valuation(h_den, None, s) > ZERO
+
+
+def shilov_homotopy_check(f0: RationalFunction, f1: RationalFunction,
+                          dom: Domain) -> bool:
+    """``units.homotopy_check`` as it was before it compared leading forms:
+    f0 and f1 certified in full, then v(h) > 0 at the bounding point and at
+    one point per hole, with h formed once at the bounding center."""
+    for f in (f0, f1):
+        require_unit(f, dom)
+    c0 = dom.center
+    n0, d0 = f0.num.recenter(c0), f0.den.recenter(c0)
+    n1, d1 = f1.num.recenter(c0), f1.den.recenter(c0)
+    h_num = n1 * d0 - n0 * d1
+    h_den = n0 * d1
+    if h_num.is_zero():
+        return True
+
+    def positive(center, s: LogValue) -> bool:
+        """v(h) > 0 at the disc point D(center, s)."""
+        return (gauss_valuation(h_num, center, s)
+                - gauss_valuation(h_den, center, s)) > ZERO
+
+    if not positive(None, dom.s):  # h is already written at c0
+        return False
+    for d in dom.excluded:
+        if d.s.is_infinite:
+            (i_n, v_n), (i_d, v_d) = (
+                newton_polygon(g.recenter(d.center)).vertices[0]
+                for g in (h_num, h_den))
+            if not (i_n - i_d, v_n - v_d) > (0, 0):
+                return False
+        elif not positive(d.center, LogValue(d.s.q, d.s.e - 1)
+                          if d.closed else d.s):
+            return False
     return True

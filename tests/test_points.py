@@ -204,3 +204,26 @@ class TestEvalPoint:
             a = rand_puiseux(rng, FQ)
             s = lv(rng.randint(0, 5))
             assert eval_point(f, DiscPoint(a, s)) == gauss_valuation(f, a, s)
+
+
+class TestTruncatedCenters:
+    """A point built on a truncated center is the same point as itself: its
+    distance to its own center object is +infinity, not a truncated zero."""
+
+    def test_classical_point_equals_itself(self, FQ):
+        x = DiscPoint(FQ.elem([], 4), INFINITY)
+        assert x == x
+
+    def test_gauss_point_equals_itself(self, FQ):
+        x = DiscPoint(FQ.one() + FQ.elem([], 4), lv(2))
+        assert x == x
+
+    def test_chain_on_one_truncated_center(self, FQ):
+        c = FQ.one() + FQ.elem([], 4)
+        chain = ChainPoint((DiscPoint(c, lv(0)), DiscPoint(c, lv(1))))
+        assert chain.last.center is c
+        assert DiscPoint(c, lv(0)).contains(DiscPoint(c, lv(1)))
+
+    def test_distinct_classical_points_differ(self, FQ):
+        assert DiscPoint(FQ.zero(), INFINITY) != DiscPoint(FQ.one(), INFINITY)
+        assert DiscPoint(FQ.t(), INFINITY) == DiscPoint(FQ.t(), INFINITY)

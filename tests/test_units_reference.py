@@ -10,10 +10,13 @@ functions with complete, partial or no root lists, exact and truncated
 coefficients:
 
 - on exact inputs every result, and the type of every error, is the same;
-- on truncated inputs exterior degrees and slopes are the same, a homotopy
-  verdict never flips where both answer, and where only the library answers
-  True (the reference ran out of precision at a point it no longer visits),
-  v(h) > 0 at every sampled domain point where the data decides it.
+- on truncated inputs exterior degrees and slopes are the same, and a
+  homotopy verdict never flips where both answer.  Against
+  ``ref.shilov_homotopy_check``, the Shilov-boundary decision by products
+  that leading forms replaced, an answer never becomes an error, both raise
+  the same error where both raise, and where only the library answers (the
+  products ran out of precision) the reference gives the same verdict on 8
+  sampled exact completions of f0 and f1 (``completion.py``).
 """
 
 import random
@@ -22,6 +25,7 @@ from fractions import Fraction
 import pytest
 
 import reference_units as ref
+from completion import complete_function
 from berkline import (INFINITY, Domain, ExcludedDisc, LogValue, PadicField,
                       Polynomial, PuiseuxField, RationalFunction,
                       gauss_valuation, units)
@@ -269,7 +273,7 @@ def test_exact_inputs_match_reference(name):
 
 @pytest.mark.parametrize("name", [n for n in FIELDS if n != "Q_3"])
 def test_truncated_inputs_never_flip(name):
-    rng = random.Random(f"samples/{name}")
+    rng = random.Random(f"completions/{name}")
     answered = 0
     for case in _cases(name):
         if not case["truncated"]:
@@ -280,12 +284,25 @@ def test_truncated_inputs_never_flip(name):
         got, want = _outcome(new["homotopy"]), _outcome(old["homotopy"])
         if isinstance(got, bool) and isinstance(want, bool):
             assert got == want, case
-        elif want is PrecisionExhausted and isinstance(got, bool):
+        parent = _outcome(lambda: ref.shilov_homotopy_check(
+            case["f0"], case["f1"], case["dom"]))
+        if isinstance(parent, bool) or not isinstance(got, bool):
+            # no verdict flips, no answered case becomes an error, and
+            # where both raise, they raise the same error
+            assert got == parent, case
+        else:
+            assert parent is PrecisionExhausted, case
             answered += 1
-            if got:
-                _check_by_sampling(rng, case)
-    print(f"{name}: {answered} truncated cases answered where the reference "
-          "raised PrecisionExhausted")
+            _check_by_completion(rng, case, got)
+    print(f"{name}: {answered} truncated cases answered where the "
+          "Shilov-boundary check by products raised PrecisionExhausted")
+
+
+def _check_by_completion(rng, case, verdict, count=8):
+    """The reference decides every sampled exact completion the same way."""
+    for _ in range(count):
+        f0, f1 = (complete_function(rng, case[k]) for k in ("f0", "f1"))
+        assert ref.homotopy_check(f0, f1, case["dom"]) is verdict, (case, f0, f1)
 
 
 def _check_by_sampling(rng, case):
@@ -320,3 +337,21 @@ def test_answers_where_reference_ran_out_of_precision():
     _check_by_sampling(random.Random(3), case)
     assert _v_h(f0, f1, fld.zero(), LogValue(0)) == LogValue(1)
     assert _v_h(f0, f1, fld.zero(), LogValue(2, -1)) == LogValue(5, -2)
+
+
+def test_not_certified_before_precision():
+    # f1 = 1 + O(t^0) T + T^2 has two roots of valuation 0, on v(z) >= 0,
+    # which its Newton polygon certifies whatever the linear coefficient
+    # is.  At the bounding point that coefficient lies on the supporting
+    # line, so the leading-form check runs out of precision; the numerator
+    # is then certified, and its NotCertified comes first, as before
+    fld = FIELDS["Q((t))"]
+    one = Polynomial.from_coeffs(fld, [1])
+    num = Polynomial(fld.zero(), (fld.one(), fld.elem([], 0), fld.one()))
+    dom = Domain(fld.zero(), LogValue(0))
+    f0, f1 = RationalFunction(one, one), RationalFunction(num, one)
+    with pytest.raises(PrecisionExhausted):
+        units._forms_agree(num, one, one, one, LogValue(0), 0)
+    for check in (homotopy_check, ref.shilov_homotopy_check):
+        with pytest.raises(NotCertified):
+            check(f0, f1, dom)
