@@ -284,14 +284,14 @@ def test_truncated_inputs_never_flip(name):
         got, want = _outcome(new["homotopy"]), _outcome(old["homotopy"])
         if isinstance(got, bool) and isinstance(want, bool):
             assert got == want, case
-        parent = _outcome(lambda: ref.shilov_homotopy_check(
+        by_products = _outcome(lambda: ref.shilov_homotopy_check(
             case["f0"], case["f1"], case["dom"]))
-        if isinstance(parent, bool) or not isinstance(got, bool):
+        if isinstance(by_products, bool) or not isinstance(got, bool):
             # no verdict flips, no answered case becomes an error, and
             # where both raise, they raise the same error
-            assert got == parent, case
+            assert got == by_products, case
         else:
-            assert parent is PrecisionExhausted, case
+            assert by_products is PrecisionExhausted, case
             answered += 1
             _check_by_completion(rng, case, got)
     print(f"{name}: {answered} truncated cases answered where the "
