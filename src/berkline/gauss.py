@@ -2,9 +2,10 @@
 
 Conventions.  All radii are additive log-values (|x| = 2**(-s)); the Gauss
 valuation of f at the disc D(a, 2**(-s)) is min_i(v(c_i) + i*s) over the
-coefficients of f recentered at a.  A Newton-polygon segment of slope l and
-width m certifies exactly m roots of valuation -l; the root at the center
-itself (valuation +infinity) is reported separately as ``mult0``.
+coefficients of f recentered at a.  Root counts are read off that minimum's
+supporting line: its last index is #(v(z - a) >= s), its first #(v(z - a) > s).
+A Newton-polygon segment of slope l and width m certifies exactly m roots of
+valuation -l; hulls serve ``np``, ``cancel.y2_divisor`` and failure witnesses.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def _exhausted(i, p):
 
 
 def _supporting_line(known, unknown, s: LogValue):
-    """(min_i(v_i + i*s), the indices i attaining it, the first unknown
-    point on the line or None).
+    """(min_i(v_i + i*s), the indices i attaining it, the unknown points on
+    the line).
 
     ``known`` and ``unknown`` are the two lists of ``_classify``.  An unknown
     point (i, p) bounds v_i from below only, so the first one whose bound
@@ -70,15 +71,15 @@ def _supporting_line(known, unknown, s: LogValue):
     if not known:
         if unknown:
             raise _exhausted(*unknown[0])
-        return INFINITY, [], None
+        return INFINITY, [], []
     if s.is_infinite:
         # i*s is +infinity for every i > 0: only index 0 counts
         if unknown and unknown[0][0] == 0:
             raise _exhausted(*unknown[0])
         i, v = known[0]
         if i == 0:
-            return as_logvalue(v), [0], None
-        return INFINITY, [i for i, _ in known], None
+            return as_logvalue(v), [0], []
+        return INFINITY, [i for i, _ in known], []
     sq, se = s.q, s.e
     sign = (se.numerator > 0) - (se.numerator < 0)
     L = math.lcm(sq.denominator, *[v.denominator for _, v in known],
@@ -91,13 +92,13 @@ def _supporting_line(known, unknown, s: LogValue):
             best, line = key, [i]
         elif key == best:
             line.append(i)
-    on_line = None
+    on_line = []
     for i, p in unknown:
         key = (p.numerator * (L // p.denominator) + i * step, i * sign)
         if key < best:
             raise _exhausted(i, p)
-        if key == best and on_line is None:
-            on_line = i, p
+        if key == best:
+            on_line.append((i, p))
     return trusted(Fraction(best[0], L), line[0] * se), line, on_line
 
 
@@ -107,20 +108,14 @@ def naive_norm(f: Polynomial, r, a=None) -> float:
     Returned as a float with relative accuracy about 1e-12; it is an upper
     bound for the Gauss (spectral) norm 2**(-gauss_valuation) at log2(r) = -s.
     """
-    x = log2_naive_norm(f, _log2(r), a)
-    if x == -math.inf:
-        return 0.0
-    return 2.0 ** x
+    return 2.0 ** log2_naive_norm(f, _log2(r), a)  # 0.0 at -inf, for f = 0
 
 
 def log2_naive_norm(f: Polynomial, log2_r, a=None) -> float:
     """log2 of naive_norm, computed stably in the log domain."""
     known, unknown = _coeff_values(f, a)
     if unknown:
-        i, p = unknown[0]
-        raise PrecisionExhausted(
-            f"coefficient {i} is only known below t^{p}", witness=i
-        )
+        raise _exhausted(*unknown[0])
     if not known:
         return -math.inf
     logs = [float(-v) + i * float(log2_r) for i, v in known]
@@ -255,45 +250,59 @@ def _below_hull(hull, x, y) -> bool:
     return y < hull[0][1]
 
 
+def _lowest_term(known, unknown):
+    """(i, v_i) of the lowest nonzero term: i roots sit at the center."""
+    if not known or unknown and unknown[0][0] < known[0][0]:
+        raise _exhausted(*unknown[0])  # it may be lower, or f may be 0
+    return known[0]
+
+
+def _count(known, unknown, s: LogValue, closed: bool) -> int:
+    """#(v >= s) when closed, #(v > s) when open, from ``_classify``'s lists:
+    the last or first index on the supporting line of slope -s.  An unknown
+    point on it raises only beyond that index; with none known, f may be 0."""
+    if not known:
+        raise _exhausted(*unknown[0])
+    if s.is_infinite:
+        return _lowest_term(known, unknown)[0] if closed else 0
+    _, line, on_line = _supporting_line(known, unknown, s)
+    n = line[-1] if closed else line[0]
+    for i, p in on_line:
+        if (i > n) if closed else (i < n):
+            raise _exhausted(i, p)
+    return n
+
+
 def root_count_annulus(f: Polynomial, s_lo=None, s_hi=INFINITY,
                        lo_open: bool = False, hi_open: bool = False) -> int:
     """Number of roots, with multiplicity, whose valuation lies in the interval.
 
     ``s_lo = None`` means unbounded below.  The root at the center itself has
     valuation +infinity and is counted exactly when the interval reaches a
-    closed +infinity end.
+    closed +infinity end.  The count is #(v >= s_lo) - #(v > s_hi), with >
+    and >= swapped at an open end, and #(v >= None) is the degree.
     """
     if f.is_zero():
         raise ZeroPolynomial("root counting on the zero polynomial")
-    np_ = newton_polygon(f)
     lo = None if s_lo is None else as_logvalue(s_lo)
     hi = as_logvalue(s_hi)
     if lo is not None and lo > hi:
         raise ValueError("empty interval: s_lo > s_hi")
-    count = 0
-    for sigma, width in np_.root_valuations():
-        if _in_interval(LogValue(sigma), lo, hi, lo_open, hi_open):
-            count += width
-    if np_.mult0 and _in_interval(INFINITY, lo, hi, lo_open, hi_open):
-        count += np_.mult0
-    return count
-
-
-def _in_interval(x: LogValue, lo, hi, lo_open, hi_open) -> bool:
-    if lo is not None:
-        if x < lo or (lo_open and x == lo):
-            return False
-    if x > hi or (hi_open and x == hi):
-        return False
-    return True
+    known, unknown = _coeff_values(f)
+    above = _count(known, unknown, hi, hi_open)
+    if lo is None:
+        below = known[-1][0]
+        if unknown and unknown[-1][0] > below:
+            raise _exhausted(*unknown[-1])  # it could raise the degree
+    else:
+        below = _count(known, unknown, lo, not lo_open)
+    # lo == hi with both ends open gives -#(v = lo): the interval is empty
+    return max(0, below - above)
 
 
 def roots_in_disc(f: Polynomial, center, s, closed: bool = True) -> int:
     """Roots z with v(z - center) >= s (closed) or > s (open), incl. z = center."""
-    if f.is_zero():
-        raise ZeroPolynomial("root counting on the zero polynomial")
-    g = f.recenter(center)
-    return root_count_annulus(g, s_lo=s, s_hi=INFINITY, lo_open=not closed)
+    return root_count_annulus(f.recenter(center), s, lo_open=not closed)
 
 
 def sym_annulus_membership(coeffs, s1, s2) -> bool:

@@ -3,10 +3,11 @@
 A domain here is a closed bounding disc minus finitely many pairwise disjoint
 excluded discs (each open or closed).  Certification that a rational function
 is a unit on a domain, boundary degrees and direction slopes at type-2 points
-reduce to counting roots in discs: counted from certified complete root lists
-when present, else by Newton polygons after recentering, so every answer is
-exact; no roots are ever computed.  The 1-unit homotopy decision adds leading
-forms at finitely many points.
+reduce to counting roots in discs: from certified complete root lists when
+present, else off each polynomial's supporting line at the disc's center, so
+every answer is exact; no roots are ever computed, and a Newton hull is built
+only for the witness of a failed certification.  The 1-unit homotopy
+decision adds leading forms at finitely many points.
 
 Three facts keep this finite.  The divisor of a rational function on P^1 has
 degree 0, so what lies beyond a closed disc (infinity included) is minus what
@@ -30,8 +31,8 @@ from ._record import Record, setfield
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
 from .field import PadicElem, PuiseuxElem
-from .gauss import (_classify, _exhausted, _supporting_line, gauss_valuation,
-                    newton_polygon, roots_in_disc)
+from .gauss import (_classify, _exhausted, _lowest_term, _supporting_line,
+                    gauss_valuation, newton_polygon, roots_in_disc)
 from .logvalue import LogValue, as_logvalue, trusted
 from .points import DiscPoint, _dist, classify
 from .poly import Polynomial, RationalFunction
@@ -175,7 +176,7 @@ def _sides(f: RationalFunction):
 
 def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
     """Roots of g with v(z - center) >= s (closed) or > s (open): counted from
-    its certified root list when given, else from a Newton polygon.
+    its certified root list when given, else from its supporting line.
 
     A root list is compared on plain values: v = v(r - center) is a Fraction,
     or the float INF for r == center, which lies in every disc of finite
@@ -186,17 +187,11 @@ def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
     """
     if roots is None:
         return roots_in_disc(g, center, s, closed=closed)
+    vals = [r.valuation_of_difference(center) for r in roots]
     if s.is_infinite:
-        vals = [r.valuation_of_difference(center) for r in roots]
         return sum(isinstance(v, float) for v in vals) if closed else 0
-    q = s.q
-    tie = s.e <= 0 if closed else s.e < 0
-    n = 0
-    for r in roots:
-        v = r.valuation_of_difference(center)
-        if isinstance(v, float) or v > q or (tie and v == q):
-            n += 1
-    return n
+    q, tie = s.q, (s.e <= 0 if closed else s.e < 0)
+    return sum(isinstance(v, float) or v > q or (tie and v == q) for v in vals)
 
 
 class ReducedUnit(Record):
@@ -521,16 +516,12 @@ def _leading_form(g: Polynomial, s: LogValue):
     """
     known, unknown = _classify(enumerate(g.coeffs))
     if s.is_infinite:
-        if not known:
-            raise _exhausted(*unknown[0])
-        i, m = known[0]
-        if unknown and unknown[0][0] < i:
-            raise _exhausted(*unknown[0])
+        i, m = _lowest_term(known, unknown)
         line = (i,)
     else:
         m, line, on_line = _supporting_line(known, unknown, s)
         if on_line:
-            raise _exhausted(*on_line)
+            raise _exhausted(*on_line[0])
         m = m.q
     return m, {i: _residue(g.coeffs[i]) for i in line}
 

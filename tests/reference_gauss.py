@@ -1,12 +1,16 @@
 """The valuation loops of ``berkline.gauss`` and ``berkline.units`` as they
-were while they compared one log-value per term: the test oracle.
+were while they compared one log-value per term, and the root counts as they
+were while they read a whole Newton hull: the test oracle.
 
 ``gauss_valuation``, ``newton_polygon`` with ``_polygon``, ``_lower_hull``
 and ``_hull_height``, and ``_unique_argmin`` are kept verbatim apart from
 their log-value class, the dataclass ``RefLogValue``.  They build a
 log-value or a ``Fraction`` for every term and share no arithmetic with the
 library's int-lattice loops; ``tests/test_gauss_reference.py`` checks the
-library against them.
+library against them.  ``root_count_annulus`` with ``_in_interval``, and
+``roots_in_disc``, are kept verbatim from before counts were read off the
+supporting line: they sum the widths of the hull's segments in the interval.
+``tests/test_root_counts_reference.py`` checks the library against them.
 """
 
 from __future__ import annotations
@@ -104,3 +108,44 @@ def _unique_argmin(g: Polynomial, s: LogValue):
         elif w == best:
             tie = True
     return None if tie else best_i
+
+
+def root_count_annulus(f: Polynomial, s_lo=None, s_hi=INFINITY,
+                       lo_open: bool = False, hi_open: bool = False) -> int:
+    """Number of roots, with multiplicity, whose valuation lies in the interval.
+
+    ``s_lo = None`` means unbounded below.  The root at the center itself has
+    valuation +infinity and is counted exactly when the interval reaches a
+    closed +infinity end.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("root counting on the zero polynomial")
+    np_ = newton_polygon(f)
+    lo = None if s_lo is None else as_logvalue(s_lo)
+    hi = as_logvalue(s_hi)
+    if lo is not None and lo > hi:
+        raise ValueError("empty interval: s_lo > s_hi")
+    count = 0
+    for sigma, width in np_.root_valuations():
+        if _in_interval(LogValue(sigma), lo, hi, lo_open, hi_open):
+            count += width
+    if np_.mult0 and _in_interval(INFINITY, lo, hi, lo_open, hi_open):
+        count += np_.mult0
+    return count
+
+
+def _in_interval(x: LogValue, lo, hi, lo_open, hi_open) -> bool:
+    if lo is not None:
+        if x < lo or (lo_open and x == lo):
+            return False
+    if x > hi or (hi_open and x == hi):
+        return False
+    return True
+
+
+def roots_in_disc(f: Polynomial, center, s, closed: bool = True) -> int:
+    """Roots z with v(z - center) >= s (closed) or > s (open), incl. z = center."""
+    if f.is_zero():
+        raise ZeroPolynomial("root counting on the zero polynomial")
+    g = f.recenter(center)
+    return root_count_annulus(g, s_lo=s, s_hi=INFINITY, lo_open=not closed)

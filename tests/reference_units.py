@@ -3,11 +3,13 @@
 ``homotopy_check`` here walks every Newton-polygon breakpoint of v(h) on the
 path to each hole, and ``exterior_degree`` counts roots beyond the bounding
 disc.  Both are kept verbatim, with ``direction_slopes``, from before
-homotopy was decided on the Shilov boundary.  ``shilov_homotopy_check`` is
-the Shilov-boundary decision as it was before it compared leading forms: it
-certifies f0 and f1 in full, forms h = f1/f0 - 1 by polynomial products and
-reads v(h) at each Shilov point with ``h_positive``, the point-level
-predicate.  ``tests/test_units_reference.py`` and ``tests/test_leading_forms.py``
+homotopy was decided on the Shilov boundary.  Their disc counts without a
+root list read a whole Newton hull, as they did then
+(``reference_gauss.roots_in_disc``), not the supporting line.
+``shilov_homotopy_check`` is the Shilov-boundary decision as it was before it
+compared leading forms: it certifies f0 and f1 in full, forms h = f1/f0 - 1
+by polynomial products and reads v(h) at each Shilov point with
+``h_positive``, the point-level predicate.  ``tests/test_units_reference.py`` and ``tests/test_leading_forms.py``
 check the library against them.
 """
 
@@ -15,13 +17,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import reference_gauss
+from berkline import units
 from berkline.errors import NotCertified, VanishesOnDomain
 from berkline.gauss import gauss_valuation, newton_polygon
 from berkline.logvalue import ZERO, LogValue
 from berkline.points import DiscPoint, _dist, classify
 from berkline.poly import Polynomial, RationalFunction
-from berkline.units import (Domain, _count_in_disc, _sides, reduced_unit,
-                            require_unit)
+from berkline.units import Domain, _sides, reduced_unit, require_unit
+from reference_logvalue import RefLogValue
+
+
+def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
+    """``units._count_in_disc``, with a polynomial that has no root list
+    counted by its Newton hull."""
+    if roots is None:
+        return reference_gauss.roots_in_disc(g, center, RefLogValue(s.q, s.e),
+                                             closed)
+    return units._count_in_disc(g, roots, center, s, closed)
 
 
 def exterior_degree(f: RationalFunction, dom: Domain) -> int:

@@ -217,6 +217,19 @@ class TestRootCounting:
         f = Polynomial.from_coeffs(FQ, [-t, FQ.zero(), FQ.one()])
         assert root_count_annulus(f, lv(Fraction(1, 2)), lv(Fraction(1, 2))) == 2
 
+    @pytest.mark.parametrize("s", [lv(Fraction(1, 3)), lv(Fraction(1, 3), 1),
+                                   lv(Fraction(1, 3), -1), INFINITY],
+                             ids=["finite", "eps+", "eps-", "inf"])
+    def test_degenerate_intervals_are_empty(self, FQ, s):
+        # f = -t^(2/3) T + T^3 has a root at 0 and two of valuation 1/3.
+        # With lo == hi and an end open the interval is empty; with both
+        # ends open, #(v > s) - #(v >= s) would be -#(v = s), -1 at +inf
+        f = Polynomial.from_coeffs(FQ, [0, FQ.t(Fraction(2, 3), -1), 0, 1])
+        for lo_open, hi_open in ((True, True), (True, False), (False, True)):
+            assert root_count_annulus(f, s, s, lo_open, hi_open) == 0
+        on_s = {lv(Fraction(1, 3)): 2, INFINITY: 1}.get(s, 0)
+        assert root_count_annulus(f, s, s) == on_s
+
     def test_full_line_conservation(self, FQ):
         rng = random.Random(9)
         for _ in range(30):

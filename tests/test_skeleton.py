@@ -48,6 +48,11 @@ class TestBuild:
         with pytest.raises(DuplicateCenters):
             build_skeleton([FQ.zero(), FQ.zero()])
 
+    def test_no_centers(self):
+        # without the check, min() of an empty sequence raises ValueError
+        with pytest.raises(DuplicateCenters, match="need at least one center"):
+            build_skeleton([])
+
     def test_finite_floor_collision(self, FQ):
         t = FQ.t()
         with pytest.raises(DuplicateCenters):
