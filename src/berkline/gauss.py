@@ -5,7 +5,7 @@ valuation of f at the disc D(a, 2**(-s)) is min_i(v(c_i) + i*s) over the
 coefficients of f recentered at a.  Root counts are read off that minimum's
 supporting line: its last index is #(v(z - a) >= s), its first #(v(z - a) > s).
 A Newton-polygon segment of slope l and width m certifies exactly m roots of
-valuation -l; hulls serve ``np``, ``cancel.y2_divisor`` and failure witnesses.
+valuation -l; hulls serve only ``np`` and ``cancel.y2_divisor``.
 """
 
 from __future__ import annotations
@@ -333,8 +333,8 @@ def sym_annulus_membership(coeffs, s1, s2) -> bool:
         if ai.is_zero():
             continue
         vi = LogValue(ai.valuation())
-        line_outer = s2.scale(n - i)
-        line_inner = v0 - s1.scale(i)
-        if not (vi > line_outer and vi > line_inner):
+        # at s1 = +infinity the inner line is vacuous: a0 != 0 keeps 0 out
+        if not (vi > s2.scale(n - i)
+                and (s1.is_infinite or vi > v0 - s1.scale(i))):
             return False
     return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import Record, setfield
 from .errors import ChainNotStabilized, MalformedChain, PointOutsideDisc
-from .gauss import gauss_valuation, roots_in_disc
+from .gauss import gauss_valuation, root_count_annulus
 from .logvalue import INFINITY, LogValue, as_logvalue, trusted
 
 
@@ -186,17 +186,17 @@ def restrict_coords(cv: CoordVector, A) -> CoordVector:
 def eval_point(f, x) -> LogValue:
     """Valuation of the polynomial f at the point x.
 
-    For chain points the value is taken at the last disc, after certifying
-    via root counting that no further refinement inside that disc can move it.
+    For chain points f is written once at the last disc's center, where a
+    root count certifies that no refinement inside it can move the value.
     """
     if isinstance(x, DiscPoint):
         return gauss_valuation(f, x.center, x.s)
     if isinstance(x, ChainPoint):
         last = x.last
-        if not f.is_zero() and roots_in_disc(f, last.center, last.s, closed=True):
+        g = f.recenter(last.center)
+        if not g.is_zero() and root_count_annulus(g, last.s):
             raise ChainNotStabilized(
                 "f has roots inside the last chain disc; value still moving",
-                witness={"s": str(last.s)},
-            )
-        return gauss_valuation(f, last.center, last.s)
+                witness={"s": str(last.s)})
+        return gauss_valuation(g, None, last.s)
     raise MalformedChain(f"not a point: {x!r}")

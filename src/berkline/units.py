@@ -5,9 +5,9 @@ excluded discs (each open or closed).  Certification that a rational function
 is a unit on a domain, boundary degrees and direction slopes at type-2 points
 reduce to counting roots in discs: from certified complete root lists when
 present, else off each polynomial's supporting line at the disc's center, so
-every answer is exact; no roots are ever computed, and a Newton hull is built
-only for the witness of a failed certification.  The 1-unit homotopy
-decision adds leading forms at finitely many points.
+every answer is exact; no roots are ever computed and no Newton hull is
+built, not even for the witness of a failed certification.  The 1-unit
+homotopy decision adds leading forms at finitely many points.
 
 Three facts keep this finite.  The divisor of a rational function on P^1 has
 degree 0, so what lies beyond a closed disc (infinity included) is minus what
@@ -31,8 +31,8 @@ from ._record import Record, setfield
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
 from .field import PadicElem, PuiseuxElem
-from .gauss import (_classify, _exhausted, _lowest_term, _supporting_line,
-                    gauss_valuation, newton_polygon, roots_in_disc)
+from .gauss import (_classify, _coeff_values, _exhausted, _lowest_term,
+                    _supporting_line, roots_in_disc)
 from .logvalue import LogValue, as_logvalue, trusted
 from .points import DiscPoint, _dist, classify
 from .poly import Polynomial, RationalFunction
@@ -267,16 +267,19 @@ def _not_certified(certify, *args):
 
 
 def _witness_disc(poly: Polynomial, dom: Domain, which: str):
-    g = poly.recenter(dom.center)
-    np_ = newton_polygon(g)
-    for sigma, _ in np_.root_valuations():
-        if LogValue(sigma) >= dom.s:
-            return {
-                "which": which,
-                "center": dom.center.canonical_str(),
-                "s": str(sigma),
-            }
-    return {"which": which, "center": dom.center.canonical_str(), "s": "inf"}
+    """Where poly has a root on the domain: "s" is sigma, its largest finite
+    root valuation at the center, max_{j > i0} (v0 - v_j)/(j - i0), if
+    sigma >= s, else "inf"; the bounding radius if a truncated zero may move it."""
+    known, unknown = _coeff_values(poly, dom.center)
+    i0, v0 = known[0]  # the lowest term
+    sigma = max(((v0 - v) / (j - i0) for j, v in known[1:]), default=None)
+    if any(j < i0 or sigma is None or (v0 - p) / (j - i0) > sigma
+           for j, p in unknown):
+        sigma = dom.s  # the lowest term, or a larger ratio, may be unknown
+    elif sigma is None or trusted(sigma) < dom.s:
+        sigma = "inf"
+    return {"which": which, "center": dom.center.canonical_str(),
+            "s": str(sigma)}
 
 
 def boundary_degrees(f: RationalFunction, dom: Domain):
@@ -365,35 +368,32 @@ class LeadingClass(Record):
 
 
 def leading_class(f: RationalFunction, dom: Domain) -> LeadingClass:
-    """Class of f at an eps-perturbed bounding point; ties broken exactly."""
-    c0 = dom.center
-    num = f.num.recenter(c0)
-    den = f.den.recenter(c0)
-    h = Fraction(1)
-    while True:
-        proxy = LogValue(dom.s.q if not dom.s.is_infinite else Fraction(0),
-                         dom.s.e + h if not dom.s.is_infinite else Fraction(1))
-        iN = _unique_argmin(num, proxy)
-        iD = _unique_argmin(den, proxy)
-        if iN is not None and iD is not None:
-            break
-        h /= 2
-    w = (gauss_valuation(num, None, LogValue(dom.s.q, dom.s.e))
-         - gauss_valuation(den, None, LogValue(dom.s.q, dom.s.e))) \
-        if not dom.s.is_infinite else None
-    cn = unit_class(num.coeffs[iN])
-    cd = unit_class(den.coeffs[iD])
-    ratio = cn * cd.inverse()
-    return LeadingClass(w, ratio.q, ratio.res, ratio.modulus)
-
-
-def _unique_argmin(g: Polynomial, s: LogValue):
-    known, unknown = _classify(enumerate(g.coeffs))
-    if unknown:
-        # a truncated zero has no valuation: this raises PrecisionExhausted
-        g.coeffs[unknown[0][0]].valuation()
-    line = _supporting_line(known, [], s)[1]
-    return line[0] if len(line) == 1 else None
+    """Class of f at the bounding point: w = v(f) at radius s (None at
+    s = +infinity) and the unit class of the ratio of the sides' leading terms.
+    Each side's term is read off its supporting line at s.q (at 0 when
+    s = +infinity): the lowest index on it when s.e > -1 or s = +infinity,
+    else the highest, the term alone at the minimum at radius (s.q, s.e + h)
+    for the first h in 1, 1/2, ... at which both sides have one.  A
+    truncated zero coefficient raises PrecisionExhausted.
+    """
+    if f.is_zero():
+        raise ZeroElement("the zero function is not a unit anywhere")
+    s = dom.s
+    q, e = (Fraction(0), Fraction(1)) if s.is_infinite else (s.q, s.e)
+    sides = []
+    for g in (f.num.recenter(dom.center), f.den.recenter(dom.center)):
+        known, unknown = _classify(enumerate(g.coeffs))
+        if unknown:
+            # a truncated zero has no valuation: this raises PrecisionExhausted
+            g.coeffs[unknown[0][0]].valuation()
+        m, line, _ = _supporting_line(known, [], trusted(q))
+        lo, hi = line[0], line[-1]
+        sides.append((trusted(m.q, min(lo * e, hi * e)),
+                      g.coeffs[lo if e > -1 else hi]))
+    (vn, cn), (vd, cd) = sides
+    ratio = unit_class(cn) * unit_class(cd).inverse()
+    return LeadingClass(None if s.is_infinite else vn - vd, ratio.q,
+                        ratio.res, ratio.modulus)
 
 
 def homotopy_check(f0: RationalFunction, f1: RationalFunction,

@@ -7,7 +7,8 @@ and ``_hull_height``, and ``_unique_argmin`` are kept verbatim apart from
 their log-value class, the dataclass ``RefLogValue``.  They build a
 log-value or a ``Fraction`` for every term and share no arithmetic with the
 library's int-lattice loops; ``tests/test_gauss_reference.py`` checks the
-library against them.  ``root_count_annulus`` with ``_in_interval``, and
+library against them, and ``reference_units.leading_class`` searches with
+``_unique_argmin``.  ``root_count_annulus`` with ``_in_interval``, and
 ``roots_in_disc``, are kept verbatim from before counts were read off the
 supporting line: they sum the widths of the hull's segments in the interval.
 ``tests/test_root_counts_reference.py`` checks the library against them.

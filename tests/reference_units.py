@@ -11,6 +11,14 @@ compared leading forms: it certifies f0 and f1 in full, forms h = f1/f0 - 1
 by polynomial products and reads v(h) at each Shilov point with
 ``h_positive``, the point-level predicate.  ``tests/test_units_reference.py`` and ``tests/test_leading_forms.py``
 check the library against them.
+
+``leading_class`` is kept verbatim from while it searched for a radius
+s + h*eps at which both sides have a unique argmin, apart from its
+log-value class: it reads ``reference_gauss._unique_argmin`` and
+``gauss_valuation`` with ``RefLogValue``, so it shares no supporting-line
+code with the library.  ``_witness_disc`` is kept verbatim from while it
+read the witness of a failed certification off a whole Newton hull.
+``tests/test_witness_reference.py`` checks the library against both.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from berkline.gauss import gauss_valuation, newton_polygon
 from berkline.logvalue import ZERO, LogValue
 from berkline.points import DiscPoint, _dist, classify
 from berkline.poly import Polynomial, RationalFunction
-from berkline.units import Domain, _sides, reduced_unit, require_unit
+from berkline.units import (Domain, LeadingClass, _sides, reduced_unit,
+                            require_unit, unit_class)
 from reference_logvalue import RefLogValue
 
 
@@ -216,3 +225,39 @@ def shilov_homotopy_check(f0: RationalFunction, f1: RationalFunction,
                           if d.closed else d.s):
             return False
     return True
+
+
+def leading_class(f: RationalFunction, dom: Domain) -> LeadingClass:
+    """Class of f at an eps-perturbed bounding point; ties broken exactly."""
+    c0 = dom.center
+    num = f.num.recenter(c0)
+    den = f.den.recenter(c0)
+    h = Fraction(1)
+    while True:
+        proxy = RefLogValue(dom.s.q if not dom.s.is_infinite else Fraction(0),
+                            dom.s.e + h if not dom.s.is_infinite else Fraction(1))
+        iN = reference_gauss._unique_argmin(num, proxy)
+        iD = reference_gauss._unique_argmin(den, proxy)
+        if iN is not None and iD is not None:
+            break
+        h /= 2
+    w = (reference_gauss.gauss_valuation(num, None, RefLogValue(dom.s.q, dom.s.e))
+         - reference_gauss.gauss_valuation(den, None, RefLogValue(dom.s.q, dom.s.e))) \
+        if not dom.s.is_infinite else None
+    cn = unit_class(num.coeffs[iN])
+    cd = unit_class(den.coeffs[iD])
+    ratio = cn * cd.inverse()
+    return LeadingClass(w, ratio.q, ratio.res, ratio.modulus)
+
+
+def _witness_disc(poly: Polynomial, dom: Domain, which: str):
+    g = poly.recenter(dom.center)
+    np_ = newton_polygon(g)
+    for sigma, _ in np_.root_valuations():
+        if LogValue(sigma) >= dom.s:
+            return {
+                "which": which,
+                "center": dom.center.canonical_str(),
+                "s": str(sigma),
+            }
+    return {"which": which, "center": dom.center.canonical_str(), "s": "inf"}

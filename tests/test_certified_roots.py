@@ -239,7 +239,7 @@ def test_certified_lists_never_reach_newton_polygons(monkeypatch, FQ):
         raise AssertionError("Newton-polygon path reached")
 
     monkeypatch.setattr("berkline.units.roots_in_disc", forbidden)
-    monkeypatch.setattr("berkline.units.newton_polygon", forbidden)
+    monkeypatch.setattr("berkline.gauss._polygon", forbidden)
     assert reduced_unit(f, dom).certified
     assert boundary_degrees(f, dom) == (1, 1, -1)
     assert exterior_degree(f, dom) == -1

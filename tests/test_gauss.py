@@ -283,7 +283,7 @@ class TestSymAnnulus:
 
         fld = PuiseuxField(char)
         rng = random.Random(char)
-        s1, s2 = lv(Fraction(3, 2)), lv(Fraction(-3, 2))
+        s2 = lv(Fraction(-3, 2))
         grid = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1),
                 Fraction(1, 2), Fraction(2)]
         for _ in range(200):
@@ -292,11 +292,14 @@ class TestSymAnnulus:
                            rng.randint(1, char - 1) if char else rng.randint(1, 5))
                      for _ in range(n)]
             f = Polynomial.from_roots(fld, roots)
-            member = sym_annulus_membership(list(f.coeffs[:-1]), s1, s2)
-            inside = all(s2 < lv(r.valuation()) < s1 for r in roots)
-            assert member == inside
-            count = root_count_annulus(f, s2, s1, lo_open=True, hi_open=True)
-            assert member == (count == n)
+            # s1 = +infinity: the punctured disc 0 < |z| < 2**(3/2)
+            for s1 in (lv(Fraction(3, 2)), INFINITY):
+                member = sym_annulus_membership(list(f.coeffs[:-1]), s1, s2)
+                inside = all(s2 < lv(r.valuation()) < s1 for r in roots)
+                assert member == inside
+                count = root_count_annulus(f, s2, s1, lo_open=True,
+                                           hi_open=True)
+                assert member == (count == n)
 
 
 class TestOverflowGuard:

@@ -1,13 +1,14 @@
-"""Gauss valuations, unique argmins and Newton polygons against the loops
-that compared one log-value per term.
+"""Gauss valuations and Newton polygons against the loops that compared one
+log-value per term.
 
 10,400 seeded polynomials over F_2, F_3, Q((t)) and Q_3, dense of degree
 <= 8 or sparse of degree <= 40, with truncated coefficients (truncated zeros
 O(t^p) included) on mixed exponent lattices.  Each is evaluated at finite
 radii with eps parts of both signs and zero, and at +infinity.  Values, the
-argmin and its tie, the vertices, segments, ``mult0`` and ``degree`` must be
-equal to the reference's, types included, and so must every error: its type,
-message and witness index.
+vertices, segments, ``mult0`` and ``degree`` must be equal to the
+reference's, types included, and so must every error: its type, message and
+witness index.  ``tests/test_witness_reference.py`` checks
+``units.leading_class`` against a search over ``reference_gauss._unique_argmin``.
 """
 
 import math
@@ -21,7 +22,6 @@ from berkline import PadicField, Polynomial, PuiseuxField
 from berkline.errors import BerkError
 from berkline.gauss import gauss_valuation, newton_polygon
 from berkline.logvalue import LogValue
-from berkline.units import _unique_argmin
 from reference_logvalue import RefLogValue
 from test_lattice_routes import rand_poly, rand_trunc
 
@@ -83,7 +83,6 @@ def test_valuation_loops_match_the_reference(k):
     fld = FIELDS[k]
     rng = random.Random(16160 + k)
     seen = {"gauss raises": 0, "gauss value": 0, "eps value": 0,
-            "argmin tie": 0, "argmin unique": 0, "argmin raises": 0,
             "polygon": 0, "polygon raises": 0, "witness > 0": 0}
     for _ in range(POLYS_PER_FIELD):
         f = _poly(rng, fld)
@@ -98,16 +97,11 @@ def test_valuation_loops_match_the_reference(k):
             else:
                 seen["gauss value"] += 1
                 seen["eps value"] += got[4] != 0
-            got = _outcome(_unique_argmin, _value, f, s)
-            assert got == _outcome(ref._unique_argmin, _value, f, rs), (f, s)
-            key = ("argmin raises" if got[0] == "raises" else
-                   "argmin tie" if got[1] is None else "argmin unique")
-            seen[key] += 1
         got = _outcome(newton_polygon, _polygon, f)
         assert got == _outcome(ref.newton_polygon, _polygon, f), f
         seen["polygon raises" if got[0] == "raises" else "polygon"] += 1
     for key, n in seen.items():
-        if key in ("argmin raises", "witness > 0", "polygon raises",
+        if key in ("witness > 0", "polygon raises",
                    "gauss raises") and isinstance(fld, PadicField):
             continue    # p-adic elements are never truncated
         assert n > 0, (key, seen)

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import (ChainPoint, DiscPoint, INFINITY, LogValue, Polynomial,
-                      classify, coords, eval_point, gauss_valuation, meet,
-                      restrict_coords)
-from berkline.errors import (ChainNotStabilized, IndexNotSubset,
+from berkline import (ChainPoint, DiscPoint, INFINITY, LogValue, PadicField,
+                      Polynomial, PuiseuxField, classify, coords, eval_point,
+                      gauss_valuation, meet, restrict_coords, roots_in_disc)
+from berkline.errors import (BerkError, ChainNotStabilized, IndexNotSubset,
                              MalformedChain, PointOutsideDisc)
 from conftest import rand_puiseux
+from test_lattice_routes import rand_elem, rand_poly, rand_trunc
 
 lv = lambda q, e=0: LogValue(Fraction(q), Fraction(e))
 
@@ -194,6 +195,54 @@ class TestEvalPoint:
                             DiscPoint(FQ.zero(), lv(2))))
         with pytest.raises(ChainNotStabilized):
             eval_point(f, chain)
+
+    def test_chain_writes_f_at_the_last_center_once(self, FQ, monkeypatch):
+        calls = []
+        recenter = Polynomial.recenter
+
+        def counted(g, a):
+            calls.append(a)
+            return recenter(g, a)
+
+        t = FQ.t()
+        f = Polynomial.from_coeffs(FQ, [1, t, 1])
+        chain = ChainPoint((DiscPoint(FQ.zero(), lv(1)), DiscPoint(t, lv(2))))
+        monkeypatch.setattr(Polynomial, "recenter", counted)
+        assert eval_point(f, chain) == lv(0)
+        assert calls == [t]
+
+    @pytest.mark.parametrize("fld", [PuiseuxField(0), PuiseuxField(2),
+                                     PadicField(3)], ids=repr)
+    def test_chain_matches_count_then_value(self, fld):
+        # the count and the value as two calls, each writing f at the center
+        def two_shifts(f, x):
+            last = x.last
+            if not f.is_zero() and roots_in_disc(f, last.center, last.s):
+                raise ChainNotStabilized(
+                    "f has roots inside the last chain disc; value still moving",
+                    witness={"s": str(last.s)})
+            return gauss_valuation(f, last.center, last.s)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except BerkError as exc:
+                return type(exc), str(exc), exc.witness
+
+        rng = random.Random(f"chains/{fld!r}")
+        kinds = set()
+        for _ in range(300):
+            f = rand_poly(rng, fld, rng.randint(0, 4), make=rand_trunc)
+            a = rand_elem(rng, fld)
+            s1 = rng.randint(-1, 2)
+            b = a + fld.t(s1 + rng.randint(0, 2), 1)
+            x = ChainPoint((DiscPoint(a, lv(s1)),
+                            DiscPoint(b, lv(s1 + rng.randint(1, 3),
+                                            rng.choice([0, 0, 1, -1])))))
+            got = outcome(eval_point, f, x)
+            assert got == outcome(two_shifts, f, x), (f, x)
+            kinds.add(got[0] if isinstance(got, tuple) else LogValue)
+        assert {LogValue, ChainNotStabilized} <= kinds, kinds
 
     def test_matches_gauss_valuation(self, FQ):
         rng = random.Random(8)

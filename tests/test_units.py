@@ -156,6 +156,22 @@ class TestDomain:
             reduced_unit(f, dom)
         assert exc.value.witness["which"] == "num"
 
+    @pytest.mark.parametrize("known, prec, s, sigma", [
+        # 1 + T + O(t^5) T^3: one root of valuation 0 on v(z) >= 0; the bound
+        # t^5 cannot raise the largest root valuation above 0
+        ((1, 1, 0), 5, 0, "0"),
+        # T + T^2 + O(t^-1) T^3: the root 0 on v(z) >= 1; the bound t^-1
+        # leaves the largest finite root valuation open, so the witness is
+        # the bounding disc
+        ((0, 1, 1), -1, 1, "1"),
+    ])
+    def test_witness_past_a_truncated_coefficient(self, FQ, known, prec, s,
+                                                  sigma):
+        f = one_rf(FQ, Polynomial.from_coeffs(FQ, [*known, FQ.elem([], prec)]))
+        with pytest.raises(VanishesOnDomain) as exc:
+            reduced_unit(f, Domain(FQ.zero(), lv(s)))
+        assert exc.value.witness == {"which": "num", "center": "0", "s": sigma}
+
     def test_pair_in_excluded_disc(self, FQ):
         t = FQ.t()
         a, b = t, t + FQ.t(2)
@@ -347,6 +363,15 @@ class TestHomotopy:
                 lj = leading_class(fs[j], dom)
                 assert (li.w, li.res_q, li.res) == (lj.w, lj.res_q, lj.res)
         assert boundary_degrees(fs[0], dom) == boundary_degrees(fs[-1], dom)
+
+
+def test_leading_class_of_zero_raises(FQ):
+    zero = RationalFunction(Polynomial.from_coeffs(FQ, []),
+                            Polynomial.from_coeffs(FQ, [1]))
+    for s in (lv(0), lv(1, -1), INFINITY):
+        with pytest.raises(ZeroElement,
+                           match="the zero function is not a unit anywhere"):
+            leading_class(zero, Domain(FQ.zero(), s))
 
 
 def test_char_poly_rejects_zero(FQ):
