@@ -197,11 +197,6 @@ def point_from_json(obj, fld=None):
     raise ValueError(f"unknown point kind {obj['kind']!r}")
 
 
-def coords_to_json(cv: CoordVector):
-    return {"index": [elem_to_json(a) for a in cv.index],
-            "values": [logvalue_to_json(v) for v in cv.values]}
-
-
 def skeleton_to_json(sk: Skeleton):
     return {
         "vertices": [{"center": elem_to_json(v.center),

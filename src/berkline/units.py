@@ -165,18 +165,12 @@ class Domain(Record):
         return self.center.field
 
 
-def _sides(f: RationalFunction):
-    """((num, its roots), (den, its roots)), each root list None unless f
-    carries certified complete lists; raises NotCertified on a wrong list."""
-    lists = f.certified_roots
-    if lists is None:
-        return (f.num, None), (f.den, None)
-    return (f.num, lists[0]), (f.den, lists[1])
-
-
-def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
+def _count_in_disc(g: Polynomial, roots, center, s, closed=True,
+                   at=None) -> int:
     """Roots of g with v(z - center) >= s (closed) or > s (open): counted from
-    its certified root list when given, else from its supporting line.
+    its certified root list when given, else from its supporting line at the
+    center, written there by ``at(g, center)`` when given (the memo of
+    ``homotopy_check``) and by ``roots_in_disc`` otherwise.
 
     A root list is compared on plain values: v = v(r - center) is a Fraction,
     or the float INF for r == center, which lies in every disc of finite
@@ -186,12 +180,21 @@ def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:
     e < 0.
     """
     if roots is None:
-        return roots_in_disc(g, center, s, closed=closed)
+        return roots_in_disc(g if at is None else at(g, center), center, s,
+                             closed=closed)
     vals = [r.valuation_of_difference(center) for r in roots]
     if s.is_infinite:
         return sum(isinstance(v, float) for v in vals) if closed else 0
     q, tie = s.q, (s.e <= 0 if closed else s.e < 0)
     return sum(isinstance(v, float) or v > q or (tie and v == q) for v in vals)
+
+
+def _degree_in(f: RationalFunction, center, s, closed=True) -> int:
+    """Zeros minus poles of f with v(z - center) >= s (closed) or > s (open),
+    the zeros counted first."""
+    zeros, poles = f.certified_roots or (None, None)
+    return (_count_in_disc(f.num, zeros, center, s, closed)
+            - _count_in_disc(f.den, poles, center, s, closed))
 
 
 class ReducedUnit(Record):
@@ -203,81 +206,68 @@ class ReducedUnit(Record):
         setfield(self, "certified", certified)
 
 
-def _as_given(g: Polynomial, center) -> Polynomial:
-    """g itself: ``roots_in_disc`` recenters it, a root list never reads it."""
-    return g
+def _certify(f: RationalFunction, dom: Domain, error, at=None,
+             sides=("num", "den")):
+    """Certify that the named sides of f, num before den, have no roots on
+    the domain; return the roots of each in each excluded disc, in order.
 
-
-def _side_counts(which: str, poly: Polynomial, roots, dom: Domain,
-                 at=_as_given):
-    """Certify that one side of f has no roots on the domain; return its
-    roots in each excluded disc, in order.
-
-    Counted in the bounding disc first, then in the holes, from the
-    certified root list when there is one, else from ``at(poly, center)``.
+    A side is counted in the bounding disc first, then in the holes, and a
+    root on the domain raises ``error`` with its witness disc.  The zero
+    function raises ZeroElement and a wrong certified root list NotCertified,
+    before anything is counted.  ``at`` writes each polynomial at a center,
+    for the counts (see ``_count_in_disc``) and the witness.
     """
-    if roots is not None:
-        at = _as_given
-    total = _count_in_disc(at(poly, dom.center), roots, dom.center, dom.s)
-    holes = tuple(_count_in_disc(at(poly, d.center), roots, d.center, d.s,
-                                 d.closed) for d in dom.excluded)
-    n = total - sum(holes)
-    if n > 0:
-        raise VanishesOnDomain(f"{which} has {n} root(s) on the domain",
-                               witness=_witness_disc(poly, dom, which))
-    return holes
-
-
-def _certified_hole_counts(f: RationalFunction, dom: Domain, at=_as_given):
-    """Certify that f has neither zeros nor poles on the domain; return the
-    roots of num, then of den, in each excluded disc, in order.
-
-    num is certified before den, so the first failure is always the same
-    one."""
-    return [_side_counts(which, poly, roots, dom, at)
-            for which, (poly, roots) in zip(("num", "den"), _unit_sides(f))]
-
-
-def _unit_sides(f: RationalFunction):
-    """_sides of f, which must be nonzero to be a unit."""
     if f.is_zero():
         raise ZeroElement("the zero function is not a unit anywhere")
-    return _sides(f)
+    lists = f.certified_roots or (None, None)
+    out = []
+    for which, poly, roots in zip(("num", "den"), (f.num, f.den), lists):
+        if which not in sides:
+            continue
+        total = _count_in_disc(poly, roots, dom.center, dom.s, at=at)
+        holes = tuple(_count_in_disc(poly, roots, d.center, d.s, d.closed, at)
+                      for d in dom.excluded)
+        n = total - sum(holes)
+        if n > 0:
+            g = poly if at is None else at(poly, dom.center)
+            raise error(f"{which} has {n} root(s) on the domain",
+                        witness=_witness_disc(g, dom, which))
+        out.append(holes)
+    return out
 
 
 def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
     """Certify that f has neither zeros nor poles on the domain."""
-    _certified_hole_counts(f, dom)
+    _certify(f, dom, VanishesOnDomain)
     return ReducedUnit(f, dom, True)
 
 
 def require_unit(f: RationalFunction, dom: Domain):
     """The hole counts of a certified unit, for queries that need f to be
-    one: a zero or pole on the domain raises NotCertified, with the message
-    and witness of its VanishesOnDomain."""
-    return _not_certified(_certified_hole_counts, f, dom)
-
-
-def _not_certified(certify, *args):
-    """certify(*args), with VanishesOnDomain raised as NotCertified."""
-    try:
-        return certify(*args)
-    except VanishesOnDomain as exc:
-        raise NotCertified(str(exc), witness=exc.witness) from exc
+    one: the roots of num, then of den, in each excluded disc; a zero or pole
+    on the domain raises NotCertified."""
+    return _certify(f, dom, NotCertified)
 
 
 def _witness_disc(poly: Polynomial, dom: Domain, which: str):
     """Where poly has a root on the domain: "s" is sigma, its largest finite
     root valuation at the center, max_{j > i0} (v0 - v_j)/(j - i0), if
-    sigma >= s, else "inf"; the bounding radius if a truncated zero may move it."""
+    sigma >= s, else "inf"; the bounding radius if a truncated zero may move
+    it.  A truncated zero at j > i0 bounds v_j below by its precision p, so
+    sigma is at most the largest of the known ratios and the bound ratios
+    (v0 - p)/(j - i0): below s, that is "inf" on every completion."""
     known, unknown = _coeff_values(poly, dom.center)
     i0, v0 = known[0]  # the lowest term
-    sigma = max(((v0 - v) / (j - i0) for j, v in known[1:]), default=None)
-    if any(j < i0 or sigma is None or (v0 - p) / (j - i0) > sigma
-           for j, p in unknown):
-        sigma = dom.s  # the lowest term, or a larger ratio, may be unknown
-    elif sigma is None or trusted(sigma) < dom.s:
+    ratios = [(v0 - v) / (j - i0) for j, v in known[1:]]
+    sigma = max(ratios, default=None)
+    bound = max(ratios + [(v0 - p) / (j - i0) for j, p in unknown if j > i0],
+                default=None)
+    if any(j < i0 for j, _ in unknown):
+        sigma = dom.s  # the lowest term may be unknown
+    elif bound is None or trusted(bound) < dom.s:
         sigma = "inf"
+    elif bound != sigma:
+        sigma = dom.s  # an unknown coefficient may give a larger ratio
     return {"which": which, "center": dom.center.canonical_str(),
             "s": str(sigma)}
 
@@ -301,9 +291,7 @@ def exterior_degree(f: RationalFunction, dom: Domain) -> int:
     is poles minus zeros in the closed bounding disc, and only that disc is
     counted.
     """
-    (num, zeros), (den, poles) = _sides(f)
-    inside_z = _count_in_disc(num, zeros, dom.center, dom.s)
-    return _count_in_disc(den, poles, dom.center, dom.s) - inside_z
+    return -_degree_in(f, dom.center, dom.s)
 
 
 def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
@@ -316,7 +304,7 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
     """
     if classify(x).type != 2:
         raise ValueError("direction slopes are defined at type-2 points")
-    (num, zeros), (den, poles) = _sides(f)
+    f.certified_roots  # a wrong root list raises before directions are read
     if directions is None:
         directions = list(f.num_roots) + list(f.den_roots)
         if f.num.degree > len(f.num_roots) or f.den.degree > len(f.den_roots):
@@ -333,23 +321,14 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
             reps.append(b)
     reps.sort(key=lambda b: b.canonical_str())
 
-    def count(poly, roots, center, strict_inside):
-        return _count_in_disc(poly, roots, center, x.s, not strict_inside)
-
-    slopes = {}
-    assigned_z = assigned_p = 0
-    for b in reps:
-        z = count(num, zeros, b, True)
-        p = count(den, poles, b, True)
-        assigned_z += z
-        assigned_p += p
-        slopes[f"dir:{b.canonical_str()}"] = z - p
+    slopes = {f"dir:{b.canonical_str()}": _degree_in(f, b, x.s, False)
+              for b in reps}
     # "up" holds everything at distance < s from the center, plus infinity;
-    # deg(div f) = 0 makes that poles minus zeros in the closed disc
-    in_closed_z = count(num, zeros, x.center, False)
-    in_closed_p = count(den, poles, x.center, False)
-    slopes["up"] = in_closed_p - in_closed_z
-    other = (in_closed_z - assigned_z) - (in_closed_p - assigned_p)
+    # deg(div f) = 0 makes that poles minus zeros in the closed disc, and
+    # "other" is what the directions leave of the zeros minus poles in it
+    inside = _degree_in(f, x.center, x.s)
+    other = inside - sum(slopes.values())
+    slopes["up"] = -inside
     if other:
         slopes["other"] = other
     return slopes
@@ -444,12 +423,12 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
     zeros: its numerator needs no count.  When a check fails or runs out of
     precision, the numerator is certified before the answer is given, so a
     non-unit f1 raises NotCertified and never reads as False.  When the
-    denominator fails, f1 is certified as ``require_unit`` does, numerator
-    first.  So the errors are those of certifying f0, then f1.  A
-    denominator that f1 shares with f0 is certified with f0, and its leading
-    form, a nonzero factor of both products, cancels.  Each
+    denominator fails, the numerator is certified before that error is
+    raised.  So the errors are those of certifying f0, then f1, numerator
+    first.  A denominator that f1 shares with f0 is certified with f0, and
+    its leading form, a nonzero factor of both products, cancels.  Each
     polynomial is written at each center once per call, and f1's root
-    counts read those same polynomials.
+    counts and every witness read those same polynomials.
     """
     shifted = {}
 
@@ -460,14 +439,8 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
             out = shifted[key] = g.recenter(center)
         return out
 
-    _not_certified(_certified_hole_counts, f0, dom, at)
-    (num1, zeros), (den1, poles) = _unit_sides(f1)
-    if den1 is not f0.den:  # else it was certified with f0
-        try:
-            _side_counts("den", den1, poles, dom, at)
-        except (VanishesOnDomain, PrecisionExhausted):
-            require_unit(f1, dom)  # raises, on the numerator if that fails
-            raise
+    _certify(f0, dom, NotCertified, at)
+    num1, den1 = f1.num, f1.den
     p = dom.field.residue_char
 
     def small_at(a, s):
@@ -476,14 +449,17 @@ def homotopy_check(f0: RationalFunction, f1: RationalFunction,
             (at(f0.den, a), at(den1, a))
         return _forms_agree(at(num1, a), d0, at(f0.num, a), d1, s, p)
 
+    _certify(f1, dom, NotCertified, at, ())  # f1 = 0, or a wrong root list
     try:
-        small = all(small_at(a, s) for a, s in _shilov_points(dom))
-    except PrecisionExhausted:
-        _not_certified(_side_counts, "num", num1, zeros, dom, at)
+        if den1 is not f0.den:  # else it was certified with f0
+            _certify(f1, dom, NotCertified, at, ("den",))
+        if all(small_at(a, s) for a, s in _shilov_points(dom)):
+            return True
+    except (NotCertified, PrecisionExhausted):
+        _certify(f1, dom, NotCertified, at, ("num",))  # raises if it fails
         raise
-    if not small:
-        _not_certified(_side_counts, "num", num1, zeros, dom, at)
-    return small
+    _certify(f1, dom, NotCertified, at, ("num",))
+    return False
 
 
 def _shilov_points(dom: Domain):

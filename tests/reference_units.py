@@ -19,6 +19,9 @@ log-value class: it reads ``reference_gauss._unique_argmin`` and
 code with the library.  ``_witness_disc`` is kept verbatim from while it
 read the witness of a failed certification off a whole Newton hull.
 ``tests/test_witness_reference.py`` checks the library against both.
+
+``_sides`` is the oracle's own copy of a helper that the library no longer
+has, since its certification became one routine.
 """
 
 from __future__ import annotations
@@ -32,9 +35,16 @@ from berkline.gauss import gauss_valuation, newton_polygon
 from berkline.logvalue import ZERO, LogValue
 from berkline.points import DiscPoint, _dist, classify
 from berkline.poly import Polynomial, RationalFunction
-from berkline.units import (Domain, LeadingClass, _sides, reduced_unit,
+from berkline.units import (Domain, LeadingClass, reduced_unit,
                             require_unit, unit_class)
 from reference_logvalue import RefLogValue
+
+
+def _sides(f: RationalFunction):
+    """((num, its roots), (den, its roots)), each root list None unless f
+    carries certified complete lists."""
+    zeros, poles = f.certified_roots or (None, None)
+    return (f.num, zeros), (f.den, poles)
 
 
 def _count_in_disc(g: Polynomial, roots, center, s, closed=True) -> int:

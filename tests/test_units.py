@@ -16,6 +16,7 @@ from berkline.field import PadicField, PuiseuxField
 from berkline.logvalue import INFINITY
 from berkline.points import _dist
 from berkline.units import _count_in_disc
+from completion import complete_function
 from conftest import rand_padic, rand_puiseux
 
 lv = lambda q, e=0: LogValue(Fraction(q), Fraction(e))
@@ -156,21 +157,45 @@ class TestDomain:
             reduced_unit(f, dom)
         assert exc.value.witness["which"] == "num"
 
-    @pytest.mark.parametrize("known, prec, s, sigma", [
+    @pytest.mark.parametrize("coeffs, s, sigma, decided", [
         # 1 + T + O(t^5) T^3: one root of valuation 0 on v(z) >= 0; the bound
         # t^5 cannot raise the largest root valuation above 0
-        ((1, 1, 0), 5, 0, "0"),
+        ((1, 1, 0, ("O", 5)), 0, "0", True),
         # T + T^2 + O(t^-1) T^3: the root 0 on v(z) >= 1; the bound t^-1
-        # leaves the largest finite root valuation open, so the witness is
-        # the bounding disc
-        ((0, 1, 1), -1, 1, "1"),
+        # keeps the largest finite root valuation at or below 1/2 < 1
+        ((0, 1, 1, ("O", -1)), 1, "inf", True),
+        # t^2 + O(1) T + T^2: both roots on v(z) >= 0; the largest root
+        # valuation lies anywhere from 1 to 2, so the witness is the
+        # bounding disc
+        ((("t", 2), ("O", 0), 1), 0, "0", False),
+        # O(t) + T + T^2: one root on v(z) >= 1, either 0 (the largest
+        # finite root valuation is then 0 < 1) or of valuation >= 1; the
+        # lowest term is unknown, so the witness is the bounding disc
+        ((("O", 1), 1, 1), 1, "1", False),
     ])
-    def test_witness_past_a_truncated_coefficient(self, FQ, known, prec, s,
-                                                  sigma):
-        f = one_rf(FQ, Polynomial.from_coeffs(FQ, [*known, FQ.elem([], prec)]))
+    def test_witness_past_a_truncated_coefficient(self, FQ, coeffs, s, sigma,
+                                                  decided):
+        def coeff(c):
+            if isinstance(c, int):
+                return c
+            kind, q = c
+            return FQ.t(q) if kind == "t" else FQ.elem([], q)
+
+        f = one_rf(FQ, Polynomial.from_coeffs(FQ, [coeff(c) for c in coeffs]))
+        dom = Domain(FQ.zero(), lv(s))
         with pytest.raises(VanishesOnDomain) as exc:
-            reduced_unit(f, Domain(FQ.zero(), lv(s)))
+            reduced_unit(f, dom)
         assert exc.value.witness == {"which": "num", "center": "0", "s": sigma}
+        # a decided witness is that of every exact completion; the bounding
+        # radius stands for witnesses that the completions disagree on
+        rng = random.Random(f"witness/{coeffs}")
+        seen = set()
+        for _ in range(8):
+            with pytest.raises(VanishesOnDomain) as done:
+                reduced_unit(complete_function(rng, f), dom)
+            assert str(done.value) == str(exc.value)
+            seen.add(done.value.witness["s"])
+        assert (seen == {sigma}) if decided else (len(seen) > 1), seen
 
     def test_pair_in_excluded_disc(self, FQ):
         t = FQ.t()
@@ -363,6 +388,49 @@ class TestHomotopy:
                 lj = leading_class(fs[j], dom)
                 assert (li.w, li.res_q, li.res) == (lj.w, lj.res_q, lj.res)
         assert boundary_degrees(fs[0], dom) == boundary_degrees(fs[-1], dom)
+
+    @pytest.mark.parametrize("path", ["checks pass", "a check fails",
+                                      "f0 fails", "f1's den fails"])
+    def test_each_polynomial_written_at_each_center_once(self, FQ, path,
+                                                         monkeypatch):
+        # holes at 0 and at 1; every polynomial is given at t^5, so that
+        # writing it at either center does work
+        dom = Domain(FQ.zero(), lv(-1),
+                     (ExcludedDisc(FQ.zero(), lv(1), closed=False),
+                      ExcludedDisc(FQ.one(), lv(1))))
+        c = FQ.t(5)
+        inside, far = FQ.t(-1), FQ.t(-2)  # on the domain, beyond it
+
+        def rf(zeros, poles=()):
+            return RationalFunction(
+                Polynomial.from_roots(FQ, zeros, center=c),
+                Polynomial.from_roots(FQ, poles, center=c))
+
+        in_holes = [FQ.zero(), FQ.one()]
+        f0 = rf(in_holes + [inside if path == "f0 fails" else far])
+        f1 = {"checks pass": rf(in_holes + [far + FQ.one()]),
+              "a check fails": rf(in_holes + [FQ.zero()]),
+              "f0 fails": rf(in_holes + [far]),
+              "f1's den fails": rf(in_holes + [far], [inside])}[path]
+        writes = []
+        recenter = Polynomial.recenter
+
+        def counted(g, a):
+            if a is not g.center:
+                writes.append((g, a))
+            return recenter(g, a)
+
+        monkeypatch.setattr(Polynomial, "recenter", counted)
+        if path == "checks pass":
+            assert homotopy_check(f0, f1, dom)
+        elif path == "a check fails":
+            assert not homotopy_check(f0, f1, dom)
+        else:
+            which = "num" if path == "f0 fails" else "den"
+            with pytest.raises(NotCertified, match=f"^{which} has 1 root"):
+                homotopy_check(f0, f1, dom)
+        pairs = [(id(g), id(a)) for g, a in writes]
+        assert writes and len(set(pairs)) == len(pairs)
 
 
 def test_leading_class_of_zero_raises(FQ):
