@@ -157,24 +157,47 @@ class TestDomain:
             reduced_unit(f, dom)
         assert exc.value.witness["which"] == "num"
 
-    @pytest.mark.parametrize("coeffs, s, sigma, decided", [
+    def _witness_on_completions(self, f, dom, seed):
+        # the witness of f, after checking that 8 exact completions of f
+        # raise the same message; returns it with the completions' radii
+        with pytest.raises(VanishesOnDomain) as exc:
+            reduced_unit(f, dom)
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(8):
+            with pytest.raises(VanishesOnDomain) as done:
+                reduced_unit(complete_function(rng, f), dom)
+            assert str(done.value) == str(exc.value)
+            seen.add(done.value.witness["s"])
+        return exc.value.witness, seen
+
+    @pytest.mark.parametrize("known, prec, s, sigma", [
         # 1 + T + O(t^5) T^3: one root of valuation 0 on v(z) >= 0; the bound
         # t^5 cannot raise the largest root valuation above 0
-        ((1, 1, 0, ("O", 5)), 0, "0", True),
+        ((1, 1, 0), 5, 0, "0"),
         # T + T^2 + O(t^-1) T^3: the root 0 on v(z) >= 1; the bound t^-1
         # keeps the largest finite root valuation at or below 1/2 < 1
-        ((0, 1, 1, ("O", -1)), 1, "inf", True),
+        ((0, 1, 1), -1, 1, "inf"),
+    ])
+    def test_witness_past_a_truncated_coefficient(self, FQ, known, prec, s,
+                                                  sigma):
+        f = one_rf(FQ, Polynomial.from_coeffs(FQ, [*known, FQ.elem([], prec)]))
+        witness, seen = self._witness_on_completions(
+            f, Domain(FQ.zero(), lv(s)), f"witness/{known}/{prec}")
+        assert witness == {"which": "num", "center": "0", "s": sigma}
+        # a decided witness is that of every exact completion
+        assert seen == {sigma}, seen
+
+    @pytest.mark.parametrize("coeffs, s", [
         # t^2 + O(1) T + T^2: both roots on v(z) >= 0; the largest root
-        # valuation lies anywhere from 1 to 2, so the witness is the
-        # bounding disc
-        ((("t", 2), ("O", 0), 1), 0, "0", False),
+        # valuation lies anywhere from 1 to 2
+        ((("t", 2), ("O", 0), 1), 0),
         # O(t) + T + T^2: one root on v(z) >= 1, either 0 (the largest
         # finite root valuation is then 0 < 1) or of valuation >= 1; the
-        # lowest term is unknown, so the witness is the bounding disc
-        ((("O", 1), 1, 1), 1, "1", False),
+        # lowest term is unknown
+        ((("O", 1), 1, 1), 1),
     ])
-    def test_witness_past_a_truncated_coefficient(self, FQ, coeffs, s, sigma,
-                                                  decided):
+    def test_undecided_witness_is_the_bounding_disc(self, FQ, coeffs, s):
         def coeff(c):
             if isinstance(c, int):
                 return c
@@ -182,20 +205,12 @@ class TestDomain:
             return FQ.t(q) if kind == "t" else FQ.elem([], q)
 
         f = one_rf(FQ, Polynomial.from_coeffs(FQ, [coeff(c) for c in coeffs]))
-        dom = Domain(FQ.zero(), lv(s))
-        with pytest.raises(VanishesOnDomain) as exc:
-            reduced_unit(f, dom)
-        assert exc.value.witness == {"which": "num", "center": "0", "s": sigma}
-        # a decided witness is that of every exact completion; the bounding
-        # radius stands for witnesses that the completions disagree on
-        rng = random.Random(f"witness/{coeffs}")
-        seen = set()
-        for _ in range(8):
-            with pytest.raises(VanishesOnDomain) as done:
-                reduced_unit(complete_function(rng, f), dom)
-            assert str(done.value) == str(exc.value)
-            seen.add(done.value.witness["s"])
-        assert (seen == {sigma}) if decided else (len(seen) > 1), seen
+        witness, seen = self._witness_on_completions(
+            f, Domain(FQ.zero(), lv(s)), f"witness/{coeffs}")
+        assert witness == {"which": "num", "center": "0", "s": str(s)}
+        # the bounding radius stands for witnesses that the completions
+        # disagree on
+        assert len(seen) > 1, seen
 
     def test_pair_in_excluded_disc(self, FQ):
         t = FQ.t()
