@@ -219,11 +219,16 @@ def _validator(name):
 def _validate(name, payload):
     if _acceptor().accepts(name, payload):
         return
-    from jsonschema.exceptions import best_match
+    try:
+        from jsonschema.exceptions import best_match
+        validator = _validator(name)
+    except ImportError:
+        # without jsonschema the rejection stands, worded in general terms
+        raise SchemaError(f"{name}: payload does not match the schema") from None
 
     # jsonschema words the rejection; should it find no error, it stays the
     # authority and the payload passes
-    error = best_match(_validator(name).iter_errors(payload))
+    error = best_match(validator.iter_errors(payload))
     if error is not None:
         raise SchemaError(f"{name}: {error.message}")
 

@@ -10,7 +10,9 @@ smallest member truncates a type-4 point.
 from __future__ import annotations
 
 from ._record import Record, setfield
-from .errors import ChainNotStabilized, MalformedChain, PointOutsideDisc
+from .errors import (ChainNotStabilized, IndexNotSubset, MalformedChain,
+                     PointOutsideDisc)
+from .field import INF
 from .gauss import gauss_valuation, root_count_annulus
 from .logvalue import INFINITY, LogValue, as_logvalue, trusted
 
@@ -30,15 +32,14 @@ class DiscPoint(Record):
         """Disc containment: other's disc lies inside this one."""
         if self.s > other.s:
             return False
-        d = _dist(self.center, other.center)
-        return d >= self.s
+        return _within(self.center, other.center, self.s)
 
     def same_point(self, other) -> bool:
         if not isinstance(other, DiscPoint):
             return False
         if self.s != other.s:
             return False
-        return _dist(self.center, other.center) >= self.s
+        return _within(self.center, other.center, self.s)
 
     # value-based equality: two discs are the same point iff the radii agree
     # and the centers are within the radius of one another
@@ -89,6 +90,22 @@ def _dist(a, b) -> LogValue:
     # a Fraction, or the float INF for equal operands; a type test is far
     # cheaper than comparing a Fraction with a float
     return INFINITY if isinstance(v, float) else trusted(v)
+
+
+def _within(a, b, s: LogValue, closed=True) -> bool:
+    """Whether v(a - b) >= s (closed) or > s (open), on plain values.
+
+    +infinity (a is b, as in ``_dist``, or the float INF for a == b) reaches
+    every radius when closed and every finite one when open.  A rational v
+    reaches a finite s when v > s.q, or when v == s.q and the eps part e of s
+    allows it: (v, 0) >= (s.q, e) when e <= 0, (v, 0) > (s.q, e) when e < 0.
+    """
+    v = INF if a is b else a.valuation_of_difference(b)
+    if isinstance(v, float):
+        return closed or not s.is_infinite
+    if s.is_infinite:
+        return False
+    return v > s.q or (v == s.q and (s.e <= 0 if closed else s.e < 0))
 
 
 class PointClassification(Record):
@@ -174,10 +191,9 @@ def restrict_coords(cv: CoordVector, A) -> CoordVector:
     A = tuple(A)
     pos = []
     for a in A:
-        hit = next((i for i, b in enumerate(cv.index) if (a - b).is_zero()), None)
+        hit = next((i for i, b in enumerate(cv.index)
+                    if _within(a, b, INFINITY)), None)
         if hit is None:
-            from .errors import IndexNotSubset
-
             raise IndexNotSubset(f"{a!r} is not in the larger index set")
         pos.append(hit)
     return CoordVector(A, tuple(cv.values[i] for i in pos))

@@ -34,7 +34,7 @@ from .field import PadicElem, PuiseuxElem
 from .gauss import (_classify, _coeff_values, _exhausted, _lowest_term,
                     _supporting_line, roots_in_disc)
 from .logvalue import LogValue, as_logvalue, trusted
-from .points import DiscPoint, _dist, classify
+from .points import DiscPoint, _within, classify
 from .poly import Polynomial, RationalFunction
 
 
@@ -127,19 +127,6 @@ class ExcludedDisc(Record):
             raise BadDomain("an open disc of radius zero excludes nothing")
 
 
-def _meet(di: ExcludedDisc, dj: ExcludedDisc) -> bool:
-    """Whether two excluded discs share a point.
-
-    With d = v(ci - cj) and m = min(si, sj), the smaller disc's center lies
-    in the larger disc's interior when d > m, so they meet; when d = m they
-    meet exactly when a disc of radius m is closed (its boundary circle holds
-    the other center, or the other disc's boundary points); when d < m they
-    are apart.
-    """
-    d, m = _dist(di.center, dj.center), min(di.s, dj.s)
-    return d > m or (d == m and any(x.closed for x in (di, dj) if x.s == m))
-
-
 class Domain(Record):
     """Closed disc v(z - center) >= s minus pairwise disjoint excluded discs."""
 
@@ -152,12 +139,16 @@ class Domain(Record):
         for d in self.excluded:
             if not d.s > self.s:
                 raise BadDomain("excluded disc must be strictly smaller")
-            if not _dist(d.center, self.center) >= self.s:
+            if not _within(d.center, self.center, self.s):
                 raise BadDomain("excluded disc center outside the bounding disc")
         for i in range(len(self.excluded)):
             for j in range(i + 1, len(self.excluded)):
                 di, dj = self.excluded[i], self.excluded[j]
-                if _meet(di, dj):
+                # they meet when v(ci - cj) > m = min(si, sj), or when it
+                # is m and a disc of radius m is closed
+                m = min(di.s, dj.s)
+                closed = any(x.closed for x in (di, dj) if x.s == m)
+                if _within(di.center, dj.center, m, closed):
                     raise BadDomain(f"excluded discs {i} and {j} are not disjoint")
 
     @property
@@ -170,23 +161,11 @@ def _count_in_disc(g: Polynomial, roots, center, s, closed=True,
     """Roots of g with v(z - center) >= s (closed) or > s (open): counted from
     its certified root list when given, else from its supporting line at the
     center, written there by ``at(g, center)`` when given (the memo of
-    ``homotopy_check``) and by ``roots_in_disc`` otherwise.
-
-    A root list is compared on plain values: v = v(r - center) is a Fraction,
-    or the float INF for r == center, which lies in every disc of finite
-    radius and in the closed disc of infinite radius only.  A finite v lies
-    in the disc when v > s.q, or when v == s.q and the eps part e of s
-    allows it: (v, 0) >= (s.q, e) when e <= 0, and (v, 0) > (s.q, e) when
-    e < 0.
-    """
+    ``homotopy_check``) and by ``roots_in_disc`` otherwise."""
     if roots is None:
         return roots_in_disc(g if at is None else at(g, center), center, s,
                              closed=closed)
-    vals = [r.valuation_of_difference(center) for r in roots]
-    if s.is_infinite:
-        return sum(isinstance(v, float) for v in vals) if closed else 0
-    q, tie = s.q, (s.e <= 0 if closed else s.e < 0)
-    return sum(isinstance(v, float) or v > q or (tie and v == q) for v in vals)
+    return sum(_within(r, center, s, closed) for r in roots)
 
 
 def _degree_in(f: RationalFunction, center, s, closed=True) -> int:
@@ -315,9 +294,9 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
     # deduplicate direction centers: same direction iff within the open disc
     reps = []
     for b in directions:
-        if _dist(b, x.center) < x.s:
+        if not _within(b, x.center, x.s):
             continue  # that direction is "up"
-        if not any(_dist(b, r) > x.s for r in reps):
+        if not any(_within(b, r, x.s, False) for r in reps):
             reps.append(b)
     reps.sort(key=lambda b: b.canonical_str())
 

@@ -11,7 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from berkline import serialize as ser
-from berkline.cli import _PAYLOAD_FLAGS, COMMANDS, main
+from berkline.cli import _PAYLOAD_FLAGS, COMMANDS, _validator, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = "src/berkline/schemas/berkline.schema.json"
@@ -286,6 +286,21 @@ class TestErrors:
                                     "--point", '{"kind":"circle"}'])
         assert code == 2
         assert "schema" in err
+
+    @pytest.mark.parametrize("blocked", [
+        ("jsonschema",), ("jsonschema", "jsonschema.exceptions")])
+    def test_rejection_without_jsonschema_exit_2(self, capsys, monkeypatch,
+                                                 blocked):
+        # a validator cached by an earlier test would skip the import
+        _validator.cache_clear()
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        path = ROOT / "perfbench" / "problems" / "classify__bad_schema.json"
+        code, out, err = run(capsys, ["classify", "--problem", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema",
+            "detail": "classify: payload does not match the schema"}
 
     def test_domain_error_exit_3(self, capsys):
         fld = ser.field_from_json(json.loads(FIELD_Q))

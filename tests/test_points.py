@@ -9,7 +9,8 @@ from berkline import (ChainPoint, DiscPoint, INFINITY, LogValue, PadicField,
                       Polynomial, PuiseuxField, classify, coords, eval_point,
                       gauss_valuation, meet, restrict_coords, roots_in_disc)
 from berkline.errors import (BerkError, ChainNotStabilized, IndexNotSubset,
-                             MalformedChain, PointOutsideDisc)
+                             MalformedChain, PointOutsideDisc,
+                             PrecisionExhausted)
 from conftest import rand_puiseux
 from test_lattice_routes import rand_elem, rand_poly, rand_trunc
 
@@ -134,6 +135,19 @@ class TestCoords:
         A = [FQ.zero(), FQ.t()]
         cv = coords(DiscPoint(FQ.zero(), lv(1)), A)
         assert restrict_coords(cv, A).values == cv.values
+
+    def test_restrict_finds_a_truncated_center(self, FQ):
+        a = FQ.elem([(0, 1)], 4)  # 1 + O(t^4)
+        cv = coords(DiscPoint(FQ.zero(), lv(2)), [a, FQ.t()])
+        # the very object the coordinates were indexed by
+        assert restrict_coords(cv, [a]).values == cv.values[:1]
+        # an equal-looking 1 + O(t^4) may or may not be a
+        with pytest.raises(PrecisionExhausted) as exc:
+            restrict_coords(cv, [FQ.elem([(0, 1)], 4)])
+        assert str(exc.value) == "valuation only known to be >= 4"
+        # 1 + t + O(t^4) is not
+        with pytest.raises(IndexNotSubset):
+            restrict_coords(cv, [FQ.elem([(0, 1), (1, 1)], 4)])
 
     def test_restrict_compatibility(self, FQ):
         rng = random.Random(6)

@@ -7,7 +7,8 @@ stream draws equal operands (INF), pairs that share a leading part and
 differ further out, pairs whose coefficients differ only in their
 denominator, and pairs whose difference is a truncated zero.
 ``a.valuation_of_difference(b)`` must return what ``(a - b).valuation()``
-returns, or raise the same error with the same message and witness.
+returns, or raise the same error with the same message and witness, and
+``points._within`` must answer as comparing ``points._dist`` with the radius.
 """
 
 import random
@@ -18,7 +19,7 @@ import pytest
 from berkline import INF, PadicField, PuiseuxField
 from berkline.errors import BackendMismatch, PrecisionExhausted
 from berkline.logvalue import INFINITY, LogValue
-from berkline.points import _dist
+from berkline.points import _dist, _within
 
 EXPONENTS = [Fraction(n, d) for n in range(-2, 7) for d in (1, 2, 3)] + [
     Fraction(1, 1024), Fraction(3, 1024), Fraction(-5, 1024),
@@ -106,6 +107,14 @@ def _check(x, y):
     if not isinstance(got, tuple):
         assert type(got) is type((x - y).valuation())
         assert _dist(x, y) == (INFINITY if got == INF else LogValue(got))
+    # _within against comparing _dist: radii at the distance with each sign
+    # of eps part, and +infinity
+    q = got if isinstance(got, Fraction) else Fraction(0)
+    for s in [LogValue(q, e) for e in (-1, 0, 1)] + [INFINITY]:
+        assert (_outcome(lambda: _within(x, y, s, True))
+                == _outcome(lambda: _dist(x, y) >= s)), (x, y, s)
+        assert (_outcome(lambda: _within(x, y, s, False))
+                == _outcome(lambda: _dist(x, y) > s)), (x, y, s)
     return got
 
 
