@@ -22,9 +22,10 @@ Two backends are provided:
   The valuation is read off the ints once and cached; ``value`` is a
   ``Fraction`` view for callers that want one.
 
-Both element classes answer ``valuation_of_difference(other)``, the
-valuation of ``self - other``, straight from the two operands' ints without
-building the difference; ultrametric distances are read this way.
+Both element classes read v(self - other) off the two operands' ints in one
+kernel, ``_vdiff(other)``, without building the difference: ints ``(e, den)``
+for e/den, or None for equal exact elements.  ``valuation_of_difference`` is
+its Fraction view; ``points`` compares the ints with radii.
 
 The norm normalization is |x| = 2**(-v(x)) throughout, so the uniformizer
 (t, respectively p) has norm 1/2.
@@ -240,6 +241,12 @@ def _check_same_field(x, y):
         raise BackendMismatch(f"mixed operands: {x.field!r} vs {y.field!r}")
 
 
+def _valuation_of_difference(self, other):
+    """valuation(self - other): the Fraction of ``_vdiff``, INF for None."""
+    v = self._vdiff(other)
+    return INF if v is None else Fraction(*v)
+
+
 def _lattice_bound(prec, den) -> int:
     """ceil(prec*den) for a Fraction prec: for an int e, e/den < prec exactly
     when e < _lattice_bound(prec, den)."""
@@ -326,9 +333,9 @@ class PuiseuxElem(Record):
     bound or INF.  Results are built by ``_lattice_terms``, most of them
     through ``_lattice_elem``, except where they are canonical by
     construction (negation, zeros, the inverse of a monomial).  Equal values
-    therefore have equal fields, which is what equality and hash compare.  ``valuation_of_difference`` reads
-    v(a - b) by walking both lattices to the first term where they differ,
-    without building a - b.
+    therefore have equal fields, which is what equality and hash compare.
+    ``_vdiff`` reads v(a - b) by walking both lattices to the first term
+    where they differ, without building a - b.
     """
 
     _fields = ("field", "exps", "nums", "den", "cden", "prec")
@@ -386,8 +393,9 @@ class PuiseuxElem(Record):
     def valuation_lower_bound(self):
         return self._lead if self.exps else self.prec
 
-    def valuation_of_difference(self, other):
-        """valuation(self - other), read off both operands' lattices.
+    def _vdiff(self, other):
+        """valuation(self - other) as ints (e, den), den > 0, meaning e/den;
+        None when the two are equal exact elements.
 
         The two exponent lists, put on one denominator, agree term by term up
         to the first exponent where the difference has a nonzero
@@ -420,12 +428,14 @@ class PuiseuxElem(Record):
                 e = None
         prec = min(self.prec, other.prec)
         if e is not None and (prec == INF or e < _lattice_bound(prec, den)):
-            return Fraction(e, den)
+            return e, den
         if prec == INF:
-            return INF
+            return None
         raise PrecisionExhausted(
             f"valuation only known to be >= {prec}", witness=str(prec)
         )
+
+    valuation_of_difference = _valuation_of_difference
 
     def __bool__(self):
         return bool(self.exps)
@@ -603,8 +613,8 @@ class PadicElem(Record):
     ``num`` and ``den`` are ints with ``den > 0`` and gcd(num, den) == 1,
     so zero is (0, 1).  Every result is reduced once, as it is built, so
     equal values have equal fields, which is what equality and hash
-    compare.  ``valuation_of_difference`` reads v(a - b) as
-    v(n1*d2 - n2*d1) - v(d1*d2) without building a - b.
+    compare.  ``_vdiff`` reads v(a - b) as v(n1*d2 - n2*d1) - v(d1*d2)
+    without building a - b.
     """
 
     _fields = ("field", "num", "den")
@@ -638,15 +648,17 @@ class PadicElem(Record):
 
     valuation_lower_bound = valuation
 
-    def valuation_of_difference(self, other):
-        """valuation(self - other), from the four ints."""
+    def _vdiff(self, other):
+        """valuation(self - other) as ints (v, 1); None when they are equal."""
         _check_same_field(self, other)
         d1, d2 = self.den, other.den
         n = self.num * d2 - other.num * d1
         if not n:
-            return INF
+            return None
         p = self.field.p
-        return Fraction(_vp(n, p) - _vp(d1 * d2, p))
+        return _vp(n, p) - _vp(d1 * d2, p), 1
+
+    valuation_of_difference = _valuation_of_difference
 
     def __bool__(self):
         return self.num != 0

@@ -9,10 +9,11 @@ smallest member truncates a type-4 point.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ._record import Record, setfield
 from .errors import (ChainNotStabilized, IndexNotSubset, MalformedChain,
                      PointOutsideDisc)
-from .field import INF
 from .gauss import gauss_valuation, root_count_annulus
 from .logvalue import INFINITY, LogValue, as_logvalue, trusted
 
@@ -84,28 +85,30 @@ def _dist(a, b) -> LogValue:
     ``Polynomial.recenter``, the same object is the same point, though the
     difference of a truncated element with itself is a truncated zero.
     """
-    if a is b:
-        return INFINITY
-    v = a.valuation_of_difference(b)
-    # a Fraction, or the float INF for equal operands; a type test is far
-    # cheaper than comparing a Fraction with a float
-    return INFINITY if isinstance(v, float) else trusted(v)
+    v = None if a is b else a._vdiff(b)
+    return INFINITY if v is None else trusted(Fraction(*v))
 
 
 def _within(a, b, s: LogValue, closed=True) -> bool:
-    """Whether v(a - b) >= s (closed) or > s (open), on plain values.
+    """Whether v(a - b) >= s (closed) or > s (open), on ints.
 
-    +infinity (a is b, as in ``_dist``, or the float INF for a == b) reaches
-    every radius when closed and every finite one when open.  A rational v
-    reaches a finite s when v > s.q, or when v == s.q and the eps part e of s
-    allows it: (v, 0) >= (s.q, e) when e <= 0, (v, 0) > (s.q, e) when e < 0.
+    +infinity (a is b, as in ``_dist``, or a == b) reaches every radius when
+    closed and every finite one when open.  A rational v = e/den reaches a
+    finite s = (q, eps) when v > q, or when v == q and the eps part allows
+    it: (v, 0) >= (q, eps) when eps <= 0, (v, 0) > (q, eps) when eps < 0.
+    Both tests compare ints: the sign of e*q.denominator - q.numerator*den,
+    and the sign of eps.numerator.
     """
-    v = INF if a is b else a.valuation_of_difference(b)
-    if isinstance(v, float):
+    v = None if a is b else a._vdiff(b)
+    if v is None:
         return closed or not s.is_infinite
     if s.is_infinite:
         return False
-    return v > s.q or (v == s.q and (s.e <= 0 if closed else s.e < 0))
+    e, den = v
+    q = s.q
+    c = e * q.denominator - q.numerator * den
+    return c > 0 or (c == 0 and (s.e.numerator <= 0 if closed
+                                 else s.e.numerator < 0))
 
 
 class PointClassification(Record):

@@ -298,10 +298,9 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
             continue  # that direction is "up"
         if not any(_within(b, r, x.s, False) for r in reps):
             reps.append(b)
-    reps.sort(key=lambda b: b.canonical_str())
+    named = sorted([(b.canonical_str(), b) for b in reps], key=lambda nb: nb[0])
 
-    slopes = {f"dir:{b.canonical_str()}": _degree_in(f, b, x.s, False)
-              for b in reps}
+    slopes = {f"dir:{name}": _degree_in(f, b, x.s, False) for name, b in named}
     # "up" holds everything at distance < s from the center, plus infinity;
     # deg(div f) = 0 makes that poles minus zeros in the closed disc, and
     # "other" is what the directions leave of the zeros minus poles in it

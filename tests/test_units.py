@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+import berkline.units as units
 from berkline import (DiscPoint, Domain, ExcludedDisc, LogValue, Polynomial,
                       RationalFunction, boundary_degrees, char_poly_point,
                       direction_slopes, eval_point, exterior_degree,
                       gauss_valuation, homotopy_check, leading_class,
                       reduced_unit, unit_class)
-from berkline.errors import (BadDomain, NotCertified, VanishesOnDomain,
+from berkline.errors import (BackendMismatch, BadDomain, NotCertified,
+                             PrecisionExhausted, VanishesOnDomain,
                              ZeroElement)
-from berkline.field import PadicField, PuiseuxField
+from berkline.field import INF, PadicField, PuiseuxField
 from berkline.logvalue import INFINITY
 from berkline.points import _dist
 from berkline.units import _count_in_disc
@@ -490,14 +492,58 @@ class TestHomotopyPuncturedDisc:
         assert not homotopy_check(one, f1, dom)
 
 
-@pytest.mark.parametrize("fld", [PuiseuxField(0), PuiseuxField(3), PadicField(3)],
-                         ids=["Q", "F3", "Q3"])
-def test_root_list_counts_match_logvalue_comparisons(fld):
-    """Counting a root list on plain valuations agrees with comparing the
-    log-distances _dist(r, c) >= s (closed) and > s (open)."""
+def _outcome(fn):
+    """The value fn() returns, or (type, message, witness) of its error."""
+    try:
+        return fn()
+    except (BackendMismatch, PrecisionExhausted) as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _count_by_dist(roots, center, s, closed):
+    """sum(_dist(r, center) >= s) (closed) or > s (open), by outcome, and the
+    index of the root that raised, if one did."""
+    n = 0
+    for i, r in enumerate(roots):
+        d = _outcome(lambda: _dist(r, center))
+        if isinstance(d, tuple):
+            return d, i
+        n += d >= s if closed else d > s
+    return n, None
+
+
+# roots from other fields than the ones drawn from below
+FOREIGN = (PuiseuxField(5).one(), PadicField(5).one())
+
+
+@pytest.mark.parametrize(
+    "fld", [PuiseuxField(0), PuiseuxField(2), PuiseuxField(3), PadicField(2),
+            PadicField(3)],
+    ids=["Q", "F2", "F3", "Q2", "Q3"])
+def test_root_list_counts_match_logvalue_comparisons(fld, monkeypatch):
+    """Counting a root list on plain valuations agrees, by outcome, with
+    comparing the log-distances _dist(r, c) >= s (closed) and > s (open):
+    the count, or the type, message and witness of the error, raised by the
+    same first root.  Roots and centers are exact or truncated, and some
+    lists hold a root from another field."""
     rng = random.Random(1704)
-    make = ((lambda: rand_padic(rng, fld)) if isinstance(fld, PadicField)
-            else (lambda: rand_puiseux(rng, fld)))
+    padic = isinstance(fld, PadicField)
+
+    def make():
+        if padic:
+            return rand_padic(rng, fld)
+        x = rand_puiseux(rng, fld)
+        if rng.random() < 0.3:
+            x = x.truncated(Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))))
+        return x
+
+    asked, within = [], units._within
+
+    def recording(a, b, s, closed=True):
+        asked.append(a)
+        return within(a, b, s, closed)
+
+    monkeypatch.setattr(units, "_within", recording)
     seen = set()
     for _ in range(2000):
         center = make()
@@ -505,29 +551,40 @@ def test_root_list_counts_match_logvalue_comparisons(fld):
         if rng.random() < 0.3:
             # the center itself, and an equal element that is another object
             roots += [center, type(center)(*center._values(center))]
+        if rng.random() < 0.05:
+            roots.insert(rng.randint(0, len(roots)), rng.choice(FOREIGN))
         if rng.random() < 0.15:
             s = INFINITY
         else:
             # radii at the roots' distances, so that ties are common
-            dists = [_dist(r, center) for r in roots]
-            qs = [d.q for d in dists if not d.is_infinite] or [Fraction(0)]
-            q = rng.choice(qs) + rng.choice([0, 0, 0, Fraction(-1, 2), 1])
+            dists = [_outcome(lambda: _dist(r, center)) for r in roots]
+            qs = [d.q for d in dists
+                  if isinstance(d, LogValue) and not d.is_infinite]
+            q = (rng.choice(qs or [Fraction(0)])
+                 + rng.choice([0, 0, 0, Fraction(-1, 2), Fraction(1, 3), 1]))
             s = lv(q, rng.choice([-1, Fraction(-1, 3), 0, 0, Fraction(1, 2), 2]))
-        poly = Polynomial.from_roots(fld, roots)
         for closed in (True, False):
-            got = _count_in_disc(poly, roots, center, s, closed)
-            want = sum(1 for r in roots
-                       if (_dist(r, center) >= s if closed
-                           else _dist(r, center) > s))
-            assert got == want
+            asked.clear()
+            got = _outcome(lambda: _count_in_disc(None, roots, center, s, closed))
+            want, first = _count_by_dist(roots, center, s, closed)
+            assert got == want, (roots, center, s, closed)
+            if first is not None:
+                assert len(asked) == first + 1 and asked[-1] is roots[first]
+                seen.add(want[0].__name__)
+                continue
             ties = sum(1 for r in roots if _dist(r, center).q == s.q)
             seen.add(("closed" if closed else "open",
                       "inf" if s.is_infinite else (s.e > 0) - (s.e < 0),
                       "tie" if ties else "no tie"))
-        if any(r.valuation_of_difference(center) == float("inf") for r in roots):
+            if any(not r.is_exact for r in roots + [center]):
+                seen.add("truncated, counted")
+        if any(_outcome(lambda: r.valuation_of_difference(center)) == INF
+               for r in roots):
             seen.add("root at the center")
     for kind in ("closed", "open"):
         for e in (-1, 0, 1):
             assert (kind, e, "tie") in seen
         assert (kind, "inf", "tie") in seen and (kind, "inf", "no tie") in seen
-    assert "root at the center" in seen
+    assert {"root at the center", "BackendMismatch"} <= seen
+    if not padic:
+        assert {"truncated, counted", "PrecisionExhausted"} <= seen

@@ -7,8 +7,11 @@ stream draws equal operands (INF), pairs that share a leading part and
 differ further out, pairs whose coefficients differ only in their
 denominator, and pairs whose difference is a truncated zero.
 ``a.valuation_of_difference(b)`` must return what ``(a - b).valuation()``
-returns, or raise the same error with the same message and witness, and
-``points._within`` must answer as comparing ``points._dist`` with the radius.
+returns, or raise the same error with the same message and witness, and so
+must the int kernel ``a._vdiff(b)`` under it: ``(e, den)`` with den > 0 and
+e/den the valuation, or None where it is +infinity.  ``points._within``
+must answer as comparing ``points._dist`` with the radius, and on exact
+operands build no ``Fraction``.
 """
 
 import random
@@ -20,6 +23,7 @@ from berkline import INF, PadicField, PuiseuxField
 from berkline.errors import BackendMismatch, PrecisionExhausted
 from berkline.logvalue import INFINITY, LogValue
 from berkline.points import _dist, _within
+from berkline.units import _count_in_disc
 
 EXPONENTS = [Fraction(n, d) for n in range(-2, 7) for d in (1, 2, 3)] + [
     Fraction(1, 1024), Fraction(3, 1024), Fraction(-5, 1024),
@@ -102,8 +106,19 @@ def _outcome(fn):
 
 
 def _check(x, y):
+    want = _outcome(lambda: (x - y).valuation())
     got = _outcome(lambda: x.valuation_of_difference(y))
-    assert got == _outcome(lambda: (x - y).valuation()), (x, y)
+    assert got == want, (x, y)
+    # the kernel: the same error, None at +infinity, else int (e, den)
+    ints = _outcome(lambda: x._vdiff(y))
+    if isinstance(want, tuple):
+        assert ints == want, (x, y)
+    elif want == INF:
+        assert ints is None, (x, y)
+    else:
+        e, den = ints
+        assert type(e) is int and type(den) is int and den > 0, (x, y)
+        assert Fraction(e, den) == want, (x, y)
     if not isinstance(got, tuple):
         assert type(got) is type((x - y).valuation())
         assert _dist(x, y) == (INFINITY if got == INF else LogValue(got))
@@ -172,6 +187,8 @@ def test_mixed_fields_raise_like_subtraction():
         PuiseuxField(2).one().valuation_of_difference(PuiseuxField(3).one())
     with pytest.raises(BackendMismatch):
         PadicField(2).one().valuation_of_difference(PadicField(3).one())
+    with pytest.raises(BackendMismatch):
+        PadicField(2).one()._vdiff(PuiseuxField(2).one())
 
 
 @pytest.mark.parametrize("fld", [PuiseuxField(0), PadicField(3)])
@@ -186,3 +203,41 @@ def test_dist_builds_no_difference(fld, monkeypatch):
         monkeypatch.setattr(cls, name, refuse)
     assert _dist(a, b) == _dist(b, a)
     assert _dist(a, a) == INFINITY
+
+
+@pytest.mark.parametrize("fld", [PuiseuxField(0), PuiseuxField(3), PadicField(3)],
+                         ids=["Q", "F3", "Q3"])
+def test_within_on_exact_operands_builds_no_fraction(fld, monkeypatch):
+    """_within compares ints, and so does a count over an exact root list
+    at a rational radius: no Fraction is built, per pair or per root."""
+    rng = random.Random(8200)
+    if isinstance(fld, PadicField):
+        pool = [fld.elem(_padic_value(rng, fld.p)) for _ in range(20)]
+    else:
+        pool = [fld.elem([(rng.choice(EXPONENTS), _coef(rng, fld.char))
+                          for _ in range(rng.randint(0, 4))])
+                for _ in range(20)]
+    pairs = [(x, y) for x in pool for y in pool]
+    pairs += [(x, type(x)(*x._values(x))) for x in pool]
+    roots, center = pool[:8], pool[8]
+    radii = [LogValue(Fraction(q), e) for q in (-2, Fraction(1, 2), 3)
+             for e in (-1, 0, 1)] + [INFINITY]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for x, y in pairs:
+        for s in radii:
+            _within(x, y, s, True)
+            _within(x, y, s, False)
+    counts = [_count_in_disc(None, roots, center, s, closed)
+              for s in radii[:-1] for closed in (True, False)]
+    monkeypatch.undo()
+    assert built == []
+    assert counts == [sum(_dist(r, center) >= s if closed
+                          else _dist(r, center) > s for r in roots)
+                      for s in radii[:-1] for closed in (True, False)]
