@@ -13,7 +13,8 @@ any other exception, a defect in berkline itself, reported as
 traceback.
 
 Payloads are validated before dispatch against the command's entry in
-``schemas/berkline.schema.json``, shipped with the package.  A built-in
+``schemas/berkline.schema.json``, shipped with the package; the entry's
+top-level ``properties`` are also the command's flags.  A built-in
 acceptor decides validity over exactly the keywords that document uses
 (``type``, ``$ref``, ``required``, ``properties``, ``additionalProperties``,
 ``items``, ``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
@@ -37,10 +38,6 @@ import re
 import sys
 
 from .errors import BerkError
-
-COMMANDS = ("eval", "classify", "skeleton", "np", "sheaf", "balance",
-            "homotopy", "cancel")
-
 
 class SchemaError(Exception):
     pass
@@ -430,16 +427,7 @@ _DISPATCH = {
     "cancel": _cmd_cancel,
 }
 
-_PAYLOAD_FLAGS = {
-    "eval": ["field", "poly", "point"],
-    "classify": ["field", "point"],
-    "skeleton": ["field", "centers", "s_floor", "format"],
-    "np": ["field", "poly", "count"],
-    "sheaf": ["field", "centers", "s_floor", "sheaf", "n"],
-    "balance": ["field", "f", "point", "directions", "domain"],
-    "homotopy": ["field", "f0", "f1", "domain"],
-    "cancel": ["field", "g", "N", "annulus", "section"],
-}
+COMMANDS = tuple(_DISPATCH)
 
 _DEFAULT_FIELD = {"backend": "puiseux", "char": 0}
 
@@ -453,7 +441,7 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--problem", help="JSON problem file ('-' for stdin)")
-        for flag in _PAYLOAD_FLAGS[name]:
+        for flag in _schema_defs()[name]["properties"]:
             p.add_argument(f"--{flag}")
     return top
 
@@ -473,7 +461,7 @@ def _assemble_payload(args):
             raise SchemaError("problem file payload must be a JSON object")
     else:
         payload = {}
-    for flag in _PAYLOAD_FLAGS[args.command]:
+    for flag in _schema_defs()[args.command]["properties"]:
         raw = getattr(args, flag, None)
         if raw is None:
             continue

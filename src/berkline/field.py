@@ -10,7 +10,7 @@ Two backends are provided:
   coefficient numerators ``nums`` over one positive coefficient denominator
   ``cden``, reduced so that gcd(cden, *nums) == 1.  Over F_p, ``cden`` is 1
   and ``nums`` are the residues in range(1, p).  Exponent and coefficient
-  arithmetic in ``+``, ``*``, ``truncated`` and ``agrees_with`` is on ints
+  arithmetic in ``+``, ``*`` and ``truncated`` is on ints
   (``+`` works on the lcm of the operands' denominators, ``*`` multiplies
   the coefficient denominators); only ``inverse`` over Q solves with
   ``Fraction`` coefficients and encodes its result once.  The views
@@ -25,7 +25,8 @@ Two backends are provided:
 Both element classes read v(self - other) off the two operands' ints in one
 kernel, ``_vdiff(other)``, without building the difference: ints ``(e, den)``
 for e/den, or None for equal exact elements.  ``valuation_of_difference`` is
-its Fraction view; ``points`` compares the ints with radii.
+its Fraction view, ``agrees_with`` reads it as equality up to the coarser
+precision, and ``points`` compares the ints with radii.
 
 The norm normalization is |x| = 2**(-v(x)) throughout, so the uniformizer
 (t, respectively p) has norm 1/2.
@@ -226,14 +227,7 @@ class PadicField:
         q = _frac(q)
         if q.denominator != 1:
             raise ValueError("the p-adic value group is Z")
-        c = _frac(c)
-        num, den = c.numerator, c.denominator
-        if q >= 0:
-            num *= self.p ** int(q)
-        else:
-            den *= self.p ** -int(q)
-        g = math.gcd(num, den)
-        return PadicElem(self, num // g, den // g)
+        return self.elem(_frac(c) * Fraction(self.p) ** q.numerator)
 
 
 def _check_same_field(x, y):
@@ -245,6 +239,21 @@ def _valuation_of_difference(self, other):
     """valuation(self - other): the Fraction of ``_vdiff``, INF for None."""
     v = self._vdiff(other)
     return INF if v is None else Fraction(*v)
+
+
+def _agrees_with(self, other) -> bool:
+    """Equality of the two elements modulo the coarser precision: the
+    difference is zero, exact or truncated."""
+    try:
+        return self._vdiff(other) is None
+    except PrecisionExhausted:
+        return True
+
+
+def _truncated_zero(prec) -> PrecisionExhausted:
+    """The error for the valuation of a zero known only below ``prec``."""
+    return PrecisionExhausted(f"valuation only known to be >= {prec}",
+                              witness=str(prec))
 
 
 def _lattice_bound(prec, den) -> int:
@@ -277,9 +286,10 @@ def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
     ``acc`` maps integer exponents on the lattice (1/den)Z to int coefficient
     numerators over ``cden``, already reduced mod p over F_p (where cden is
     1); zero coefficients are dropped and the rest sorted, then
-    ``_lattice_terms`` builds the element.  Element arithmetic, ``truncated``
-    and ``poly._shift`` accumulate in dicts and come here; polynomial
-    products hand the kernel's sorted output to ``_lattice_terms`` directly.
+    ``_lattice_terms`` builds the element.  Element arithmetic and
+    ``poly._shift`` accumulate in dicts and come here; ``truncated`` and
+    polynomial products hand their sorted lists to ``_lattice_terms``
+    directly.
     """
     exps = sorted([e for e, c in acc.items() if c])
     return _lattice_terms(fld, exps, [acc[e] for e in exps], den, cden, prec)
@@ -386,9 +396,7 @@ class PuiseuxElem(Record):
             return self._lead
         if self.is_exact:
             return INF
-        raise PrecisionExhausted(
-            f"valuation only known to be >= {self.prec}", witness=str(self.prec)
-        )
+        raise _truncated_zero(self.prec)
 
     def valuation_lower_bound(self):
         return self._lead if self.exps else self.prec
@@ -431,11 +439,10 @@ class PuiseuxElem(Record):
             return e, den
         if prec == INF:
             return None
-        raise PrecisionExhausted(
-            f"valuation only known to be >= {prec}", witness=str(prec)
-        )
+        raise _truncated_zero(prec)
 
     valuation_of_difference = _valuation_of_difference
+    agrees_with = _agrees_with
 
     def __bool__(self):
         return bool(self.exps)
@@ -557,27 +564,8 @@ class PuiseuxElem(Record):
         """The same element, known only below the given exponent bound."""
         prec = min(self.prec, prec)
         prec = prec if prec == INF else _frac(prec)
-        return _lattice_elem(self.field, dict(zip(self.exps, self.nums)),
-                             self.den, self.cden, prec)
-
-    def _known_below(self, prec) -> int:
-        """How many leading terms lie below the exponent bound ``prec``."""
-        if prec == INF:
-            return len(self.exps)
-        return bisect.bisect_left(self.exps, _lattice_bound(prec, self.den))
-
-    def agrees_with(self, other) -> bool:
-        """Equality of the two elements modulo the coarser precision."""
-        _check_same_field(self, other)
-        prec = min(self.prec, other.prec)
-        k = self._known_below(prec)
-        if k != other._known_below(prec):
-            return False
-        c1, c2 = self.cden, other.cden
-        if not all(a * c2 == b * c1 for a, b in zip(self.nums[:k], other.nums[:k])):
-            return False
-        d1, d2 = self.den, other.den
-        return all(a * d2 == b * d1 for a, b in zip(self.exps[:k], other.exps[:k]))
+        return _lattice_terms(self.field, self.exps, self.nums, self.den,
+                              self.cden, prec)
 
     def canonical_str(self) -> str:
         if not self.exps:
@@ -659,6 +647,7 @@ class PadicElem(Record):
         return _vp(n, p) - _vp(d1 * d2, p), 1
 
     valuation_of_difference = _valuation_of_difference
+    agrees_with = _agrees_with
 
     def __bool__(self):
         return self.num != 0
@@ -702,10 +691,6 @@ class PadicElem(Record):
         if self.num < 0:
             return PadicElem(self.field, -self.den, -self.num)
         return PadicElem(self.field, self.den, self.num)
-
-    def agrees_with(self, other) -> bool:
-        _check_same_field(self, other)
-        return self.num == other.num and self.den == other.den
 
     def canonical_str(self) -> str:
         # the bytes str(Fraction) gives

@@ -25,10 +25,6 @@ class DiscPoint(Record):
         setfield(self, "center", center)
         setfield(self, "s", as_logvalue(s))
 
-    @property
-    def is_classical(self) -> bool:
-        return self.s.is_infinite
-
     def contains(self, other: "DiscPoint") -> bool:
         """Disc containment: other's disc lies inside this one."""
         if self.s > other.s:

@@ -185,12 +185,7 @@ def constant_sheaf(tree: HostTree, n: int, rank: int = 1) -> TreeSheaf:
 
 
 def zero_sheaf(tree: HostTree, n: int) -> TreeSheaf:
-    cosp = {}
-    empty = ()
-    for i, (c, p) in enumerate(tree.edges):
-        cosp[(c, i)] = empty
-        cosp[(p, i)] = empty
-    return make_cellular_sheaf(tree, n, {}, {}, cosp)
+    return constant_sheaf(tree, n, rank=0)
 
 
 def kummer_sheaf(tree_or_skel, n: int) -> TreeSheaf:

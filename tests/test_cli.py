@@ -1,5 +1,6 @@
 """CLI dispatch, schema validation, exit codes, output stability."""
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from berkline import serialize as ser
-from berkline.cli import _PAYLOAD_FLAGS, COMMANDS, _validator, main
+from berkline.cli import COMMANDS, _validator, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = "src/berkline/schemas/berkline.schema.json"
@@ -509,8 +510,13 @@ def test_schema_document():
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_payload_flags_match_schema_properties(name):
-    assert sorted(_PAYLOAD_FLAGS[name]) == \
-        sorted(_schema_doc()["$defs"][name]["properties"])
+    # the built parser takes --problem and one flag per top-level property
+    # of the command's schema entry
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {opt for a in sub.choices[name]._actions for opt in a.option_strings}
+    assert flags == {"-h", "--help", "--problem"} | {
+        f"--{key}" for key in _schema_doc()["$defs"][name]["properties"]}
 
 
 POLY = {"center": 0, "coeffs": [0, 1]}

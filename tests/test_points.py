@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import (ChainPoint, DiscPoint, INFINITY, LogValue, PadicField,
-                      Polynomial, PuiseuxField, classify, coords, eval_point,
-                      gauss_valuation, meet, restrict_coords, roots_in_disc)
+from berkline import (ChainPoint, CoordVector, DiscPoint, INFINITY, LogValue,
+                      PadicField, Polynomial, PuiseuxField, classify, coords,
+                      eval_point, gauss_valuation, meet, restrict_coords,
+                      roots_in_disc)
 from berkline.errors import (BerkError, ChainNotStabilized, IndexNotSubset,
                              MalformedChain, PointOutsideDisc,
                              PrecisionExhausted)
@@ -123,6 +124,11 @@ class TestCoords:
             x = DiscPoint(rand_puiseux(rng, FQ),
                           lv(rng.randint(0, 8), rng.randint(-1, 1)))
             assert coords(x, A).check_tree_inequalities()
+        # v(0 - t) = 1: s_0 = 0 < min(s_t, 1) breaks the first inequality,
+        # and 1 < min(s_0, s_t) = 2 the second
+        A = (FQ.zero(), FQ.t())
+        assert not CoordVector(A, (lv(0), lv(2))).check_tree_inequalities()
+        assert not CoordVector(A, (lv(2), lv(2))).check_tree_inequalities()
 
     def test_outside_disc_rejected(self, FQ):
         bad = FQ.t(-1)
@@ -286,7 +292,9 @@ class TestTruncatedCenters:
         chain = ChainPoint((DiscPoint(c, lv(0)), DiscPoint(c, lv(1))))
         assert chain.last.center is c
         assert DiscPoint(c, lv(0)).contains(DiscPoint(c, lv(1)))
+        assert not DiscPoint(c, lv(1)).contains(DiscPoint(c, lv(0)))
 
     def test_distinct_classical_points_differ(self, FQ):
         assert DiscPoint(FQ.zero(), INFINITY) != DiscPoint(FQ.one(), INFINITY)
         assert DiscPoint(FQ.t(), INFINITY) == DiscPoint(FQ.t(), INFINITY)
+        assert (DiscPoint(FQ.t(), INFINITY) == 3) is False

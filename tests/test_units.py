@@ -45,6 +45,9 @@ class TestUnitClass:
     def test_zero_rejected(self, FQ):
         with pytest.raises(ZeroElement):
             unit_class(FQ.zero())
+        with pytest.raises(PrecisionExhausted,
+                           match="^element known only below its precision$"):
+            unit_class(FQ.elem([], 3))
 
     @pytest.mark.parametrize("backend", ["F2", "F3", "FQ", "Q3"])
     def test_group_homomorphism(self, backend, request):
@@ -453,10 +456,16 @@ class TestHomotopy:
 def test_leading_class_of_zero_raises(FQ):
     zero = RationalFunction(Polynomial.from_coeffs(FQ, []),
                             Polynomial.from_coeffs(FQ, [1]))
+    one = RationalFunction(Polynomial.from_coeffs(FQ, [1]),
+                           Polynomial.from_coeffs(FQ, [1]))
+    # and so does every query that certifies the zero function first
+    queries = (leading_class, reduced_unit, units.require_unit,
+               lambda f, dom: homotopy_check(f, one, dom))
     for s in (lv(0), lv(1, -1), INFINITY):
-        with pytest.raises(ZeroElement,
-                           match="the zero function is not a unit anywhere"):
-            leading_class(zero, Domain(FQ.zero(), s))
+        for query in queries:
+            with pytest.raises(ZeroElement,
+                               match="the zero function is not a unit anywhere"):
+                query(zero, Domain(FQ.zero(), s))
 
 
 def test_char_poly_rejects_zero(FQ):

@@ -11,7 +11,9 @@ returns, or raise the same error with the same message and witness, and so
 must the int kernel ``a._vdiff(b)`` under it: ``(e, den)`` with den > 0 and
 e/den the valuation, or None where it is +infinity.  ``points._within``
 must answer as comparing ``points._dist`` with the radius, and on exact
-operands build no ``Fraction``.
+operands build no ``Fraction``.  ``a.agrees_with(b)`` must answer as
+comparing the two elements truncated to the coarser precision when that is
+finite, and as ``a == b`` otherwise.
 """
 
 import random
@@ -130,6 +132,12 @@ def _check(x, y):
                 == _outcome(lambda: _dist(x, y) >= s)), (x, y, s)
         assert (_outcome(lambda: _within(x, y, s, False))
                 == _outcome(lambda: _dist(x, y) > s)), (x, y, s)
+    # agreement, against an oracle that does not read _vdiff
+    p = min(x.prec, y.prec) if x.field.backend == "puiseux" else INF
+    if p == INF:
+        assert x.agrees_with(y) == (x == y), (x, y)
+    else:
+        assert x.agrees_with(y) == (x.truncated(p) == y.truncated(p)), (x, y)
     return got
 
 
@@ -189,6 +197,12 @@ def test_mixed_fields_raise_like_subtraction():
         PadicField(2).one().valuation_of_difference(PadicField(3).one())
     with pytest.raises(BackendMismatch):
         PadicField(2).one()._vdiff(PuiseuxField(2).one())
+    with pytest.raises(BackendMismatch):
+        PuiseuxField(2).one().agrees_with(PuiseuxField(3).one())
+    with pytest.raises(BackendMismatch):
+        PadicField(2).one().agrees_with(PadicField(3).one())
+    with pytest.raises(BackendMismatch):
+        PadicField(2).one().agrees_with(PuiseuxField(2).one())
 
 
 @pytest.mark.parametrize("fld", [PuiseuxField(0), PadicField(3)])
