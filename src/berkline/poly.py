@@ -8,15 +8,17 @@ denominator, a p-adic number as the one-term series at exponent 0.  The
 routes:
 
 * ``f * g`` calls ``_try_kernel_mul``, a kernel chain of two factors
-  (``_kernel_product``): each output coefficient is decoded once from the
-  kernel's sorted terms (``_decode_flat``) and, when an input is
-  truncated, truncated once;
+  (``_kernel_product``): the kernel makes one keyed pass per product, all
+  term pairs in one dict sorted once, and each output coefficient is
+  decoded once from its sorted terms (``_decode_flat``) and, when an input
+  is truncated, truncated once;
 * ``from_roots`` with an exact center, lead and roots is one kernel chain
   of all its factors: each is encoded once, each kernel output feeds the
   next product as it stands, and only the last is decoded.  A truncated
   input multiplies the factors in one by one through ``f * g``;
 * ``recenter`` of exact coefficients by an exact shift is a Horner shift on
-  int series, decoded once per output from dicts (``_decode``); at its own
+  int series, split into per-coefficient terms (``_split``) and decoded
+  once per output from dicts (``_decode``); at its own
   exact center a polynomial is returned as it is;
 * a truncated shift, and ``divide_linear`` always, take the element-wise
   loop.
@@ -33,10 +35,9 @@ import math
 
 from . import kernel
 from ._record import Record, setfield
-from ._purekernel import _split
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
-from .field import (INF, PadicElem, PadicField, _lattice_elem, _lattice_terms,
-                    _product_prec, cached)
+from .field import (INF, PadicElem, PadicField, PuiseuxElem, _lattice_elem,
+                    _lattice_terms, _product_prec, cached)
 
 
 class Polynomial(Record):
@@ -107,7 +108,21 @@ class Polynomial(Record):
         if not self.center.agrees_with(other.center):
             raise ValueError("polynomials must share a center; recenter first")
 
+    def _scalar(self, x):
+        """An int operand as the field's constant, an element as it is;
+        None for any other operand."""
+        if isinstance(x, int):
+            return self.field.constant(x)
+        if isinstance(x, (PuiseuxElem, PadicElem)):
+            return x
+        return None
+
     def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            c = self._scalar(other)
+            if c is None:
+                return NotImplemented
+            other = Polynomial.from_coeffs(self.field, [c], self.center)
         self._check_compatible(other)
         fld = self.field
         n = max(len(self.coeffs), len(other.coeffs))
@@ -123,10 +138,11 @@ class Polynomial(Record):
         return self + (-other)
 
     def __mul__(self, other):
-        if hasattr(other, "field") and not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._check_compatible(other)
-        return _try_kernel_mul(self, other)
+        if isinstance(other, Polynomial):
+            self._check_compatible(other)
+            return _try_kernel_mul(self, other)
+        c = self._scalar(other)
+        return NotImplemented if c is None else self.scale(c)
 
     def scale(self, c):
         if c.is_zero():
@@ -251,6 +267,19 @@ def _series(fld, coeffs, lat):
         exps.extend(c.exps if s == 1 else [e * s for e in c.exps])
         cofs.extend(c.nums if m == 1 else [n * m for n in c.nums])
     return counts, exps, cofs, cden
+
+
+def _split(counts, exps, cofs):
+    """The flat encoding as one list of (exponent, coefficient) per
+    polynomial coefficient."""
+    pairs = list(zip(exps, cofs))
+    out = []
+    pos = 0
+    for c in counts:
+        end = pos + c
+        out.append(pairs[pos:end])
+        pos = end
+    return out
 
 
 def _decode(fld, acc, lat, cden):

@@ -1,33 +1,44 @@
-"""Exact F_p products through the integer-lattice kernel route."""
+"""Exact products through the integer-lattice kernel route."""
 
 import random
 from fractions import Fraction
 
-from berkline import Polynomial, PuiseuxField
+from berkline import PadicField, Polynomial, PuiseuxField
 from berkline import poly as poly_mod
+from reference_padic import RefPadicField
 from reference_puiseux import RefPuiseuxField
 
 
 def reference_poly_mul(f, g):
-    """Independent convolution with the Fraction-exponent reference element.
+    """Independent convolution with the Fraction-based reference elements.
 
-    It shares no code with the integer exponent lattice that both the
-    elements and the kernel route use.  Returns the product's coefficients
-    as (terms, prec) pairs, trailing zeros removed.
+    ``RefPuiseuxField`` and ``RefPadicField`` share no code with the integer
+    exponent lattice and int numerators that both the elements and the
+    kernel route use.  Returns the product's coefficients as ``view``s,
+    trailing zeros removed.
     """
-    ref = RefPuiseuxField(f.field.char)
-    lift = lambda c: ref.elem(c.terms, c.prec)
-    out = [ref.zero()] * (len(f.coeffs) + len(g.coeffs) - 1)
+    if isinstance(f.field, PadicField):
+        ref = RefPadicField(f.field.p)
+        lift = lambda c: ref.elem(c.value)
+    else:
+        ref = RefPuiseuxField(f.field.char)
+        lift = lambda c: ref.elem(c.terms, c.prec)
+    out = [ref.constant(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, ci in enumerate(f.coeffs):
         for j, cj in enumerate(g.coeffs):
             out[i + j] = out[i + j] + lift(ci) * lift(cj)
     while out and out[-1].is_zero():
         out.pop()
-    return [(c.terms, c.prec) for c in out]
+    return [view(c) for c in out]
+
+
+def view(c):
+    """A Puiseux coefficient as (terms, prec), a p-adic one as its value."""
+    return (c.terms, c.prec) if hasattr(c, "terms") else c.value
 
 
 def coeff_view(f):
-    return [(c.terms, c.prec) for c in f.coeffs]
+    return [view(c) for c in f.coeffs]
 
 
 def test_fast_path_matches_reference():
@@ -66,6 +77,33 @@ def test_fast_path_matches_reference():
             fast = poly_mod._try_kernel_mul(f, g)
             assert fast is not None
             assert coeff_view(fast) == reference_poly_mul(f, g)
+    # over Z (the kernel's p = 0): Q((t)) against RefPuiseuxField(0), on the
+    # same exponents with signed coefficients whose sums can cancel, and Q_3
+    # against RefPadicField(3), with zeros and 3-adic units and non-units
+    q, q3 = PuiseuxField(0), PadicField(3)
+    exps = wide + [Fraction(n, d) for n in range(-3, 9) for d in (1, 2, 3)]
+    cofs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 3**20),
+            Fraction(10**20 + 7, 11)]
+    nums = [0, 1, -1, 2, -3, 9, 10**20 + 3, -(3**25)]
+    dens = [1, 2, 3, 27, 10**12 + 39]
+
+    def mk_q():
+        return Polynomial.from_coeffs(q, [
+            q.elem([(rng.choice(exps), rng.choice(cofs))
+                    for _ in range(rng.randint(0, 3))])
+            for _ in range(rng.randint(1, 7))])
+
+    def mk_q3():
+        return Polynomial.from_coeffs(q3, [
+            q3.elem(Fraction(rng.choice(nums), rng.choice(dens)))
+            for _ in range(rng.randint(1, 7))])
+
+    for mk in (mk_q, mk_q3):
+        for _ in range(60):
+            f, g = mk(), mk()
+            if f.is_zero() or g.is_zero():
+                continue
+            assert coeff_view(f * g) == reference_poly_mul(f, g)
 
 
 def test_power_tower_consistency():

@@ -307,6 +307,31 @@ def test_pow_rejects_non_int_exponents(n):
         f ** n
 
 
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_int_operands_are_constants(fld):
+    rng = random.Random(31)
+    for _ in range(10):
+        f = rand_poly(rng, fld, rng.randint(0, 4))
+        for n in (0, 1, -2, 3, 7):
+            c = Polynomial.from_coeffs(fld, [fld.constant(n)], f.center)
+            assert f * n == f * c == f.scale(fld.constant(n))
+            assert f + n == f + c
+            assert f - n == f - c
+        x = fld.t(1, 2)
+        assert f + x == f + Polynomial.from_coeffs(fld, [x], f.center)
+
+
+@pytest.mark.parametrize("other", [1.5, Fraction(1, 2), "3", None, [1]])
+def test_other_operands_raise_type_error(other):
+    fld = PuiseuxField(3)
+    f = Polynomial.from_roots(fld, [fld.t(1), fld.one()])
+    assert f.__mul__(other) is NotImplemented
+    assert f.__add__(other) is NotImplemented
+    for op in (lambda: f * other, lambda: f + other, lambda: f - other):
+        with pytest.raises(TypeError):
+            op()
+
+
 def sequential_from_roots(fld, roots, center=None, lead=None, mul=None):
     """``from_roots`` as a loop of binary products, one linear factor at a
     time: the route the int-series chain replaces for exact inputs."""
