@@ -500,9 +500,7 @@ def _run(args) -> int:
         payload = _assemble_payload(args)
         _validate(args.command, payload)
     except (SchemaError, json.JSONDecodeError, OSError, ValueError) as exc:
-        print(json.dumps({"error": "schema", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _schema_error(exc)
     except UnsupportedSchema as exc:
         return _internal_error(exc)
     try:
@@ -512,14 +510,18 @@ def _run(args) -> int:
                "detail": str(exc)})
         return 3
     except (ValueError, KeyError, TypeError) as exc:
-        print(json.dumps({"error": "schema", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _schema_error(exc)
     except BrokenPipeError:
         raise
     except Exception as exc:
         return _internal_error(exc)
     return 0
+
+
+def _schema_error(exc) -> int:
+    # input rejected as malformed: the schema error object, exit 2
+    print(json.dumps({"error": "schema", "detail": str(exc)}), file=sys.stderr)
+    return 2
 
 
 def _internal_error(exc) -> int:

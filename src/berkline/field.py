@@ -12,11 +12,12 @@ Two backends are provided:
   and ``nums`` are the residues in range(1, p).  Exponent and coefficient
   arithmetic in ``+``, ``*`` and ``truncated`` is on ints
   (``+`` works on the lcm of the operands' denominators, ``*`` multiplies
-  the coefficient denominators); only ``inverse`` over Q solves with
-  ``Fraction`` coefficients and encodes its result once.  The views
-  ``coefs`` and ``terms`` are derived on demand.  Polynomial products and
-  Taylor shifts in ``poly`` read the same lattices, so there is one
-  encoding;
+  the coefficient denominators and convolves the two term lists in the
+  polynomial product kernel, as one-coefficient operands); only ``inverse``
+  over Q solves with ``Fraction`` coefficients and encodes its result once.
+  The views ``coefs`` and ``terms`` are derived on demand.  Polynomial
+  products and Taylor shifts in ``poly`` read the same lattices, so there
+  is one encoding and one convolution;
 * p-adic rationals, stored as an int numerator ``num`` over a positive
   denominator ``den`` with gcd(num, den) == 1, reduced once per result.
   The valuation is read off the ints once and cached; ``value`` is a
@@ -42,6 +43,9 @@ from fractions import Fraction
 from ._record import Record, setfield
 from .errors import (BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted,
                      ResourceLimit)
+# bound here, not read off the module, so that a tracer patching
+# kernel.poly_mul_modp counts polynomial products only
+from .kernel import poly_mul_modp
 
 INF = math.inf
 
@@ -187,6 +191,7 @@ class PadicField:
     """The rationals with the p-adic valuation; arithmetic is exact."""
 
     backend = "padic"
+    char = 0
 
     def __init__(self, p: int):
         _require_prime(p)
@@ -288,8 +293,8 @@ def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
     1); zero coefficients are dropped and the rest sorted, then
     ``_lattice_terms`` builds the element.  Element arithmetic and
     ``poly._shift`` accumulate in dicts and come here; ``truncated`` and
-    polynomial products hand their sorted lists to ``_lattice_terms``
-    directly.
+    the products of elements and of polynomials hand their sorted lists to
+    ``_lattice_terms`` directly.
     """
     exps = sorted([e for e, c in acc.items() if c])
     return _lattice_terms(fld, exps, [acc[e] for e in exps], den, cden, prec)
@@ -448,6 +453,8 @@ class PuiseuxElem(Record):
         return bool(self.exps)
 
     def __add__(self, other):
+        if not isinstance(other, _ELEMENTS):
+            return NotImplemented
         _check_same_field(self, other)
         if other.is_zero():
             return self
@@ -478,25 +485,17 @@ class PuiseuxElem(Record):
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.field.constant(other)
+        elif not isinstance(other, _ELEMENTS):
+            return NotImplemented
         _check_same_field(self, other)
         f = self.field
         prec = _product_prec(self, other)
         if not self.exps or not other.exps:
             return PuiseuxElem(f, (), (), 1, 1, prec)
         xs, ys, den = _on_common_den(self.den, self.exps, other.den, other.exps)
-        ys = list(zip(ys, other.nums))
-        acc = {}
-        for e1, c1 in zip(xs, self.nums):
-            for e2, c2 in ys:
-                e = e1 + e2
-                if e in acc:
-                    acc[e] += c1 * c2
-                else:
-                    acc[e] = c1 * c2
-        p = f.char
-        if p:
-            acc = {e: c % p for e, c in acc.items()}
-        return _lattice_elem(f, acc, den, self.cden * other.cden, prec)
+        _, exps, nums = poly_mul_modp([len(xs)], xs, self.nums,
+                                      [len(ys)], ys, other.nums, f.char)
+        return _lattice_terms(f, exps, nums, den, self.cden * other.cden, prec)
 
     __rmul__ = __mul__
 
@@ -653,6 +652,8 @@ class PadicElem(Record):
         return self.num != 0
 
     def __add__(self, other):
+        if not isinstance(other, _ELEMENTS):
+            return NotImplemented
         _check_same_field(self, other)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # as in fractions.Fraction: with g = gcd(d1, d2), only g can share a
@@ -676,6 +677,8 @@ class PadicElem(Record):
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.field.constant(other)
+        elif not isinstance(other, _ELEMENTS):
+            return NotImplemented
         _check_same_field(self, other)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # cross-cancel, so that the product is reduced as built
@@ -700,6 +703,9 @@ class PadicElem(Record):
 
     def __repr__(self):
         return self.canonical_str()
+
+
+_ELEMENTS = (PuiseuxElem, PadicElem)
 
 
 def valuation(x):

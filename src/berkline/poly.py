@@ -17,9 +17,9 @@ routes:
   next product as it stands, and only the last is decoded.  A truncated
   input multiplies the factors in one by one through ``f * g``;
 * ``recenter`` of exact coefficients by an exact shift is a Horner shift on
-  int series, split into per-coefficient terms (``_split``) and decoded
-  once per output from dicts (``_decode``); at its own
-  exact center a polynomial is returned as it is;
+  int series, read per coefficient off the flat encoding and decoded once
+  per output from dicts (``_decode``); at its own exact center a
+  polynomial is returned as it is;
 * a truncated shift, and ``divide_linear`` always, take the element-wise
   loop.
 
@@ -32,6 +32,7 @@ bookkeeping directly, without any root finding.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from . import kernel
 from ._record import Record, setfield
@@ -131,6 +132,8 @@ class Polynomial(Record):
         b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
         return Polynomial.from_coeffs(fld, [x + y for x, y in zip(a, b)], self.center)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Polynomial(self.center, tuple(-c for c in self.coeffs))
 
@@ -143,6 +146,8 @@ class Polynomial(Record):
             return _try_kernel_mul(self, other)
         c = self._scalar(other)
         return NotImplemented if c is None else self.scale(c)
+
+    __rmul__ = __mul__
 
     def scale(self, c):
         if c.is_zero():
@@ -158,8 +163,7 @@ class Polynomial(Record):
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
         if n == 0:
-            return Polynomial.from_coeffs(self.field, [self.field.one()],
-                                          self.center)
+            return _one_poly(self)
         out = None
         base = self
         k = n
@@ -269,19 +273,6 @@ def _series(fld, coeffs, lat):
     return counts, exps, cofs, cden
 
 
-def _split(counts, exps, cofs):
-    """The flat encoding as one list of (exponent, coefficient) per
-    polynomial coefficient."""
-    pairs = list(zip(exps, cofs))
-    out = []
-    pos = 0
-    for c in counts:
-        end = pos + c
-        out.append(pairs[pos:end])
-        pos = end
-    return out
-
-
 def _decode(fld, acc, lat, cden):
     """The exact element with int series ``acc`` over ``cden`` on the
     lattice (1/lat)Z; over Q_p, the reduced number acc[0]/cden."""
@@ -290,11 +281,6 @@ def _decode(fld, acc, lat, cden):
         g = math.gcd(n, cden)
         return PadicElem(fld, n // g, cden // g)
     return _lattice_elem(fld, acc, lat, cden, INF)
-
-
-def _modulus(fld) -> int:
-    """The kernel's p: the characteristic over F_p, 0 (over Z) otherwise."""
-    return 0 if type(fld) is PadicField else fld.char
 
 
 def _decode_flat(fld, out, lat, cden, precs=None) -> tuple:
@@ -335,8 +321,8 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     the two common denominators.  With a truncated coefficient, output k
     is truncated once, at the least ``_product_prec`` of the pairs
     i + j = k: every partial product and sum of the element-wise loop is
-    known at or above that bound, so the two agree term for term.  It
-    never returns None; ``perfbench/tracing.py`` patches it by this name.
+    known at or above that bound, so the two agree term for term.
+    ``perfbench/tracing.py`` patches it by this name.
     """
     fld = f.field
     precs = None
@@ -361,10 +347,9 @@ def _kernel_product(fld, factors, precs=None) -> tuple:
     """
     lat = _lattice(fld, [c for f in factors for c in f])
     *acc, cden = _series(fld, factors[0], lat)
-    p = _modulus(fld)
     for f in factors[1:]:
         *k, c = _series(fld, f, lat)
-        acc = kernel.poly_mul_modp(*acc, *k, p)
+        acc = kernel.poly_mul_modp(*acc, *k, fld.char)
         cden *= c
     return _decode_flat(fld, acc, lat, cden, precs)
 
@@ -377,15 +362,17 @@ def _shift(fld, coeffs, d) -> tuple:
     sum_i C(i, j) (B_i E**(n-i)) D**(i-j) / (L E**(n-j)).
     """
     lat = _lattice(fld, (d, *coeffs))
-    *kd, big_e = _series(fld, [d], lat)
-    (step,) = _split(*kd)
-    *kc, big_l = _series(fld, coeffs, lat)
+    _, exps, cofs, big_e = _series(fld, [d], lat)
+    step = list(zip(exps, cofs))
+    counts, exps, cofs, big_l = _series(fld, coeffs, lat)
+    terms = zip(exps, cofs)
     n = len(coeffs) - 1
     b = []
-    for i, t in enumerate(_split(*kc)):
+    for i, c in enumerate(counts):
         w = big_e ** (n - i)
+        t = islice(terms, c)
         b.append(dict(t) if w == 1 else {e: x * w for e, x in t})
-    p = _modulus(fld)
+    p = fld.char
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             acc = b[j]

@@ -287,10 +287,8 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
     if directions is None:
         directions = list(f.num_roots) + list(f.den_roots)
         if f.num.degree > len(f.num_roots) or f.den.degree > len(f.den_roots):
-            if f.num.degree > 0 or f.den.degree > 0:
-                raise ValueError(
-                    "directions must be supplied when root lists are partial"
-                )
+            raise ValueError(
+                "directions must be supplied when root lists are partial")
     # deduplicate direction centers: same direction iff within the open disc
     reps = []
     for b in directions:

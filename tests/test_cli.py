@@ -4,6 +4,8 @@ import argparse
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -681,3 +683,34 @@ class TestExplicitSheaf:
                                     "--n", "4", "--sheaf", spec])
         assert code == 0
         assert json.loads(out) == {"H0": [], "H1": []}
+
+
+def readme_examples():
+    """(argv, output) for each ``berkline`` command in README's shell
+    blocks; the output is the ``# {...}`` comment on the line right after
+    the command, or None when there is none."""
+    text = (ROOT / "README.md").read_text()
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", text, re.S))
+    examples = []
+    prev = ""
+    for line in blocks.replace("\\\n", " ").splitlines():
+        if line.startswith("berkline "):
+            examples.append((shlex.split(line)[1:], None))
+        elif line.startswith("# {") and prev.startswith("berkline "):
+            examples[-1] = (examples[-1][0], line[2:])
+        prev = line
+    return examples
+
+
+def test_readme_examples(capsys):
+    """Each README example exits 0 and prints what its comment shows, where
+    ``...`` in the comment stands for any text."""
+    examples = readme_examples()
+    assert len(examples) == 4
+    assert sum(want is not None for _, want in examples) == 3
+    for argv, want in examples:
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        if want is not None:
+            pattern = ".*".join(map(re.escape, want.split("...")))
+            assert re.fullmatch(pattern, out.strip()), (argv, out)

@@ -7,7 +7,8 @@ makes one pass.  The two must return the same three flat lists, exactly,
 mod 2, 3 and 5 and over Z (p = 0), on seeded operands with empty
 coefficient slots, operands without terms or without coefficients,
 negative exponents, exponents near 2**41 on the lattice lcm(1024, 3), sums
-that cancel, and the shapes of the benchmark's kernel layer.
+that cancel, one-slot operands as element products pass them, and the
+shapes of the benchmark's kernel layer.
 """
 
 import random
@@ -69,6 +70,20 @@ def test_seeded_operands(p, pool):
         empty_slots += f[0].count(0) + g[0].count(0)
         assert_same(f, g, p)
     assert empty_slots
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_one_slot_operands(p):
+    """One coefficient slot a side, as a product of two series elements
+    calls the kernel: n terms times m terms for n, m in 0..4."""
+    rng = random.Random(f"one-slot-{p}")
+    for n in range(5):
+        for m in range(5):
+            for _ in range(20):
+                f, g = ([{e: coefficient(rng, p)
+                          for e in rng.sample(SMALL + WIDE, k)}]
+                        for k in (n, m))
+                assert len(assert_same(encode(f), encode(g), p)[0]) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import INF, PadicField, Polynomial, PuiseuxField
+from berkline import INF, PadicField, Polynomial, PuiseuxField, _purekernel
 from berkline import poly as poly_mod
 from berkline.errors import BackendMismatch
 
@@ -266,7 +266,6 @@ def test_truncated_products_take_the_kernel(char, monkeypatch):
 
 
 def test_kernel_over_z():
-    from berkline import _purekernel
     # (1 + 2t) * (3 - 2t) + cancellation at t^1 over Z, no reduction
     out = _purekernel.poly_mul_modp([2], [0, 1], [1, 2], [2], [0, 1], [3, -2], 0)
     assert out == ([3], [0, 1, 2], [3, 4, -4])
@@ -321,6 +320,24 @@ def test_int_operands_are_constants(fld):
         assert f + x == f + Polynomial.from_coeffs(fld, [x], f.center)
 
 
+@pytest.mark.parametrize("fld", FIELDS[1:4], ids=IDS[1:4])
+def test_element_and_int_operands_commute(fld):
+    """An element or an int on the left of a polynomial means what it means
+    on the right: the element operators leave a polynomial operand to
+    ``Polynomial.__radd__`` and ``__rmul__``."""
+    rng = random.Random(32)
+    for _ in range(10):
+        f = rand_poly(rng, fld, rng.randint(0, 4))
+        x = rand_elem(rng, fld)
+        assert x.__mul__(f) is NotImplemented and x.__add__(f) is NotImplemented
+        assert x * f == f * x
+        assert x + f == f + x
+        assert x - f == -(f - x)
+        for n in (0, 3, -2):
+            assert n * f == f * n
+            assert n + f == f + n
+
+
 @pytest.mark.parametrize("other", [1.5, Fraction(1, 2), "3", None, [1]])
 def test_other_operands_raise_type_error(other):
     fld = PuiseuxField(3)
@@ -330,6 +347,51 @@ def test_other_operands_raise_type_error(other):
     for op in (lambda: f * other, lambda: f + other, lambda: f - other):
         with pytest.raises(TypeError):
             op()
+    for x in (fld.t(1), PuiseuxField(0).t(1), PadicField(3).t(1)):
+        assert x.__mul__(other) is NotImplemented
+        assert x.__add__(other) is NotImplemented
+        for op in (lambda: x * other, lambda: x + other, lambda: x + 3):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_elements_of_another_field_still_mismatch():
+    fld, other = PuiseuxField(3), PuiseuxField(2)
+    f = Polynomial.from_roots(fld, [fld.t(1), fld.one()])
+    for y in (other.t(1), PadicField(3).t(1)):
+        for op in (lambda: y * f, lambda: y + f, lambda: y - f,
+                   lambda: f * y, lambda: f + y,
+                   lambda: y * fld.t(1), lambda: y + fld.t(1)):
+            with pytest.raises(BackendMismatch):
+                op()
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_kernel_calls_count_polynomial_products_only(fld, monkeypatch):
+    """Element products bind the kernel at import, so the module attribute
+    that a tracer patches sees polynomial products alone: one call per
+    ``f * g`` and one per linear factor of an exact ``from_roots``."""
+    rng = random.Random(33)
+    pairs = [(rand_elem(rng, fld), rand_elem(rng, fld)) for _ in range(40)]
+    want = [x * y for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("an element product reached kernel.poly_mul_modp")
+
+    monkeypatch.setattr(poly_mod.kernel, "poly_mul_modp", refuse)
+    assert [x * y for x, y in pairs] == want
+    calls = []
+    mul = _purekernel.poly_mul_modp
+    monkeypatch.setattr(poly_mod.kernel, "poly_mul_modp",
+                        lambda *a: calls.append(1) or mul(*a))
+    f = rand_poly(rng, fld, 3)
+    g = rand_poly(rng, fld, 2)
+    f * g
+    assert len(calls) == 1
+    calls.clear()
+    roots = [rand_elem(rng, fld) for _ in range(4)]
+    Polynomial.from_roots(fld, roots, lead=fld.t(1))
+    assert len(calls) == len(roots)
 
 
 def sequential_from_roots(fld, roots, center=None, lead=None, mul=None):
