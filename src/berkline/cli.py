@@ -279,14 +279,21 @@ def _cmd_classify(payload):
     })
 
 
-def _cmd_skeleton(payload):
+def _skeleton(payload, fld):
+    """The skeleton of the payload's centers, cut at its ``s_floor``."""
     from . import serialize as ser
     from .skeleton import build_skeleton
 
-    fld = ser.field_from_json(payload["field"])
     centers = [ser.elem_from_json(c, fld) for c in payload["centers"]]
     s_floor = ser.logvalue_from_json(payload.get("s_floor", "inf"))
-    sk = build_skeleton(centers, s_floor)
+    return build_skeleton(centers, s_floor)
+
+
+def _cmd_skeleton(payload):
+    from . import serialize as ser
+
+    fld = ser.field_from_json(payload["field"])
+    sk = _skeleton(payload, fld)
     if payload.get("format", "json") == "dot":
         sys.stdout.write(sk.to_dot())
     else:
@@ -324,12 +331,7 @@ def _cmd_sheaf(payload):
     spec = payload["sheaf"]
     kind = spec["kind"]
     if kind in ("kummer", "constant"):
-        from .skeleton import build_skeleton
-
-        centers = [ser.elem_from_json(c, fld) for c in payload["centers"]]
-        sk = build_skeleton(centers,
-                            ser.logvalue_from_json(payload.get("s_floor", "inf")))
-        tree = HostTree.from_skeleton(sk)
+        tree = HostTree.from_skeleton(_skeleton(payload, fld))
         F = kummer_sheaf(tree, n) if kind == "kummer" else constant_sheaf(tree, n)
     else:
         tree = HostTree(tuple(spec["vertices"]),
@@ -357,7 +359,7 @@ def _cmd_sheaf(payload):
 
 def _cmd_balance(payload):
     from . import serialize as ser
-    from .units import boundary_degrees, direction_slopes, exterior_degree
+    from .units import boundary_degrees, direction_slopes
 
     fld = ser.field_from_json(payload["field"])
     f = ser.ratfunc_from_json(payload["f"], fld)
@@ -370,9 +372,10 @@ def _cmd_balance(payload):
         _emit({"slopes": {k: v for k, v in sorted(slopes.items())}})
     else:
         dom = ser.domain_from_json(payload["domain"], fld)
+        # f is a unit on dom, so its divisor, of degree 0, lies in the holes
+        # and beyond the bounding disc: the exterior is minus the holes' sum
         degs = boundary_degrees(f, dom)
-        _emit({"boundary_degrees": list(degs),
-               "exterior": exterior_degree(f, dom)})
+        _emit({"boundary_degrees": list(degs), "exterior": -sum(degs)})
 
 
 def _cmd_homotopy(payload):
@@ -410,7 +413,7 @@ def _cmd_cancel(payload):
         out["y1"], out["y2"] = ser.divisor_to_json(y1), ser.divisor_to_json(y2)
         if "section" not in payload:
             # splitting_delta of the one-component section ("*", g, 1)
-            coef = y1.total_mass - y2.total_mass
+            coef = N - y2.total_mass
             delta = (("*", coef),) if coef else ()
     out["delta"] = [{"u": u, "coef": c} for u, c in delta]
     _emit(out)

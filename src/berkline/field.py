@@ -664,8 +664,6 @@ class PadicElem(Record):
         s = d1 // g
         n = n1 * (d2 // g) + n2 * s
         g2 = math.gcd(n, g)
-        if g2 == 1:
-            return PadicElem(self.field, n, s * d2)
         return PadicElem(self.field, n // g2, s * (d2 // g2))
 
     def __neg__(self):

@@ -247,7 +247,6 @@ def _below_hull(hull, x, y) -> bool:
     for (x1, y1, _), (x2, y2, _) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
             return (y - y1) * (x2 - x1) < (y2 - y1) * (x - x1)
-    return y < hull[0][1]
 
 
 def _lowest_term(known, unknown):

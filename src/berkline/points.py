@@ -175,9 +175,7 @@ def coords(x, A) -> CoordVector:
         if a.valuation_lower_bound() < 0:
             raise PointOutsideDisc(f"index center {a!r} outside the unit ball")
     if isinstance(x, ChainPoint):
-        last = x.last
-        vals = tuple(min(last.s, _dist(last.center, a)) for a in A)
-        return CoordVector(A, vals)
+        x = x.last
     if not isinstance(x, DiscPoint):
         raise MalformedChain(f"not a point: {x!r}")
     if x.center.valuation_lower_bound() < 0:

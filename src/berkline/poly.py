@@ -7,7 +7,8 @@ are all exact, run on one int-series encoding of the coefficients
 denominator, a p-adic number as the one-term series at exponent 0.  The
 routes:
 
-* ``f * g`` calls ``_try_kernel_mul``, a kernel chain of two factors
+* ``f * g``, and ``f * c`` (``scale``, c a constant polynomial), call
+  ``_try_kernel_mul``, a kernel chain of two factors
   (``_kernel_product``): the kernel makes one keyed pass per product, all
   term pairs in one dict sorted once, and each output coefficient is
   decoded once from its sorted terms (``_decode_flat``) and, when an input
@@ -37,8 +38,9 @@ from itertools import islice
 from . import kernel
 from ._record import Record, setfield
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
-from .field import (INF, PadicElem, PadicField, PuiseuxElem, _lattice_elem,
-                    _lattice_terms, _product_prec, cached)
+from .field import (INF, PadicElem, PadicField, PuiseuxElem,
+                    _check_same_field, _lattice_elem, _lattice_terms,
+                    _product_prec, cached)
 
 
 class Polynomial(Record):
@@ -150,11 +152,9 @@ class Polynomial(Record):
     __rmul__ = __mul__
 
     def scale(self, c):
-        if c.is_zero():
-            return Polynomial(self.center, ())
-        return Polynomial.from_coeffs(
-            self.field, [x * c for x in self.coeffs], self.center
-        )
+        _check_same_field(self.center, c)
+        return _try_kernel_mul(
+            self, Polynomial(self.center, () if c.is_zero() else (c,)))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

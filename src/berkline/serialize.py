@@ -93,24 +93,21 @@ def elem_from_json(obj, fld=None):
         if fld is None:
             raise ValueError("a bare scalar needs a field context")
         return parse_elem_literal(fld, obj)
-    if obj["backend"] == "puiseux":
-        want = PuiseuxField(char=int(obj.get("char", 0)))
-        if fld is not None and fld != want:
+    want = field_from_json(obj)
+    if fld is not None:
+        if fld != want:
             raise ValueError("element backend disagrees with the field config")
-        terms = [
-            (_fraction(int(en), int(ed)),
-             int(c) if want.char else frac_from_json(c))
-            for en, ed, c in obj.get("terms", [])
-        ]
-        prec = obj.get("prec", "inf")
-        prec = INF if prec == "inf" else _fraction(int(prec[0]), int(prec[1]))
-        return want.elem(terms, prec)
-    if obj["backend"] == "padic":
-        want = PadicField(p=int(obj["p"]))
-        if fld is not None and fld != want:
-            raise ValueError("element backend disagrees with the field config")
+        want = fld
+    if want.backend == "padic":
         return want.elem(frac_from_json(obj["value"]))
-    raise ValueError(f"unknown backend {obj['backend']!r}")
+    terms = [
+        (_fraction(int(en), int(ed)),
+         int(c) if want.char else frac_from_json(c))
+        for en, ed, c in obj.get("terms", [])
+    ]
+    prec = obj.get("prec", "inf")
+    prec = INF if prec == "inf" else _fraction(int(prec[0]), int(prec[1]))
+    return want.elem(terms, prec)
 
 
 _MONOMIAL = re.compile(
@@ -277,11 +274,10 @@ def parse_ratfunc_flexible(fld, spec):
     """Accept "t"/"T" (the coordinate), an element literal, or full JSON."""
     if isinstance(spec, dict):
         return ratfunc_from_json(spec, fld)
+    one = Polynomial.from_coeffs(fld, [fld.one()])
     if isinstance(spec, str) and spec.strip() in ("t", "T"):
-        one = Polynomial.from_coeffs(fld, [fld.one()])
         return RationalFunction(Polynomial.variable(fld), one,
                                 reduced=True, num_roots=(fld.zero(),))
     elem = parse_elem_literal(fld, spec)
-    one = Polynomial.from_coeffs(fld, [fld.one()])
     return RationalFunction(Polynomial.from_coeffs(fld, [elem]), one,
                             reduced=True)

@@ -206,13 +206,15 @@ def kummer_sheaf(tree_or_skel, n: int) -> TreeSheaf:
     cosp = {}
     open_ends = set()
     child_edges = {v: [] for v in tree.vertices}
+    parent_edge = {}  # the first edge naming v as its child
     for i, (c, p) in enumerate(tree.edges):
         child_edges[p].append(i)
+        parent_edge.setdefault(c, i)
     for v in tree.vertices:
         ch = child_edges[v]
         k = len(ch)
         vranks[v] = k
-        pe = tree.parent_edge_index(v)
+        pe = parent_edge.get(v)
         if k == 0:
             # boundary branch: open end, stalk vanishes beyond
             if pe is not None:

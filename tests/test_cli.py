@@ -343,11 +343,14 @@ class TestErrors:
         ('"x"', "problem file must hold a JSON object"),
         ('{"version": 1, "command": "np", "payload": []}',
          "problem file payload must be a JSON object"),
-    ], ids=["list", "string", "payload-list"])
+        ('{"version": 1, "command": "eval", "payload": {}}',
+         "problem file command disagrees with argv"),
+    ], ids=["list", "string", "payload-list", "command-disagrees"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_non_object_problem_exit_2(self, capsys, monkeypatch, tmp_path,
                                        text, detail, source):
-        # each once escaped as an AttributeError traceback with exit 1
+        # all but the last once escaped as an AttributeError traceback with
+        # exit 1
         if source == "file":
             prob = tmp_path / "p.json"
             prob.write_text(text)
@@ -650,6 +653,13 @@ class TestBalancePoint:
         slopes = json.loads(out)["slopes"]
         assert sum(slopes.values()) == 0
         assert slopes["dir:t"] == 1
+        # with the direction of t alone given, the root t^2, in the
+        # direction of 0, is "other", and the root 1 is "up"
+        code, out, _ = run(capsys, ["balance", "--field", FIELD_Q,
+                                    "--f", fdoc, "--point", point,
+                                    "--directions", '["t"]'])
+        assert code == 0
+        assert json.loads(out)["slopes"] == {"dir:t": 1, "other": 1, "up": -2}
 
 
 class TestCancelSection:

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import INF, PadicField, Polynomial, PuiseuxField, rat_normalize, valuation
+from berkline import (INF, PadicField, Polynomial, PuiseuxField,
+                      RationalFunction, rat_normalize, valuation)
 from berkline import field
 from berkline.errors import (BackendMismatch, DivisionByZero, NotCertified,
                              NotPrime, PrecisionExhausted, ResourceLimit,
@@ -67,9 +68,18 @@ class TestPuiseuxBasics:
         with pytest.raises(PrecisionExhausted):
             F2.elem([], prec=Fraction(2)).inverse()
 
-    def test_fp_coefficients_from_rationals(self, F3):
+    def test_fp_coefficients_from_rationals(self, F3, F2):
         # 1/2 = 2 mod 3
         assert F3.constant(Fraction(1, 2)).terms == ((Fraction(0), 2),)
+        # and has no residue mod 2
+        with pytest.raises(ValueError, match="denominator 2 not invertible mod 2"):
+            F2.elem([(0, Fraction(1, 2))])
+
+    def test_float_inputs_rejected(self, FQ):
+        for op in (lambda: FQ.t(0.5), lambda: FQ.elem([(0, 1.5)]),
+                   lambda: FQ.elem([(0, 1)], prec=2.0)):
+            with pytest.raises(TypeError, match="exact rational required"):
+                op()
 
     def test_truncated_zero_prints_its_precision(self, F3, FQ):
         # a truncated zero is not the exact zero, and must not print as it:
@@ -173,6 +183,13 @@ class TestPadicBasics:
         assert Q2.t(-3, Fraction(2, 3)) == Q2.elem(Fraction(1, 12))
         assert Q2.t(2, Fraction(3, 4)).canonical_str() == "3"
         assert x.canonical_str() == str(Fraction(-3, 10)) == "-3/10"
+        # sums over denominators sharing a factor, reduced or not by it
+        for a, b in ((Fraction(1, 2), Fraction(1, 4)),
+                     (Fraction(1, 6), Fraction(1, 3))):
+            y = Q2.elem(a) + Q2.elem(b)
+            assert (y.num, y.den) == ((a + b).numerator, (a + b).denominator)
+        with pytest.raises(ValueError, match="the p-adic value group is Z"):
+            Q2.t(Fraction(1, 2))
 
 
 class TestCharacteristic:
@@ -344,6 +361,27 @@ class TestRationalFunctions:
         T = Polynomial.variable(FQ)
         with pytest.raises(ZeroDenominator):
             rat_normalize(T, Polynomial.from_coeffs(FQ, []))
+
+    def test_inverse_and_products(self, FQ):
+        t = FQ.t()
+        T = Polynomial.variable(FQ)
+        num = Polynomial.from_roots(FQ, [t])
+        den = Polynomial.from_roots(FQ, [FQ.one()])
+        f = RationalFunction(num, den, True, (t,), (FQ.one(),))
+        assert f.center is num.center
+        inv = f.inverse()
+        assert (inv.num, inv.den, inv.reduced) == (den, num, True)
+        assert (inv.num_roots, inv.den_roots) == ((FQ.one(),), (t,))
+        with pytest.raises(ZeroDenominator, match="inverting the zero function"):
+            RationalFunction(Polynomial.from_coeffs(FQ, []), den).inverse()
+        # num and den multiply, and the root lists concatenate
+        g = f * inv
+        assert (g.num, g.den, g.reduced) == (num * den, den * num, False)
+        assert (g.num_roots, g.den_roots) == ((t, FQ.one()), (FQ.one(), t))
+        # a polynomial is the function over 1, with no roots listed
+        h = f * T
+        assert (h.num, h.den) == (num * T, den)
+        assert (h.num_roots, h.den_roots) == ((t,), (FQ.one(),))
 
     def test_shared_root_not_dividing_num(self, FQ):
         t = FQ.t()

@@ -66,6 +66,9 @@ class TestNaiveNorm:
     def test_single_term(self, FQ):
         f = Polynomial.from_coeffs(FQ, [0, 0, 1])
         assert naive_norm(f, Fraction(1, 2)) == pytest.approx(0.25, rel=1e-12)
+        # a float radius, and a rational one off the powers of two
+        assert naive_norm(f, 0.5) == pytest.approx(0.25, rel=1e-12)
+        assert naive_norm(f, Fraction(1, 3)) == pytest.approx(1 / 9, rel=1e-12)
 
     def test_dominates_gauss_norm(self, FQ):
         rng = random.Random(3)

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from berkline import INF, PadicField, Polynomial, PuiseuxField, _purekernel
+from berkline.field import PadicElem, PuiseuxElem
 from berkline import poly as poly_mod
 from berkline.errors import BackendMismatch
 
@@ -364,6 +365,76 @@ def test_elements_of_another_field_still_mismatch():
                    lambda: y * fld.t(1), lambda: y + fld.t(1)):
             with pytest.raises(BackendMismatch):
                 op()
+    # a product with no coefficient pair to multiply checks the field too:
+    # the zero polynomial, or a zero of the other field
+    z = Polynomial(fld.zero(), ())
+    for op in (lambda: z * other.t(1), lambda: other.t(1) * z,
+               lambda: z * other.zero(),
+               lambda: Polynomial.from_coeffs(fld, [1, 1]) * other.zero()):
+        with pytest.raises(BackendMismatch) as exc:
+            op()
+        assert str(exc.value) == ("mixed operands: PuiseuxField(F_3((t))) "
+                                  "vs PuiseuxField(F_2((t)))")
+
+
+def elementwise_scale(f, c):
+    """``f.scale(c)`` as one element product per coefficient, an exact
+    zero c giving the zero polynomial: the route the kernel replaces."""
+    if c.is_zero():
+        return Polynomial(f.center, ())
+    return Polynomial.from_coeffs(f.field, [x * c for x in f.coeffs], f.center)
+
+
+def scalar_kind(c):
+    if c.is_exact:
+        return "exact zero" if c.is_zero() else "exact"
+    return "truncated" if c.exps else "truncated zero"
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_scale_matches_elementwise(fld):
+    """A product by an element takes the kernel, as the product by the
+    constant polynomial: every coefficient, and its precision, is the one
+    the per-coefficient product gives."""
+    rng = random.Random(1409)
+    seen = set()
+    for k in range(2000):
+        center = fld.zero() if k % 3 else rand_elem(rng, fld, True)
+        f = rand_poly(rng, fld, rng.randint(0, 6), center, rand_trunc)
+        c = fld.zero() if rng.random() < 0.1 else rand_trunc(rng, fld)
+        got, want = f.scale(c), elementwise_scale(f, c)
+        assert got.coeffs == want.coeffs and got.center is want.center
+        assert precs(got) == precs(want)
+        assert f * c == c * f == got
+        seen.add(scalar_kind(c))
+    kinds = {"exact", "exact zero"}
+    if isinstance(fld, PuiseuxField):
+        kinds |= {"truncated", "truncated zero"}
+    assert seen == kinds
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_scale_makes_no_element_product(fld, monkeypatch):
+    """``f.scale(c)`` and ``f * 3`` answer with element products refused,
+    through one kernel call each."""
+    rng = random.Random(1410)
+    f = rand_poly(rng, fld, 4, make=rand_trunc)
+    c = rand_trunc(rng, fld, True)
+    want = [elementwise_scale(f, c), elementwise_scale(f, fld.constant(3))]
+
+    def refuse(self, other):
+        raise AssertionError("an element product was made")
+
+    for cls in (PuiseuxElem, PadicElem):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+    calls = []
+    mul = _purekernel.poly_mul_modp
+    monkeypatch.setattr(poly_mod.kernel, "poly_mul_modp",
+                        lambda *a: calls.append(1) or mul(*a))
+    assert f.scale(c) == want[0]
+    assert len(calls) == 1
+    assert f * 3 == want[1]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])

@@ -36,11 +36,19 @@ class TestClassify:
                             DiscPoint(t, lv(2)),
                             DiscPoint(t + FQ.t(2), lv(3))))
         assert classify(chain).type == 4
+        assert repr(chain) == "Chain(D(0, s=1) > D(t, s=2) > D(t+t^2, s=3))"
 
     def test_malformed_chain(self, FQ):
         with pytest.raises(MalformedChain):
             ChainPoint((DiscPoint(FQ.zero(), lv(2)),
                         DiscPoint(FQ.one(), lv(3))))  # not nested
+        # a non-point, to each function that takes a point
+        for op in (lambda: classify(FQ.one()),
+                   lambda: meet(FQ.one(), DiscPoint(FQ.zero(), lv(0))),
+                   lambda: coords(FQ.one(), [FQ.zero()]),
+                   lambda: eval_point(Polynomial.variable(FQ), FQ.one())):
+            with pytest.raises(MalformedChain):
+                op()
 
 
 class TestMeet:
@@ -136,6 +144,16 @@ class TestCoords:
             coords(DiscPoint(bad, lv(0)), [FQ.zero()])
         with pytest.raises(PointOutsideDisc):
             coords(DiscPoint(FQ.zero(), lv(0)), [bad])
+
+    def test_chain_outside_disc_rejected(self, FQ):
+        # a chain is retracted at its last disc, and is rejected as that
+        # disc is: its center t^-1 + t^2 lies outside the unit disc
+        last = DiscPoint(FQ.t(-1) + FQ.t(2), lv(0))
+        chain = ChainPoint((DiscPoint(FQ.t(-1), lv(-3)), last))
+        for x in (last, chain):
+            with pytest.raises(PointOutsideDisc,
+                               match="point center outside the unit disc"):
+                coords(x, [FQ.zero()])
 
     def test_restrict_identity(self, FQ):
         A = [FQ.zero(), FQ.t()]

@@ -25,6 +25,9 @@ class TestScalars:
         for s in (lv(0), lv(3, -2), INFINITY):
             assert ser.logvalue_from_json(ser.logvalue_to_json(s)) == s
         assert ser.logvalue_to_json(INFINITY) == "inf"
+        # a bare rational, as a JSON number or string, is the radius (q, 0)
+        assert ser.logvalue_from_json(3) == lv(3)
+        assert ser.logvalue_from_json("-1/2") == lv(Fraction(-1, 2))
 
     def test_field_roundtrip(self, F2, Q3):
         for fld in (F2, Q3):
@@ -42,6 +45,21 @@ class TestElements:
             doc = ser.elem_to_json(x)
             back = ser.elem_from_json(doc, fld)
             assert back == x
+
+    def test_decoded_on_the_given_field(self, F2, FQ, Q3):
+        # every element of a payload is built on the field passed with it
+        for fld, x in ((F2, F2.t(Fraction(1, 2))), (FQ, FQ.t(2, 3)),
+                       (Q3, Q3.elem(Fraction(5, 9)))):
+            back = ser.elem_from_json(ser.elem_to_json(x), fld)
+            assert back == x and back.field is fld
+        doc = ser.elem_to_json(F2.one())
+        assert ser.elem_from_json(doc).field == F2
+        for fld in (FQ, Q3):
+            with pytest.raises(ValueError, match="element backend disagrees"
+                               " with the field config"):
+                ser.elem_from_json(doc, fld)
+        with pytest.raises(ValueError, match="unknown backend 'adelic'"):
+            ser.elem_from_json({"backend": "adelic"}, FQ)
 
     def test_finite_precision(self, FQ):
         x = FQ.elem([(Fraction(1, 2), Fraction(3, 4))], prec=Fraction(7, 3))
@@ -80,6 +98,11 @@ class TestComposite:
         assert back.num.coeffs == f.num.coeffs
         assert back.num_roots == f.num_roots
         assert back.reduced
+        g = f.inverse()
+        doc = ser.ratfunc_to_json(g)
+        assert "num_roots" not in doc and len(doc["den_roots"]) == 1
+        back = ser.ratfunc_from_json(doc, FQ)
+        assert back.den_roots == g.den_roots and back.num_roots == ()
 
     def test_points(self, FQ):
         from berkline import ChainPoint
@@ -129,3 +152,8 @@ class TestComposite:
         assert g.num.degree == 1 and g.den.degree == 0
         c = ser.parse_ratfunc_flexible(FQ, "5")
         assert c.num.degree == 0
+        assert g.den == c.den == Polynomial.from_coeffs(FQ, [1])
+        # a dict is the full JSON form
+        doc = ser.ratfunc_to_json(g)
+        back = ser.parse_ratfunc_flexible(FQ, doc)
+        assert (back.num, back.den, back.num_roots) == (g.num, g.den, g.num_roots)

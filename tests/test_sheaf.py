@@ -1,6 +1,7 @@
 """Cellular sheaf cohomology, checked against brute-force group enumeration."""
 
 import random
+import re
 import time
 from itertools import product
 from math import gcd
@@ -210,6 +211,31 @@ class TestShriek:
         F = constant_sheaf(interval(2), 2)
         with pytest.raises(NotOpenSubtree):
             shriek_extend(F, removed={"nope"})
+        with pytest.raises(NotOpenSubtree, match="edge index out of range"):
+            shriek_extend(F, removed=(), removed_edges={1})
+
+
+def kummer_by_parent_scan(tree, n):
+    """``kummer_sheaf`` with each vertex's parent edge found by a scan of
+    all the edges (``HostTree.parent_edge_index``), the first match winning."""
+    child_edges = {v: [i for i, (c, p) in enumerate(tree.edges) if p == v]
+                   for v in tree.vertices}
+    vranks, cosp, open_ends = {}, {}, set()
+    for v in tree.vertices:
+        ch = child_edges[v]
+        k = vranks[v] = len(ch)
+        pe = tree.parent_edge_index(v)
+        if k == 0:
+            if pe is not None:
+                open_ends.add((v, pe))
+            continue
+        for pos, i in enumerate(ch):
+            cosp[(v, i)] = (tuple(1 if j == pos else 0 for j in range(k)),)
+        if pe is not None:
+            cosp[(v, pe)] = ((1,) * k,)
+    return make_cellular_sheaf(tree, n, vranks,
+                               {i: 1 for i in range(len(tree.edges))},
+                               cosp, open_ends)
 
 
 def star(k):
@@ -247,6 +273,34 @@ class TestKummer:
         tree = HostTree((0, 1), ((0, 1),), root=None)
         with pytest.raises(RootlessSkeleton):
             kummer_sheaf(tree, 3)
+
+    def test_matches_a_parent_edge_scan(self):
+        # the seeded skeletons of this module's random tests, and the trees
+        # built by hand above
+        FQ = PuiseuxField(0)
+        t = FQ.t()
+        trees = [interval(2), interval(4), star(3),
+                 HostTree.from_skeleton(build_skeleton([FQ.zero(), t, FQ.one()])),
+                 HostTree.from_skeleton(
+                     build_skeleton([FQ.zero(), t, t * t, FQ.one()]))]
+        for n, seed in product([2, 3, 4, 6], range(4)):
+            rng = random.Random(1000 * n + seed)
+            centers = []
+            for _ in range(rng.randint(1, 6)):
+                a = rand_puiseux(rng, FQ)
+                if not any((a - b).is_zero() for b in centers):
+                    centers.append(a)
+            trees.append(HostTree.from_skeleton(build_skeleton(centers)))
+        for tree, n in product(trees, [2, 4, 6]):
+            assert kummer_sheaf(tree, n) == kummer_by_parent_scan(tree, n)
+
+    def test_a_vertex_child_of_two_edges(self):
+        # HostTree accepts "a" as the child of both edges; its parent edge is
+        # the first, so the open end is ("a", 0) and ("a", 1) stays closed
+        tree = HostTree(("a", "b", "c"), (("a", "b"), ("a", "c")), "b")
+        with pytest.raises(ShapeMismatch,
+                           match=re.escape("closed end ('a', 1) lacks a matrix")):
+            kummer_sheaf(tree, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("seed", range(4))
@@ -332,6 +386,16 @@ class TestValidation:
         with pytest.raises(ShapeMismatch):
             make_cellular_sheaf(tree, 4, {0: 1, 1: 1}, {0: 1},
                                 {(0, 0): ((1,),)})
+
+    @pytest.mark.parametrize("modulus,vranks,open_ends,message", [
+        (1, {0: 1, 1: 1}, (), "modulus must be >= 2"),
+        (4, {0: -1, 1: 1}, (), "ranks must be nonnegative"),
+        (4, {0: 1, 1: 1}, {(0, 0)}, "open end (0, 0) carries a matrix"),
+    ], ids=["modulus-1", "negative-rank", "open-end-matrix"])
+    def test_rejected_shapes(self, modulus, vranks, open_ends, message):
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            make_cellular_sheaf(interval(2), modulus, vranks, {0: 1},
+                                {(0, 0): ((1,),), (1, 0): ((1,),)}, open_ends)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -49,6 +49,10 @@ class TestUnitClass:
                            match="^element known only below its precision$"):
             unit_class(FQ.elem([], 3))
 
+    def test_product_needs_one_residue_field(self, FQ, Q3):
+        with pytest.raises(ValueError, match="over different residue fields"):
+            unit_class(FQ.t(1)) * unit_class(Q3.t(1))
+
     @pytest.mark.parametrize("backend", ["F2", "F3", "FQ", "Q3"])
     def test_group_homomorphism(self, backend, request):
         fld = request.getfixturevalue(backend)
@@ -287,6 +291,57 @@ class TestBoundaryDegrees:
             degs = boundary_degrees(f, dom)
             assert sum(degs) + exterior_degree(f, dom) == 0
 
+    @pytest.mark.parametrize(
+        "fld", [PuiseuxField(0), PuiseuxField(3), PadicField(3)],
+        ids=["Q", "F3", "Q3"])
+    def test_exterior_is_minus_the_holes_sum(self, fld):
+        """Wherever boundary_degrees answers, f is a unit on the domain, so
+        deg(div f) = 0 puts the exterior at minus the holes' sum: the CLI
+        reads it off there instead of counting the bounding disc again.
+        Root lists are given or not, and coefficients exact or truncated."""
+        rng = random.Random(1730)
+        padic = isinstance(fld, PadicField)
+        centers = [fld.zero(), fld.one(), fld.constant(2)]
+        seen = set()
+        for _ in range(300):
+            dom = Domain(fld.zero(), lv(-1), tuple(
+                ExcludedDisc(c, lv(1), closed=rng.random() < 0.7)
+                for c in centers))
+            roots, poles = [], []
+            for c in centers:
+                for _ in range(rng.randint(0, 2)):
+                    roots.append(c + fld.t(rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 2)):
+                    poles.append(c + fld.t(rng.randint(1, 3), 2))
+            # divisor beyond the bounding disc, and now and then on the domain
+            for _ in range(rng.randint(0, 2)):
+                roots.append(fld.t(-rng.randint(2, 4), rng.randint(1, 2)))
+            if rng.random() < 0.2:
+                poles.append(fld.t(rng.randint(-1, 0), 2) + fld.constant(4))
+            num = Polynomial.from_roots(fld, roots)
+            den = Polynomial.from_roots(fld, poles)
+            truncate = not padic and rng.random() < 0.4
+            if truncate:
+                prec = rng.randint(2, 12)
+                num = Polynomial.from_coeffs(
+                    fld, [c.truncated(prec) for c in num.coeffs])
+            listed = rng.random() < 0.5
+            f = RationalFunction(num, den, False,
+                                 tuple(roots) if listed else (),
+                                 tuple(poles) if listed else ())
+            try:
+                degs = boundary_degrees(f, dom)
+            except (NotCertified, PrecisionExhausted) as exc:
+                seen.add(type(exc).__name__)
+                continue
+            assert -sum(degs) == exterior_degree(f, dom)
+            seen.add(("listed" if listed and not truncate else "counted",
+                      "truncated" if truncate else "exact"))
+        want = {("listed", "exact"), ("counted", "exact"), "NotCertified"}
+        if not padic:
+            want |= {("counted", "truncated"), "PrecisionExhausted"}
+        assert want <= seen
+
 
 class TestDirectionSlopes:
     def test_sums_to_zero_and_matches_finite_differences(self, FQ):
@@ -471,6 +526,8 @@ def test_leading_class_of_zero_raises(FQ):
 def test_char_poly_rejects_zero(FQ):
     with pytest.raises(ZeroElement):
         char_poly_point([FQ.one(), FQ.zero()])
+    with pytest.raises(ZeroElement, match="need at least one unit"):
+        char_poly_point([])
 
 
 class TestHomotopyPuncturedDisc:
