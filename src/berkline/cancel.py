@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from ._record import Record, setfield
 from .errors import BoundarySolution, ResourceLimit, ZeroPolynomial
+from .field import _vp
 from .gauss import NewtonPolygon, _classify, _polygon
 from .logvalue import LogValue, ZERO, as_logvalue
 from .poly import Polynomial, RationalFunction
@@ -79,16 +80,11 @@ def y1_divisor(N: int, fld) -> Divisor:
     if N < 1:
         raise ValueError("N must be >= 1")
     p = fld.residue_char
-    a = 0
-    if p:
-        while N % p == 0:
-            N //= p
-            a += 1
-    if N > Y1_ENTRY_CAP:
+    mult = p ** _vp(N, p) if p else 1
+    if N // mult > Y1_ENTRY_CAP:
         raise ResourceLimit(f"Y1 needs more than {Y1_ENTRY_CAP} entries",
                             witness=Y1_ENTRY_CAP)
-    mult = p ** a if p else 1
-    return trusted_divisor(((ZERO, mult),) * N)
+    return trusted_divisor(((ZERO, mult),) * (N // mult))
 
 
 def _solution_polygon(num: Polynomial, den: Polynomial, N: int) -> NewtonPolygon:

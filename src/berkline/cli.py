@@ -239,13 +239,11 @@ def _loads(text):
 
 
 def _read_json_arg(text):
-    """Inline JSON, @path, or '-' for stdin."""
+    """The JSON document at @path, or on stdin for '-'."""
     if text == "-":
         return _loads(sys.stdin.read())
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return _loads(fh.read())
-    return _loads(text)
+    with open(text[1:]) as fh:
+        return _loads(fh.read())
 
 
 def _emit(obj):
@@ -502,7 +500,7 @@ def _run(args) -> int:
     try:
         payload = _assemble_payload(args)
         _validate(args.command, payload)
-    except (SchemaError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (SchemaError, OSError, ValueError) as exc:
         return _schema_error(exc)
     except UnsupportedSchema as exc:
         return _internal_error(exc)

@@ -74,9 +74,8 @@ def _require_prime(n: int):
         return
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         raise NotPrime(f"{n} is not a prime", witness=n)
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
+    r = _vp(n - 1, 2)
+    d = (n - 1) >> r
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1:

@@ -21,8 +21,9 @@ routes:
   int series, read per coefficient off the flat encoding and decoded once
   per output from dicts (``_decode``); at its own exact center a
   polynomial is returned as it is;
-* a truncated shift, and ``divide_linear`` always, take the element-wise
-  loop.
+* evaluation, ``divide_linear`` and a truncated shift run one synthetic
+  division on elements (``_synthetic``): a truncated shift is n of them in
+  a row.
 
 Rational functions keep numerator and denominator over the same center and
 may carry the root lists they were built from.  Once proven complete by exact
@@ -180,14 +181,15 @@ class Polynomial(Record):
         Horner's Taylor shift by d = a - center.  With d = D/E and every
         coefficient exact, it runs on int series: coefficient i, over the
         common denominator L, is scaled by E**(n-i), shifted by D (mod p over
-        F_p) and output j is decoded once, over L*E**(n-j).  A truncated
-        coefficient or d takes the element-wise loop.
+        F_p) and output j is decoded once, over L*E**(n-j).  With a
+        truncated coefficient or d it is n synthetic divisions by (T - a) on
+        elements (``_synthetic``), each on the quotient of the last.
 
         At its own center object, exact or truncated, a polynomial is
         returned as it is: T - a is then T - center, the same variable, so
         every coefficient is unchanged.  The difference a - center computed
         on elements would be a truncated zero when a is truncated, and the
-        loop would spread that O(t^p) into each coefficient.
+        divisions would spread that O(t^p) into each coefficient.
         """
         if a is self.center:
             return self
@@ -197,33 +199,20 @@ class Polynomial(Record):
         b = list(self.coeffs)
         if d.is_exact and all(c.is_exact for c in b):
             return Polynomial(a, _shift(self.field, b, d))
-        n = len(b) - 1
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                b[j] = b[j] + d * b[j + 1]
+        for i in range(len(b) - 1):
+            b[i:] = _synthetic(b[i:], d)
         return Polynomial.from_coeffs(self.field, b, a)
 
     def __call__(self, x):
-        """Evaluate at a field element (Horner)."""
-        if not self.coeffs:
-            return self.field.zero()
-        u = x - self.center
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * u + c
-        return acc
+        """Evaluate at a field element: the remainder of ``divide_linear``."""
+        return self.divide_linear(x)[1]
 
     def divide_linear(self, root):
         """Divide by (T - root); returns (quotient, remainder element)."""
         if self.is_zero():
             return self, self.field.zero()
-        d = root - self.center
-        out = [self.coeffs[-1]]
-        for c in reversed(self.coeffs[:-1]):
-            out.append(c + d * out[-1])
-        out.reverse()
-        rem = out[0]
-        return Polynomial.from_coeffs(self.field, out[1:], self.center), rem
+        out = _synthetic(self.coeffs, root - self.center)
+        return Polynomial.from_coeffs(self.field, out[1:], self.center), out[0]
 
     def canonical_str(self) -> str:
         if not self.coeffs:
@@ -243,6 +232,17 @@ class Polynomial(Record):
 
     def __repr__(self):
         return self.canonical_str()
+
+
+def _synthetic(coeffs, d) -> list:
+    """Synthetic division of c_0 + ... + c_n X**n by (X - d), on elements:
+    [remainder, q_0, ..., q_{n-1}].  Horner's rule; the remainder is the
+    value at X = d."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out.append(c + d * out[-1])
+    out.reverse()
+    return out
 
 
 def _lattice(fld, coeffs) -> int:

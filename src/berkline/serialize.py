@@ -129,14 +129,8 @@ def parse_elem_literal(fld, text):
         if not m or not part.strip():
             raise ValueError(f"cannot parse element literal {part!r}")
         coef = _fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        has_t = "t" in part
         exp = _fraction(m.group("exp")) if m.group("exp") else Fraction(1)
-        if not has_t:
-            total = total + fld.constant(coef)
-        elif fld.backend == "puiseux":
-            total = total + fld.t(exp, coef)
-        else:
-            total = total + fld.t(exp) * fld.constant(coef)
+        total = total + fld.t(exp if "t" in part else 0, coef)
     return total
 
 

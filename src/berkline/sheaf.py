@@ -65,8 +65,8 @@ class HostTree(Record):
 
     @classmethod
     def from_skeleton(cls, skel):
-        ids, edges, root = skel.host_tree()
-        return cls(ids, edges, root)
+        """The tree of a ``Skeleton``: vertex ids are its vertex indices."""
+        return cls(tuple(range(len(skel.vertices))), skel.edges, skel.root)
 
     def children(self, v):
         return tuple(c for c, p in self.edges if p == v)
@@ -206,10 +206,14 @@ def kummer_sheaf(tree_or_skel, n: int) -> TreeSheaf:
     cosp = {}
     open_ends = set()
     child_edges = {v: [] for v in tree.vertices}
-    parent_edge = {}  # the first edge naming v as its child
+    parent_edge = {}
     for i, (c, p) in enumerate(tree.edges):
+        # a rooted tree gives each vertex one parent edge; HostTree does not
+        # check it, since constant and explicit sheaves do not need it
+        if c in parent_edge:
+            raise ShapeMismatch(f"vertex {c!r} is the child of two edges")
         child_edges[p].append(i)
-        parent_edge.setdefault(c, i)
+        parent_edge[c] = i
     for v in tree.vertices:
         ch = child_edges[v]
         k = len(ch)

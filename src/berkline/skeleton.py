@@ -42,10 +42,6 @@ class Skeleton(Record):
             return False
         return True
 
-    def host_tree(self):
-        """(vertex ids, edges, root) triple consumed by the sheaf module."""
-        return tuple(range(len(self.vertices))), self.edges, self.root
-
     def to_dot(self) -> str:
         lines = ["digraph skeleton {"]
         for i, v in enumerate(self.vertices):

@@ -9,10 +9,13 @@ must equal theirs in value and in each coefficient's precision, over F_2,
 F_3, Q((t)), Q_3 and Q_5.  ``Polynomial.from_roots`` with exact inputs
 multiplies all its factors in one kernel chain; ``sequential_from_roots``
 is the loop of binary products it replaces, and the two must agree in every
-stored field.
+stored field.  Evaluation, ``divide_linear`` and a truncated shift share one
+synthetic division; ``horner_call``, ``elementwise_divide_linear`` and
+``elementwise_recenter`` are the three loops it replaces.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -51,6 +54,29 @@ def elementwise_recenter(f, a):
         for j in range(n - 1, i - 1, -1):
             b[j] = b[j] + d * b[j + 1]
     return Polynomial.from_coeffs(f.field, b, a)
+
+
+def horner_call(f, x):
+    """``f(x)`` as its own Horner loop, ``acc * u + c``."""
+    if not f.coeffs:
+        return f.field.zero()
+    u = x - f.center
+    acc = f.coeffs[-1]
+    for c in reversed(f.coeffs[:-1]):
+        acc = acc * u + c
+    return acc
+
+
+def elementwise_divide_linear(f, root):
+    """``f.divide_linear(root)`` as its own loop of ``c + d * q``."""
+    if f.is_zero():
+        return f, f.field.zero()
+    d = root - f.center
+    out = [f.coeffs[-1]]
+    for c in reversed(f.coeffs[:-1]):
+        out.append(c + d * out[-1])
+    out.reverse()
+    return Polynomial.from_coeffs(f.field, out[1:], f.center), out[0]
 
 
 def rand_elem(rng, fld, nonzero=False):
@@ -94,9 +120,12 @@ def rand_poly(rng, fld, deg, center=None, make=rand_elem):
     return Polynomial.from_coeffs(fld, coeffs, center)
 
 
+def prec(c):
+    return c.prec if isinstance(c.field, PuiseuxField) else INF
+
+
 def precs(f):
-    return [c.prec if isinstance(c.field, PuiseuxField) else INF
-            for c in f.coeffs]
+    return [prec(c) for c in f.coeffs]
 
 
 def truncation_kinds(f):
@@ -145,6 +174,62 @@ def test_recenter_matches_elementwise(fld):
         got = f.recenter(a)
         assert got == elementwise_recenter(f, a)
         assert got.center == a
+
+
+def outcome(fn, *args):
+    """What a call gives: its value with every precision spelled out, or
+    its error's type and message."""
+    try:
+        out = fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(out, tuple):
+        quotient, rem = out
+        return quotient, precs(quotient), rem, prec(rem)
+    if isinstance(out, Polynomial):
+        return out, out.center, precs(out)
+    return out, prec(out)
+
+
+def rand_point(rng, fld, other):
+    """An evaluation point and its kind: exact, truncated, an int, or an
+    element of another field."""
+    r = rng.random()
+    if r < 0.04:
+        return rng.randint(-3, 3), "int"
+    if r < 0.08:
+        return rand_elem(rng, other, True), "another field"
+    x = rand_trunc(rng, fld) if r < 0.5 else rand_elem(rng, fld)
+    return x, "exact" if x.is_exact else "truncated"
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_evaluation_division_and_shifts_match_elementwise(fld):
+    """``f(x)``, ``f.divide_linear(x)`` and ``f.recenter(x)`` give what
+    their own loops give: value, every precision, or the same error."""
+    rng = random.Random(1410)
+    other = FIELDS[(FIELDS.index(fld) + 1) % len(FIELDS)]
+    seen = Counter()
+    for k in range(600):
+        center = rand_trunc(rng, fld, True) if k % 10 < 3 else fld.zero()
+        deg = rng.randint(-1, 5)
+        f = (Polynomial(center, ()) if deg < 0 else
+             rand_poly(rng, fld, deg, center,
+                       rand_trunc if rng.random() < 0.6 else rand_elem))
+        x, kind = rand_point(rng, fld, other)
+        for got, want in ((f, horner_call),
+                          (f.divide_linear, elementwise_divide_linear),
+                          (f.recenter, elementwise_recenter)):
+            out = outcome(got, x)
+            assert out == outcome(want, f, x)
+            seen["error"] += isinstance(out[0], type)
+        seen[kind] += 1
+        seen["truncated coefficient"] += not all(c.is_exact for c in f.coeffs)
+        seen["truncated center"] += not center.is_exact
+    kinds = {"exact", "int", "another field", "error"}
+    if isinstance(fld, PuiseuxField):
+        kinds |= {"truncated", "truncated coefficient", "truncated center"}
+    assert kinds <= {k for k, n in seen.items() if n}
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from berkline import (AnnulusSpec, DiscPoint, Domain, ExcludedDisc, INFINITY,
-                      LogValue, Polynomial, RationalFunction, build_skeleton,
-                      newton_polygon, unit_class)
+                      LogValue, PadicField, Polynomial, PuiseuxField,
+                      RationalFunction, build_skeleton, newton_polygon,
+                      unit_class)
+from berkline.field import PadicElem, PuiseuxElem
 from berkline import serialize as ser
 from conftest import rand_padic, rand_poly, rand_puiseux
 
@@ -80,6 +82,56 @@ class TestElements:
         assert ser.parse_elem_literal(FQ, "1+t").canonical_str() == "1+t"
         assert ser.parse_elem_literal(Q2, "t").value == 2
         assert ser.parse_elem_literal(FQ, 0).is_zero()
+        # every monomial is fld.t(q, c), q = 0 for a constant: the same
+        # elements and errors as a route per kind of monomial and backend
+        seen = set()
+        for fld in LITERAL_FIELDS:
+            for text in LITERALS:
+                got = literal_outcome(ser.parse_elem_literal, fld, text)
+                assert got == literal_outcome(three_route_literal, fld, text)
+                seen.add(got[0])
+        assert {PadicElem, PuiseuxElem, ValueError} <= seen
+
+
+LITERAL_FIELDS = [PuiseuxField(0), PuiseuxField(2), PuiseuxField(3),
+                  PuiseuxField(5), PadicField(2), PadicField(3), PadicField(5)]
+LITERALS = ["0", "7", "-3", "3/2", "-4/6", "t", "-t", "t^2", "t^-3", "3*t",
+            "5*t^1/2", "-2/3*t^-4/3", "1+t", " 2 + t^2 + 3*t ", "t+t", "1+-1",
+            "10*t^0", 0, 5, -12, "", "  ", "x", "1/0", "t^1/0", "t^1/2", "1/2",
+            "2/5*t", "1++t", "t*2"]
+
+
+def three_route_literal(fld, text):
+    """``parse_elem_literal`` with its own route per monomial: a constant
+    through ``fld.constant``, ``fld.t(q, c)`` over Puiseux fields and
+    ``fld.t(q) * fld.constant(c)`` over Q_p."""
+    if isinstance(text, int):
+        return fld.constant(text)
+    s = str(text).strip()
+    if not s:
+        raise ValueError("empty element literal")
+    total = fld.zero()
+    for part in s.split("+"):
+        m = ser._MONOMIAL.match(part)
+        if not m or not part.strip():
+            raise ValueError(f"cannot parse element literal {part!r}")
+        coef = ser._fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        exp = ser._fraction(m.group("exp")) if m.group("exp") else Fraction(1)
+        if "t" not in part:
+            total = total + fld.constant(coef)
+        elif fld.backend == "puiseux":
+            total = total + fld.t(exp, coef)
+        else:
+            total = total + fld.t(exp) * fld.constant(coef)
+    return total
+
+
+def literal_outcome(parse, fld, text):
+    try:
+        x = parse(fld, text)
+    except Exception as e:
+        return type(e), str(e)
+    return type(x), x
 
 
 class TestComposite:

@@ -295,12 +295,16 @@ class TestKummer:
             assert kummer_sheaf(tree, n) == kummer_by_parent_scan(tree, n)
 
     def test_a_vertex_child_of_two_edges(self):
-        # HostTree accepts "a" as the child of both edges; its parent edge is
-        # the first, so the open end is ("a", 0) and ("a", 1) stays closed
+        # HostTree accepts "a" as the child of both edges, since constant and
+        # explicit sheaves do not depend on how an edge is oriented; the
+        # Kummer sheaf reads each vertex's one parent edge, so it rejects the
+        # tree at the second, naming the vertex rather than a sheaf matrix
         tree = HostTree(("a", "b", "c"), (("a", "b"), ("a", "c")), "b")
         with pytest.raises(ShapeMismatch,
-                           match=re.escape("closed end ('a', 1) lacks a matrix")):
+                           match=re.escape("vertex 'a' is the child of two edges")):
             kummer_sheaf(tree, 2)
+        res = cohomology(constant_sheaf(tree, 2))
+        assert (res.H0, res.H1) == ((2,), ())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("seed", range(4))

@@ -1,0 +1,53 @@
+"""One sha256 per workload over the answers to a fixed prefix of its inputs.
+
+    python3 tools/answer_digest.py [--seed 305] [-n 300]
+
+For each of ``divisor_queries``, ``dense_products`` and ``sparse_splitting``
+in ``perfbench/workloads.py`` it takes ``generate(seed)[:n]``, answers every
+item with ``call`` in this process, and hashes ``answer_text(answer)``; an
+item whose call raises is hashed as
+``repr((type(e).__name__, str(e), getattr(e, "witness", None)))`` instead.
+Each text is followed by a newline, and all go into one sha256 per workload,
+printed as ``name  hexdigest``.  Two trees answer alike on these items when
+they print the same digests.  The library is imported from ``src/`` next to
+this file.  Uses the standard library only; it is not part of the test
+suite.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("divisor_queries", "dense_products", "sparse_splitting")
+
+
+def digest(workload, seed: int, n: int) -> str:
+    h = hashlib.sha256()
+    for item in workload.generate(seed)[:n]:
+        try:
+            text = workload.answer_text(workload.call(item))
+        except Exception as e:
+            text = repr((type(e).__name__, str(e), getattr(e, "witness", None)))
+        h.update(text.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=305)
+    ap.add_argument("-n", type=int, default=300,
+                    help="how many items of each pool to answer")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS as ALL
+
+    for name in WORKLOADS:
+        print(f"{name}  {digest(ALL[name](), args.seed, args.n)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
