@@ -14,18 +14,21 @@ traceback.
 
 Payloads are validated before dispatch against the command's entry in
 ``schemas/berkline.schema.json``, shipped with the package; the entry's
-top-level ``properties`` are also the command's flags.  A built-in
-acceptor decides validity over exactly the keywords that document uses
-(``type``, ``$ref``, ``required``, ``properties``, ``additionalProperties``,
-``items``, ``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
+top-level ``properties`` are also the command's flags.  Each flag's value is
+``-`` (JSON on stdin), ``@path`` (JSON in that file) or inline JSON, kept as
+the string itself where it is not JSON.  A built-in acceptor alone decides
+validity, over exactly the keywords that document uses (``type``, ``$ref``,
+``required``, ``properties``, ``additionalProperties``, ``items``,
+``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
 ``minimum``, ``pattern``, ``oneOf``, ``anyOf``; ``description``, ``title``,
 ``$schema`` and ``$id`` are ignored) and raises on any other, so a valid
-payload never imports jsonschema.  jsonschema is loaded only to word a
-rejection, and stays the authority for that wording.
+payload never imports jsonschema.  jsonschema, where installed, only words
+a rejection, which stands either way.
 
-Each ``_cmd_*`` imports ``serialize`` and its compute modules when it runs,
-so a call loads only what parsing, validation, emit and its own command
-need, and a payload rejected before dispatch loads neither.
+Dispatch imports ``serialize``, decodes the field once and hands it to the
+command's ``_cmd_*``, which imports its compute modules when it runs, so a
+call loads only what parsing, validation, emit and its own command need,
+and a payload rejected before dispatch loads neither.
 """
 
 from __future__ import annotations
@@ -216,18 +219,16 @@ def _validator(name):
 def _validate(name, payload):
     if _acceptor().accepts(name, payload):
         return
+    # the acceptor's rejection stands; jsonschema, where installed, words it
     try:
         from jsonschema.exceptions import best_match
         validator = _validator(name)
     except ImportError:
-        # without jsonschema the rejection stands, worded in general terms
-        raise SchemaError(f"{name}: payload does not match the schema") from None
-
-    # jsonschema words the rejection; should it find no error, it stays the
-    # authority and the payload passes
-    error = best_match(validator.iter_errors(payload))
-    if error is not None:
-        raise SchemaError(f"{name}: {error.message}")
+        error = None
+    else:
+        error = best_match(validator.iter_errors(payload))
+    detail = "payload does not match the schema" if error is None else error.message
+    raise SchemaError(f"{name}: {detail}")
 
 
 def _loads(text):
@@ -252,22 +253,20 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _cmd_eval(payload):
+def _cmd_eval(payload, fld):
     from . import serialize as ser
     from .points import eval_point
 
-    fld = ser.field_from_json(payload["field"])
     poly = ser.poly_from_json(payload["poly"], fld)
     point = ser.point_from_json(payload["point"], fld)
     value = eval_point(poly, point)
     _emit({"logvalue": ser.logvalue_to_json(value)})
 
 
-def _cmd_classify(payload):
+def _cmd_classify(payload, fld):
     from . import serialize as ser
     from .points import classify
 
-    fld = ser.field_from_json(payload["field"])
     point = ser.point_from_json(payload["point"], fld)
     c = classify(point)
     _emit({
@@ -287,10 +286,9 @@ def _skeleton(payload, fld):
     return build_skeleton(centers, s_floor)
 
 
-def _cmd_skeleton(payload):
+def _cmd_skeleton(payload, fld):
     from . import serialize as ser
 
-    fld = ser.field_from_json(payload["field"])
     sk = _skeleton(payload, fld)
     if payload.get("format", "json") == "dot":
         sys.stdout.write(sk.to_dot())
@@ -298,11 +296,10 @@ def _cmd_skeleton(payload):
         _emit(ser.skeleton_to_json(sk))
 
 
-def _cmd_np(payload):
+def _cmd_np(payload, fld):
     from . import serialize as ser
     from .gauss import newton_polygon, root_count_annulus
 
-    fld = ser.field_from_json(payload["field"])
     poly = ser.poly_from_json(payload["poly"], fld)
     np_ = newton_polygon(poly)
     out = ser.newton_polygon_to_json(np_)
@@ -319,12 +316,11 @@ def _cmd_np(payload):
     _emit(out)
 
 
-def _cmd_sheaf(payload):
+def _cmd_sheaf(payload, fld):
     from . import serialize as ser
     from .sheaf import (HostTree, cohomology, constant_sheaf, kummer_sheaf,
                         make_cellular_sheaf, shriek_extend)
 
-    fld = ser.field_from_json(payload["field"])
     n = int(payload["n"])
     spec = payload["sheaf"]
     kind = spec["kind"]
@@ -355,11 +351,10 @@ def _cmd_sheaf(payload):
     _emit(ser.cohomology_to_json(cohomology(F)))
 
 
-def _cmd_balance(payload):
+def _cmd_balance(payload, fld):
     from . import serialize as ser
     from .units import boundary_degrees, direction_slopes
 
-    fld = ser.field_from_json(payload["field"])
     f = ser.ratfunc_from_json(payload["f"], fld)
     if "point" in payload:
         x = ser.point_from_json(payload["point"], fld)
@@ -376,23 +371,21 @@ def _cmd_balance(payload):
         _emit({"boundary_degrees": list(degs), "exterior": -sum(degs)})
 
 
-def _cmd_homotopy(payload):
+def _cmd_homotopy(payload, fld):
     from . import serialize as ser
     from .units import homotopy_check
 
-    fld = ser.field_from_json(payload["field"])
     f0 = ser.ratfunc_from_json(payload["f0"], fld)
     f1 = ser.ratfunc_from_json(payload["f1"], fld)
     dom = ser.domain_from_json(payload["domain"], fld)
     _emit({"homotopic": homotopy_check(f0, f1, dom)})
 
 
-def _cmd_cancel(payload):
+def _cmd_cancel(payload, fld):
     from . import serialize as ser
     from .cancel import (UNIT_ANNULUS, SectionComponent, SectionData,
                          splitting_delta, y1_divisor, y2_divisor)
 
-    fld = ser.field_from_json(payload["field"])
     ann = (ser.annulus_from_json(payload["annulus"]) if "annulus" in payload
            else UNIT_ANNULUS)
     N = int(payload["N"])
@@ -466,11 +459,7 @@ def _assemble_payload(args):
         raw = getattr(args, flag, None)
         if raw is None:
             continue
-        if flag in ("format", "g"):
-            payload[flag] = raw
-        elif flag in ("N", "n"):
-            payload[flag] = int(raw)
-        elif raw == "-" or raw.startswith("@"):
+        if raw == "-" or raw.startswith("@"):
             payload[flag] = _read_json_arg(raw)
         else:
             try:
@@ -505,7 +494,10 @@ def _run(args) -> int:
     except UnsupportedSchema as exc:
         return _internal_error(exc)
     try:
-        _DISPATCH[args.command](payload)
+        from . import serialize as ser
+
+        fld = ser.field_from_json(payload["field"])
+        _DISPATCH[args.command](payload, fld)
     except BerkError as exc:
         _emit({"error": exc.code, "witness": exc.witness,
                "detail": str(exc)})

@@ -204,13 +204,17 @@ class Polynomial(Record):
         return Polynomial.from_coeffs(self.field, b, a)
 
     def __call__(self, x):
-        """Evaluate at a field element: the remainder of ``divide_linear``."""
+        """Evaluate at a field element or an int: the remainder of
+        ``divide_linear``."""
         return self.divide_linear(x)[1]
 
     def divide_linear(self, root):
-        """Divide by (T - root); returns (quotient, remainder element)."""
+        """Divide by (T - root); returns (quotient, remainder element).  An
+        int root is the field's constant, as for ``+`` and ``*``."""
         if self.is_zero():
             return self, self.field.zero()
+        if isinstance(root, int):
+            root = self.field.constant(root)
         out = _synthetic(self.coeffs, root - self.center)
         return Polynomial.from_coeffs(self.field, out[1:], self.center), out[0]
 

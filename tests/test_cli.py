@@ -724,3 +724,71 @@ def test_readme_examples(capsys):
         if want is not None:
             pattern = ".*".join(map(re.escape, want.split("...")))
             assert re.fullmatch(pattern, out.strip()), (argv, out)
+
+
+F2 = {"backend": "puiseux", "char": 2}
+FQ = {"backend": "puiseux", "char": 0}
+G_OBJECT = {"num": {"center": 0, "coeffs": ["t"]},
+            "den": {"center": 0, "coeffs": [1]}}
+CANCEL = {"field": F2, "N": 5}
+CANCEL_G = {"field": F2, "g": "t"}
+SHEAF = {"field": FQ, "centers": [0], "sheaf": {"kind": "constant"}}
+SKELETON = {"field": FQ, "centers": [0, "t", 1]}
+
+# (command, the other flags, flag, its argument, the value a problem file
+# holds for it, exit code, stderr detail); the argument "@" stands for a
+# file holding that value as JSON, and "-" for stdin holding it
+FLAG_FORMS = [
+    ("cancel", CANCEL, "g", "t", "t", 0, None),
+    ("cancel", CANCEL, "g", "3", 3, 0, None),
+    ("cancel", CANCEL, "g", "1/0", "1/0", 2, "zero denominator in 1/0"),
+    ("cancel", CANCEL, "g", json.dumps(G_OBJECT), G_OBJECT, 0, None),
+    ("cancel", CANCEL, "g", "@", G_OBJECT, 0, None),
+    ("cancel", CANCEL, "g", "-", "1+t", 0, None),
+    ("cancel", CANCEL_G, "N", "5", 5, 0, None),
+    ("cancel", CANCEL_G, "N", "abc", "abc", 2,
+     "cancel: 'abc' is not of type 'integer'"),
+    ("cancel", CANCEL_G, "N", "2.0", 2.0, 0, None),
+    ("cancel", CANCEL_G, "N", "@", 5, 0, None),
+    ("sheaf", SHEAF, "n", "5", 5, 0, None),
+    ("sheaf", SHEAF, "n", "abc", "abc", 2,
+     "sheaf: 'abc' is not of type 'integer'"),
+    ("sheaf", SHEAF, "n", "2.0", 2.0, 0, None),
+    ("sheaf", SHEAF, "n", "@", 6, 0, None),
+    ("skeleton", SKELETON, "format", "dot", "dot", 0, None),
+    ("skeleton", SKELETON, "format", '"dot"', "dot", 0, None),
+    ("skeleton", {"field": FQ}, "centers", "@", [0, "t", 1], 0, None),
+]
+
+
+@pytest.mark.parametrize(
+    "command,others,flag,arg,value,code,detail", FLAG_FORMS,
+    ids=[f"{c[0]}-{c[2]}-{c[3] if len(c[3]) < 8 else 'object'}"
+         for c in FLAG_FORMS])
+def test_every_flag_form(capsys, monkeypatch, tmp_path, command, others,
+                         flag, arg, value, code, detail):
+    """Every flag is read by one rule: '-' is the JSON on stdin, @path the
+    JSON in that file, any other argument inline JSON, or the string itself
+    where it is not JSON.  The call then answers as the problem file that
+    holds the decoded value does."""
+    if arg == "@":
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(value))
+        arg = "@" + str(path)
+    elif arg == "-":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(value)))
+    argv = [command]
+    for key, v in others.items():
+        argv += [f"--{key}", v if isinstance(v, str) else json.dumps(v)]
+    got = run(capsys, argv + [f"--{flag}", arg])
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({"version": 1, "command": command,
+                                "payload": {**others, flag: value}}))
+    assert run(capsys, [command, "--problem", str(prob)]) == got
+    exit_code, out, err = got
+    assert exit_code == code
+    if detail is None:
+        assert (err, out.endswith("\n")) == ("", True)
+    else:
+        assert (out, json.loads(err)) == (
+            "", {"error": "schema", "detail": detail})

@@ -217,11 +217,14 @@ def test_evaluation_division_and_shifts_match_elementwise(fld):
              rand_poly(rng, fld, deg, center,
                        rand_trunc if rng.random() < 0.6 else rand_elem))
         x, kind = rand_point(rng, fld, other)
-        for got, want in ((f, horner_call),
-                          (f.divide_linear, elementwise_divide_linear),
-                          (f.recenter, elementwise_recenter)):
+        # an int point is the field's constant; a center must be an element
+        as_elem = fld.constant(x) if kind == "int" else x
+        for got, want, arg in ((f, horner_call, as_elem),
+                               (f.divide_linear, elementwise_divide_linear,
+                                as_elem),
+                               (f.recenter, elementwise_recenter, x)):
             out = outcome(got, x)
-            assert out == outcome(want, f, x)
+            assert out == outcome(want, f, arg)
             seen["error"] += isinstance(out[0], type)
         seen[kind] += 1
         seen["truncated coefficient"] += not all(c.is_exact for c in f.coeffs)
@@ -230,6 +233,25 @@ def test_evaluation_division_and_shifts_match_elementwise(fld):
     if isinstance(fld, PuiseuxField):
         kinds |= {"truncated", "truncated coefficient", "truncated center"}
     assert kinds <= {k for k, n in seen.items() if n}
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_int_point_is_the_constant(fld):
+    rng = random.Random(1411)
+    for _ in range(20):
+        f = rand_poly(rng, fld, rng.randint(0, 5), rand_elem(rng, fld))
+        for n in (-2, 0, 3):
+            assert outcome(f, n) == outcome(f, fld.constant(n))
+            assert (outcome(f.divide_linear, n)
+                    == outcome(f.divide_linear, fld.constant(n)))
+        # any other point that is not an element is still refused
+        for bad in (1.5, "3", None):
+            with pytest.raises(TypeError):
+                f(bad)
+            with pytest.raises(TypeError):
+                f.divide_linear(bad)
+        with pytest.raises(TypeError):
+            f.recenter(3)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)

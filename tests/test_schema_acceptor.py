@@ -2,15 +2,14 @@
 
 The acceptor in ``berkline.cli`` decides validity on its own and loads
 jsonschema only to word a rejection.  These tests hold it to
-``Draft202012Validator.is_valid`` on a seeded mutation corpus built from the
-payloads of ``perfbench/problems``, on hand cases for each place where JSON
+``Draft202012Validator.is_valid`` on the seeded mutation corpus of
+``tests/corpus.py``, on hand cases for each place where JSON
 and Python semantics part, and check that it fails loudly on a schema
 keyword it does not know.
 """
 
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,95 +19,9 @@ from jsonschema import Draft202012Validator
 
 from berkline import cli
 from berkline.cli import COMMANDS, UnsupportedSchema, _Acceptor
+from corpus import PROBLEMS, corpus, problem_payloads
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBLEMS = ROOT / "perfbench" / "problems"
-MUTATIONS_PER_FILE = 800
-SEED = 20261018
-
-# replacement values: every JSON type, with the traps among them
-# (true against 1, 1.0 against 1, minimum edges, strings the patterns and
-# consts are near to)
-SCALARS = [None, True, False, 0, 1, -1, 2, 1.0, 1.5, -0.5, 10**20, "", "x",
-           "1", "-3", "1/2", "1/x", "inf", "puiseux", "padic", "disc",
-           "chain", "json", "dot", "kummer", "constant", "explicit", "t^1/2"]
-LISTS = [[], [0], [1, 2], [1, 2, "3"], [True, 1, "1"], [None], [{}],
-         [{"q": "1"}], [[0, 1, "1"]]]
-OBJECTS = [{}, {"q": "1"}, {"q": "1", "e": "1"}, {"backend": "puiseux"},
-           {"backend": "padic", "p": 3, "value": "1"},
-           {"kind": "disc", "center": 0, "s": "inf"}, {"center": 0, "s": 1},
-           {"num": {"center": 0, "coeffs": [1]},
-            "den": {"center": 0, "coeffs": [1]}}, {"zz": 1}]
-NEW_KEYS = ["zz", "q", "e", "p", "kind", "backend", "terms", "prec", "center",
-            "coeffs", "s", "lo", "hi", "point", "domain", "g", "section",
-            "root", "format", "N", "n"]
-
-
-def _clone(value):
-    return json.loads(json.dumps(value))
-
-
-def _json_type(x):
-    if isinstance(x, bool):
-        return "boolean"
-    if isinstance(x, (int, float)):
-        return "number"
-    return {type(None): "null", str: "string", list: "array",
-            dict: "object"}[type(x)]
-
-
-def _containers(value, out):
-    """Every list and dict inside value, value included."""
-    if isinstance(value, (list, dict)):
-        out.append(value)
-        for child in (value.values() if isinstance(value, dict) else value):
-            _containers(child, out)
-    return out
-
-
-def _mutate(rng, payload):
-    """One random edit in place: replace, delete or add a key or item."""
-    parent = rng.choice(_containers(payload, []))
-    keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
-    op = rng.choice(["replace", "replace", "other", "delete", "add"])
-    if op in ("replace", "other") and keys:
-        key = rng.choice(keys)
-        old = parent[key]
-        pool = rng.choice([SCALARS, SCALARS, LISTS, OBJECTS])
-        if op == "replace":
-            # a value of another JSON type
-            pool = [v for v in pool if _json_type(v) != _json_type(old)] or SCALARS
-        parent[key] = _clone(rng.choice(pool))
-    elif op == "delete" and keys:
-        del parent[rng.choice(keys)]
-    elif isinstance(parent, dict):
-        parent[rng.choice(NEW_KEYS)] = _clone(
-            rng.choice(SCALARS + LISTS + OBJECTS))
-    else:
-        extra = rng.choice(parent) if parent and rng.random() < 0.5 \
-            else rng.choice(SCALARS + LISTS + OBJECTS)
-        parent.insert(rng.randint(0, len(parent)), _clone(extra))
-
-
-def _problem_payloads():
-    out = []
-    for path in sorted(PROBLEMS.glob("*__*.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            continue
-        out.append((path.stem.split("__")[0], doc.get("payload", {})))
-    return out
-
-
-def _corpus():
-    rng = random.Random(SEED)
-    for command, payload in _problem_payloads():
-        for _ in range(MUTATIONS_PER_FILE):
-            mutated = _clone(payload)
-            for _ in range(rng.choice([1, 2])):
-                _mutate(rng, mutated)
-            yield command, mutated
 
 
 def _defs():
@@ -121,8 +34,8 @@ def _validator(defs, name):
 
 
 def test_problem_files_cover_every_command():
-    assert {command for command, _ in _problem_payloads()} == set(COMMANDS)
-    assert len(_problem_payloads()) == 26
+    assert {command for command, _ in problem_payloads()} == set(COMMANDS)
+    assert len(problem_payloads()) == 26
 
 
 def test_mutation_corpus_agrees_with_jsonschema():
@@ -131,7 +44,7 @@ def test_mutation_corpus_agrees_with_jsonschema():
     validators = {name: _validator(defs, name) for name in COMMANDS}
     seen = {True: 0, False: 0}
     disagree = []
-    for command, payload in _corpus():
+    for command, payload in corpus():
         want = validators[command].is_valid(payload)
         seen[want] += 1
         if acceptor.accepts(command, payload) != want:
@@ -332,3 +245,18 @@ def test_invalid_payload_imports_jsonschema_for_the_wording():
     # the wording recorded before the acceptor, as in test_invalid_payload_detail
     assert json.loads(err) == {"error": "schema",
                                "detail": "np: 'yes' is not of type 'boolean'"}
+
+
+def test_the_acceptor_alone_decides(capsys, monkeypatch):
+    class Rejecting:
+        def accepts(self, name, payload):
+            return False
+
+    # jsonschema finds no error in this payload, yet the rejection stands
+    monkeypatch.setattr(cli, "_acceptor", Rejecting)
+    code = cli.main(["skeleton", "--centers", "[0]"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert json.loads(out.err) == {
+        "error": "schema",
+        "detail": "skeleton: payload does not match the schema"}
