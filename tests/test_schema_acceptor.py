@@ -3,9 +3,9 @@
 The acceptor in ``berkline.cli`` decides validity on its own and loads
 jsonschema only to word a rejection.  These tests hold it to
 ``Draft202012Validator.is_valid`` on the seeded mutation corpus of
-``tests/corpus.py``, on hand cases for each place where JSON
-and Python semantics part, and check that it fails loudly on a schema
-keyword it does not know.
+``tests/corpus.py``, on hand cases for each place where JSON and Python
+semantics part, and check that it fails loudly on a schema keyword it does
+not know.
 """
 
 import json
