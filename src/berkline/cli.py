@@ -16,7 +16,8 @@ Payloads are validated before dispatch against the command's entry in
 ``schemas/berkline.schema.json``, shipped with the package; the entry's
 top-level ``properties`` are also the command's flags.  Each flag's value is
 ``-`` (JSON on stdin), ``@path`` (JSON in that file) or inline JSON, kept as
-the string itself where it is not JSON.  A built-in acceptor alone decides
+the string itself where it is not JSON; stdin is read once, so at most one
+of ``--problem`` and the flags may be ``-``.  A built-in acceptor alone decides
 validity, over exactly the keywords that document uses (``type``, ``$ref``,
 ``required``, ``properties``, ``additionalProperties``, ``items``,
 ``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
@@ -441,6 +442,11 @@ def build_parser():
 
 
 def _assemble_payload(args):
+    flags = ("problem", *_schema_defs()[args.command]["properties"])
+    readers = [f"--{f}" for f in flags if getattr(args, f, None) == "-"]
+    if len(readers) > 1:
+        raise SchemaError(f"only one of {readers[0]} and {readers[1]} may "
+                          "read stdin ('-')")
     if args.problem:
         doc = _read_json_arg(args.problem if args.problem == "-"
                              else "@" + args.problem)
@@ -455,7 +461,7 @@ def _assemble_payload(args):
             raise SchemaError("problem file payload must be a JSON object")
     else:
         payload = {}
-    for flag in _schema_defs()[args.command]["properties"]:
+    for flag in flags[1:]:
         raw = getattr(args, flag, None)
         if raw is None:
             continue

@@ -16,14 +16,41 @@ from fractions import Fraction
 from ._record import Record, setfield
 from .errors import (CoefficientOverflow, PrecisionExhausted, ZeroConstantTerm,
                      ZeroPolynomial)
+from .field import PadicField, _vp
 from .logvalue import INFINITY, ZERO, LogValue, as_logvalue, trusted
 from .poly import Polynomial
 
 
 def _coeff_values(f: Polynomial, a=None):
-    """_classify of the coefficients of f, recentered at a if given."""
+    """_classify of the coefficients of f, recentered at a if given; read
+    off the flat form of a polynomial still flat (``poly._flat_poly``), so
+    its elements are not decoded.  Decoded elements keep their valuations,
+    which read faster than the flat form's."""
     g = f if a is None else f.recenter(a)
-    return _classify(enumerate(g.coeffs))
+    if g._flat is None or "coeffs" in vars(g):
+        return _classify(enumerate(g.coeffs))
+    return _flat_values(g.field, *g._flat), []
+
+
+def _flat_values(fld, counts, exps, cofs, lat, cden):
+    """(index, valuation) for the nonzero coefficients of an exact flat
+    form, as ``_classify`` gives them: over Puiseux series the first
+    exponent of each, over lat; over Q_p, v_p(numerator) - v_p(cden)."""
+    known = []
+    pos = 0
+    if type(fld) is PadicField:
+        p = fld.p
+        vden = _vp(cden, p)
+        for i, c in enumerate(counts):
+            if c:
+                known.append((i, Fraction(_vp(cofs[pos], p) - vden)))
+                pos += c
+    else:
+        for i, c in enumerate(counts):
+            if c:
+                known.append((i, Fraction(exps[pos], lat)))
+                pos += c
+    return known
 
 
 def _classify(terms):
@@ -152,7 +179,7 @@ def spectral_profile(f: Polynomial, radii, a=None, n_max: int = 64,
     for n in range(1, n_max + 1):
         if n > 1:
             g = g * f
-        if len(g.coeffs) > max_coeffs:
+        if g.degree + 1 > max_coeffs:
             raise CoefficientOverflow(
                 f"power f^{n} has more than {max_coeffs} coefficients"
             )

@@ -10,20 +10,30 @@ routes:
 * ``f * g``, and ``f * c`` (``scale``, c a constant polynomial), call
   ``_try_kernel_mul``, a kernel chain of two factors
   (``_kernel_product``): the kernel makes one keyed pass per product, all
-  term pairs in one dict sorted once, and each output coefficient is
-  decoded once from its sorted terms (``_decode_flat``) and, when an input
-  is truncated, truncated once;
+  term pairs in one dict sorted once.  When an input is truncated, each
+  output coefficient is decoded at once from its sorted terms
+  (``_decode_flat``) and truncated once;
 * ``from_roots`` with an exact center, lead and roots is one kernel chain
-  of all its factors: each is encoded once, each kernel output feeds the
-  next product as it stands, and only the last is decoded.  A truncated
-  input multiplies the factors in one by one through ``f * g``;
+  of all its factors: each is encoded once and each kernel output feeds the
+  next product as it stands.  A truncated input multiplies the factors in
+  one by one through ``f * g``;
 * ``recenter`` of exact coefficients by an exact shift is a Horner shift on
-  int series, read per coefficient off the flat encoding and decoded once
-  per output from dicts (``_decode``); at its own exact center a
-  polynomial is returned as it is;
+  int series, read per coefficient off the flat encoding (a flat
+  polynomial's own) and decoded once per output from dicts (``_decode``); at its own exact center a
+  polynomial is returned as it is, and at an equal center it keeps its
+  form;
 * evaluation, ``divide_linear`` and a truncated shift run one synthetic
   division on elements (``_synthetic``): a truncated shift is n of them in
   a row.
+
+An exact product stays flat until read: the polynomial holds the kernel's
+output (counts, exponents, numerators, lattice and common denominator) in
+``_flat``, and ``coeffs`` decodes it into elements once, on first read, and
+keeps both.  ``degree`` and ``is_zero`` read the counts, a product with a
+flat operand, and an exact shift of one, take its encoding as it stands
+(exponents scaled to the product's lattice), and ``gauss`` reads valuations
+off it, so a chain of products whose elements nobody reads decodes none of
+them.
 
 Rational functions keep numerator and denominator over the same center and
 may carry the root lists they were built from.  Once proven complete by exact
@@ -45,13 +55,19 @@ from .field import (INF, PadicElem, PadicField, PuiseuxElem,
 
 
 class Polynomial(Record):
-    """Coefficients c_0..c_n in (T - center), leading one nonzero."""
+    """Coefficients c_0..c_n in (T - center), leading one nonzero; an exact
+    kernel product holds a flat form instead (``_flat_poly``)."""
 
     _fields = ("center", "coeffs")
+    _flat = None
 
     def __init__(self, center, coeffs: tuple):
         setfield(self, "center", center)
         setfield(self, "coeffs", coeffs)
+
+    @cached
+    def coeffs(self) -> tuple:
+        return _decode_flat(self.field, *self._flat)
 
     @property
     def field(self):
@@ -59,10 +75,12 @@ class Polynomial(Record):
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        flat = self._flat
+        return len(self.coeffs if flat is None else flat[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        flat = self._flat
+        return not (self.coeffs if flat is None else flat[0])
 
     @classmethod
     def from_coeffs(cls, fld, coeffs, center=None):
@@ -87,9 +105,9 @@ class Polynomial(Record):
 
         With the center, the lead and every root exact, the lead and the
         linear factors are multiplied in one kernel chain
-        (``_kernel_product``): each is encoded once and the result decoded
-        once.  Otherwise they are multiplied in one by one, each product
-        through ``_try_kernel_mul``.
+        (``_kernel_product``): each is encoded once, and the result stays
+        flat until read.  Otherwise they are multiplied in one by one, each
+        product through ``_try_kernel_mul``.
         """
         center = fld.zero() if center is None else center
         out = cls.from_coeffs(fld, [fld.one() if lead is None else lead], center)
@@ -98,8 +116,8 @@ class Polynomial(Record):
         # an exact shift r - center means an exact root and center
         if out.coeffs and shifts and out.coeffs[0].is_exact \
                 and all(d.is_exact for d in shifts):
-            factors = [out.coeffs, *((-d, one) for d in shifts)]
-            return cls(center, _kernel_product(fld, factors))
+            factors = [out, *(cls(center, (-d, one)) for d in shifts)]
+            return _flat_poly(center, *_kernel_product(fld, factors))
         for d in shifts:
             out = out * cls(center, (-d, one))
         return out
@@ -189,16 +207,21 @@ class Polynomial(Record):
         returned as it is: T - a is then T - center, the same variable, so
         every coefficient is unchanged.  The difference a - center computed
         on elements would be a truncated zero when a is truncated, and the
-        divisions would spread that O(t^p) into each coefficient.
+        divisions would spread that O(t^p) into each coefficient.  At an
+        equal center object the result keeps this polynomial's forms, flat,
+        decoded or both.
         """
         if a is self.center:
             return self
         d = a - self.center
         if d.is_zero():
-            return Polynomial(a, self.coeffs)
+            out = object.__new__(Polynomial)
+            vars(out).update(vars(self))
+            setfield(out, "center", a)
+            return out
+        if d.is_exact and _is_exact(self):
+            return Polynomial(a, _shift(self.field, self, d))
         b = list(self.coeffs)
-        if d.is_exact and all(c.is_exact for c in b):
-            return Polynomial(a, _shift(self.field, b, d))
         for i in range(len(b) - 1):
             b[i:] = _synthetic(b[i:], d)
         return Polynomial.from_coeffs(self.field, b, a)
@@ -254,6 +277,11 @@ def _lattice(fld, coeffs) -> int:
     return 1 if type(fld) is PadicField else math.lcm(*(c.den for c in coeffs))
 
 
+def _lattice_of(fld, f: Polynomial) -> int:
+    """The lattice of f's encoding: its flat form's, or its coefficients'."""
+    return _lattice(fld, f.coeffs) if f._flat is None else f._flat[3]
+
+
 def _series(fld, coeffs, lat):
     """Coefficients as int series, in the kernel's flat encoding; a
     truncated coefficient by its known terms, its precision kept apart.
@@ -287,16 +315,15 @@ def _decode(fld, acc, lat, cden):
     return _lattice_elem(fld, acc, lat, cden, INF)
 
 
-def _decode_flat(fld, out, lat, cden, precs=None) -> tuple:
-    """The coefficients of the kernel output ``out`` over ``cden`` on the
-    lattice (1/lat)Z, output k truncated at ``precs[k]`` when given, with
-    trailing exact zeros dropped.
+def _decode_flat(fld, counts, exps, cofs, lat, cden, precs=None) -> tuple:
+    """The coefficients of the kernel output (counts, exps, cofs) over
+    ``cden`` on the lattice (1/lat)Z, output k truncated at ``precs[k]``
+    when given, with trailing exact zeros dropped.
 
     The kernel returns each coefficient's terms sorted and zero-free, so
     each slice goes straight to ``_lattice_terms``; over Q_p a coefficient
     is one term at exponent 0, or none, and is reduced once.
     """
-    counts, exps, cofs = out
     res = []
     pos = 0
     if type(fld) is PadicField:
@@ -321,56 +348,88 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
 
     Both factors go on the int-series encoding, exponents on one lattice;
     the kernel convolves mod p over F_p and over Z (p = 0) for Q((t)) and
-    Q_p, and each output coefficient is decoded once, over the product of
-    the two common denominators.  With a truncated coefficient, output k
-    is truncated once, at the least ``_product_prec`` of the pairs
-    i + j = k: every partial product and sum of the element-wise loop is
-    known at or above that bound, so the two agree term for term.
-    ``perfbench/tracing.py`` patches it by this name.
+    Q_p, over the product of the two common denominators.  With both
+    factors exact the product stays flat (``_flat_poly``).  With a
+    truncated coefficient it is decoded at once, output k truncated once,
+    at the least ``_product_prec`` of the pairs i + j = k: every partial
+    product and sum of the element-wise loop is known at or above that
+    bound, so the two agree term for term.  ``perfbench/tracing.py``
+    patches it by this name.
     """
     fld = f.field
-    precs = None
-    if not all(c.is_exact for c in f.coeffs + g.coeffs):
-        precs = [INF] * (len(f.coeffs) + len(g.coeffs) - 1)
-        for i, a in enumerate(f.coeffs):
-            for j, b in enumerate(g.coeffs):
-                precs[i + j] = min(precs[i + j], _product_prec(a, b))
+    if _is_exact(f) and _is_exact(g):
+        return _flat_poly(f.center, *_kernel_product(fld, (f, g)))
+    precs = [INF] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            precs[i + j] = min(precs[i + j], _product_prec(a, b))
     return Polynomial(f.center,
-                      _kernel_product(fld, (f.coeffs, g.coeffs), precs))
+                      _decode_flat(fld, *_kernel_product(fld, (f, g)), precs))
 
 
-def _kernel_product(fld, factors, precs=None) -> tuple:
-    """The coefficients of the product of the coefficient tuples
-    ``factors``, as one kernel chain.
+def _is_exact(f: Polynomial) -> bool:
+    """Whether every coefficient is exact; a flat polynomial always is."""
+    return f._flat is not None or all(c.is_exact for c in f.coeffs)
 
-    Every factor goes on one lattice and is encoded once; each flat kernel
-    output is the next left operand as it stands, the common denominators
-    multiply, and only the last output is decoded (``_decode_flat``), output
-    k truncated at ``precs[k]`` when given.  The kernel is called through
-    the module attribute, which ``perfbench/tracing.py`` patches.
+
+def _flat_poly(center, counts, exps, cofs, lat, cden) -> Polynomial:
+    """The polynomial around ``center`` whose ``_flat`` is the exact kernel
+    output (counts, exps, cofs, lat, cden), its trailing zero counts
+    trimmed (a zero operand makes the kernel return one per output
+    coefficient); its ``coeffs`` are decoded on first read."""
+    while counts and not counts[-1]:
+        counts.pop()
+    f = object.__new__(Polynomial)
+    setfield(f, "center", center)
+    setfield(f, "_flat", (counts, exps, cofs, lat, cden))
+    return f
+
+
+def _kernel_product(fld, factors) -> tuple:
+    """The flat form (counts, exps, cofs, lat, cden) of the product of the
+    polynomials ``factors``, as one kernel chain.
+
+    Every factor goes on one lattice, the lcm of theirs; a flat factor
+    keeps its encoding, its exponents scaled when that lattice is larger,
+    and any other is encoded once (``_series``).  Each kernel output is the
+    next left operand as it stands and the common denominators multiply.
+    The kernel is called through the module attribute, which
+    ``perfbench/tracing.py`` patches.
     """
-    lat = _lattice(fld, [c for f in factors for c in f])
-    *acc, cden = _series(fld, factors[0], lat)
+    lat = math.lcm(*(_lattice_of(fld, f) for f in factors))
+    *acc, cden = _encoded(fld, factors[0], lat)
     for f in factors[1:]:
-        *k, c = _series(fld, f, lat)
+        *k, c = _encoded(fld, f, lat)
         acc = kernel.poly_mul_modp(*acc, *k, fld.char)
         cden *= c
-    return _decode_flat(fld, acc, lat, cden, precs)
+    return (*acc, lat, cden)
 
 
-def _shift(fld, coeffs, d) -> tuple:
-    """Horner's Taylor shift of exact coefficients by the exact d, on ints.
+def _encoded(fld, f: Polynomial, lat):
+    """(counts, exps, cofs, cden) of f on the lattice (1/lat)Z: a flat
+    polynomial's own lists, exponents scaled by lat over its lattice, or
+    else ``_series`` of its coefficients."""
+    if f._flat is None:
+        return _series(fld, f.coeffs, lat)
+    counts, exps, cofs, own, cden = f._flat
+    s = lat // own
+    return counts, exps if s == 1 else [e * s for e in exps], cofs, cden
+
+
+def _shift(fld, f: Polynomial, d) -> tuple:
+    """Horner's Taylor shift of the exact polynomial f by the exact d, on
+    ints, f encoded as ``_encoded`` gives it.
 
     With X = T - center - d, d = D/E and coefficients B_i/L,
     sum B_i/L (X + D/E)**i has X**j-coefficient
     sum_i C(i, j) (B_i E**(n-i)) D**(i-j) / (L E**(n-j)).
     """
-    lat = _lattice(fld, (d, *coeffs))
+    lat = math.lcm(_lattice(fld, [d]), _lattice_of(fld, f))
     _, exps, cofs, big_e = _series(fld, [d], lat)
     step = list(zip(exps, cofs))
-    counts, exps, cofs, big_l = _series(fld, coeffs, lat)
+    counts, exps, cofs, big_l = _encoded(fld, f, lat)
     terms = zip(exps, cofs)
-    n = len(coeffs) - 1
+    n = len(counts) - 1
     b = []
     for i, c in enumerate(counts):
         w = big_e ** (n - i)

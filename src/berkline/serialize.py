@@ -117,7 +117,13 @@ _MONOMIAL = re.compile(
 
 
 def parse_elem_literal(fld, text):
-    """Small literal language: "0", "3/2", "t", "t^2", "5*t^1/2", sums with +."""
+    """Small literal language: "0", "3/2", "t", "t^2", "5*t^1/2", sums with +.
+
+    An int, or a float with an integer value (JSON's 1.0, which the schema
+    takes for an integer), is the field's constant.
+    """
+    if isinstance(text, float) and text.is_integer():
+        text = int(text)
     if isinstance(text, int):
         return fld.constant(text)
     s = str(text).strip()

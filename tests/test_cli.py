@@ -745,6 +745,7 @@ FLAG_FORMS = [
     ("cancel", CANCEL, "g", json.dumps(G_OBJECT), G_OBJECT, 0, None),
     ("cancel", CANCEL, "g", "@", G_OBJECT, 0, None),
     ("cancel", CANCEL, "g", "-", "1+t", 0, None),
+    ("cancel", CANCEL, "g", "1.0", 1.0, 0, None),
     ("cancel", CANCEL_G, "N", "5", 5, 0, None),
     ("cancel", CANCEL_G, "N", "abc", "abc", 2,
      "cancel: 'abc' is not of type 'integer'"),
@@ -792,3 +793,28 @@ def test_every_flag_form(capsys, monkeypatch, tmp_path, command, others,
     else:
         assert (out, json.loads(err)) == (
             "", {"error": "schema", "detail": detail})
+
+
+@pytest.mark.parametrize("argv,first,second", [
+    (["cancel", "--g", "-", "--N", "-"], "--N", "--g"),
+    (["cancel", "--problem", "-", "--g", "-"], "--problem", "--g"),
+    (["skeleton", "--problem", "-", "--field", "-", "--centers", "-"],
+     "--problem", "--centers"),
+])
+def test_stdin_is_read_once(capsys, monkeypatch, argv, first, second):
+    """Two arguments that both read '-' are malformed input, named before
+    stdin is read: the second would find it empty."""
+    stdin = io.StringIO('"t"')
+    monkeypatch.setattr(sys, "stdin", stdin)
+    detail = f"only one of {first} and {second} may read stdin ('-')"
+    assert run(capsys, argv) == (
+        2, "", json.dumps({"error": "schema", "detail": detail}) + "\n")
+    assert stdin.read() == '"t"'
+
+
+def test_integer_valued_float_element(capsys):
+    """--g 1.0, an integer to the schema, answers as --g 1 does."""
+    argv = ["cancel", "--field", json.dumps(F2), "--N", "5", "--g"]
+    got = run(capsys, argv + ["1.0"])
+    assert got == run(capsys, argv + ["1"])
+    assert got[0] == 0

@@ -11,16 +11,22 @@ multiplies all its factors in one kernel chain; ``sequential_from_roots``
 is the loop of binary products it replaces, and the two must agree in every
 stored field.  Evaluation, ``divide_linear`` and a truncated shift share one
 synthetic division; ``horner_call``, ``elementwise_divide_linear`` and
-``elementwise_recenter`` are the three loops it replaces.
+``elementwise_recenter`` are the three loops it replaces.  An exact product
+stays flat until its coefficients are read; ``eager_twin`` is the same
+polynomial built from its decoded coefficients, and every question asked of
+the flat product must get the twin's answer.
 """
 
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from berkline import INF, PadicField, Polynomial, PuiseuxField, _purekernel
+from berkline import (INF, LogValue, PadicField, Polynomial, PuiseuxField,
+                      _purekernel, gauss_valuation, newton_polygon,
+                      root_count_annulus, spectral_profile)
 from berkline.field import PadicElem, PuiseuxElem
 from berkline import poly as poly_mod
 from berkline.errors import BackendMismatch
@@ -733,3 +739,190 @@ def test_recenter_at_truncated_center_refines_elementwise(fld):
             assert x.prec >= y.prec
             sharper += x.prec > y.prec
     assert sharper
+
+
+# ---------------------------------------------------------------------------
+# exact products stay flat until read
+
+
+def eager_twin(f):
+    """The polynomial f built from its decoded coefficients; it holds no
+    flat form."""
+    twin = Polynomial(f.center, f.coeffs)
+    assert twin._flat is None
+    return twin
+
+
+def is_flat(f):
+    """Whether f holds a flat form whose elements are not decoded yet."""
+    return f._flat is not None and "coeffs" not in vars(f)
+
+
+RADII = [LogValue(q, e) for q in (Fraction(-3, 2), 0, Fraction(2, 3), 5)
+         for e in (-1, 0, 1)]
+
+
+def answer(fn, *args):
+    """A call's value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def gauss_answers(f):
+    """Every Gauss-valuation fact asked of f at its own center: valuations
+    at radii with eps parts -1, 0 and +1, the Newton polygon (vertices,
+    segments, mult0 and degree), root counts on annuli and the spectral
+    profile, each a value or an error."""
+    out = [answer(gauss_valuation, f, None, s) for s in RADII]
+    out.append(answer(gauss_valuation, f, f.center, RADII[4]))
+    out.append(answer(newton_polygon, f))
+    out += [answer(root_count_annulus, f, lo, hi, lo_open, hi_open)
+            for lo, hi in ((None, RADII[1]), (RADII[0], RADII[10]),
+                           (RADII[4], RADII[4]), (RADII[7], INF))
+            for lo_open in (False, True) for hi_open in (False, True)]
+    out.append(answer(spectral_profile, f, [1, 2, Fraction(1, 4)], None, 1))
+    # the size guard: f has deg + 1 coefficients, one too many
+    out.append(answer(spectral_profile, f, [1], None, 1, f.degree))
+    return out
+
+
+def assert_flat_matches_twin(f):
+    """f is flat; the Gauss facts leave it undecoded and equal its twin's,
+    and once decoded it equals its twin as a record in every respect."""
+    assert is_flat(f)
+    facts = gauss_answers(f)
+    assert is_flat(f)
+    copy = pickle.loads(pickle.dumps(f))
+    assert is_flat(copy)
+    twin = eager_twin(f)
+    assert facts == gauss_answers(twin)
+    assert stored(f) == stored(twin) == stored(copy)
+    assert f.coeffs == twin.coeffs and f.center is twin.center
+    assert f.degree == twin.degree == len(twin.coeffs) - 1
+    assert f.is_zero() == twin.is_zero()
+    assert f == twin and twin == f and copy == twin
+    assert hash(f) == hash(twin) == hash(copy)
+    assert repr(f) == repr(twin)
+    assert pickle.loads(pickle.dumps(f)) == twin
+    assert f._flat is not None      # kept once decoded
+    assert gauss_answers(f) == facts
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_flat_products_match_their_eager_twins(fld):
+    """Products, scalings, exact from_roots and powers, and chains of them
+    with flat operands, over random exact inputs."""
+    rng = random.Random(3201)
+    for k in range(25):
+        center = fld.zero() if k % 3 else rand_elem(rng, fld, True)
+        f = rand_poly(rng, fld, rng.randint(0, 3), center)
+        g = rand_poly(rng, fld, rng.randint(0, 3), center)
+        roots, _ = rand_roots(rng, fld, center)
+        lead, _ = rand_lead(rng, fld)
+        fg = f * g
+        # chains whose operands are flat, a decoded one among them
+        chain = (f * g) * (g * f)
+        decoded = f * g
+        decoded.coeffs
+        for p in (fg, f.scale(rand_elem(rng, fld)), f * 3,
+                  Polynomial.from_roots(fld, roots or [center], center, lead),
+                  f ** 2, g ** 3, chain, decoded * g, g * decoded):
+            assert_flat_matches_twin(p)
+        want = elementwise_mul(f, g)
+        assert fg == want
+        assert chain == elementwise_mul(want, elementwise_mul(g, f))
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_flat_operands_move_to_the_product_lattice(fld):
+    """A flat operand on exponents (1/2)Z times one on (1/3)Z or (1/5)Z:
+    its exponents are rescaled to the product's lattice."""
+    c = 1 if fld.char else Fraction(2, 3)
+    halves = Polynomial.from_coeffs(fld, [fld.t(Fraction(1, 2), c),
+                                          fld.t(Fraction(3, 2)), fld.one()])
+    thirds = Polynomial.from_coeffs(fld, [fld.t(Fraction(1, 3)),
+                                          fld.t(Fraction(-2, 3), c)])
+    fifths = Polynomial.from_coeffs(fld, [fld.t(Fraction(2, 5))])
+    sq = halves * halves
+    assert sq._flat[3] == 2
+    prod = sq * thirds
+    assert prod._flat[3] == 6
+    chain = thirds * prod * fifths
+    assert chain._flat[3] == 30
+    want_sq = elementwise_mul(halves, halves)
+    # an exact shift by t^(1/3) reads the flat form on the lattice (1/6)Z
+    d = fld.t(Fraction(1, 3))
+    assert sq.recenter(d) == elementwise_recenter(want_sq, d)
+    want_prod = elementwise_mul(want_sq, thirds)
+    want_chain = elementwise_mul(elementwise_mul(thirds, want_prod), fifths)
+    for got, want in ((sq, want_sq), (prod, want_prod), (chain, want_chain),
+                      (thirds * sq, elementwise_mul(thirds, want_sq))):
+        assert_flat_matches_twin(got)
+        assert got == want
+
+
+@pytest.mark.parametrize("fld", FIELDS[3:], ids=IDS[3:])
+def test_flat_padic_valuations_count_the_denominator(fld):
+    """Over Q_p the flat numerators share a denominator divisible by p;
+    each valuation is v_p(numerator) - v_p(denominator)."""
+    p = fld.p
+    f = Polynomial.from_coeffs(fld, [fld.elem(Fraction(1, p ** 3)),
+                                     fld.elem(Fraction(p, 7)), fld.one()])
+    g = Polynomial.from_coeffs(fld, [fld.elem(Fraction(2, p)), fld.one()])
+    prod = f * g
+    assert prod._flat[4] % p == 0
+    assert_flat_matches_twin(prod)
+    assert newton_polygon(prod).vertices[0] == (0, -4)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_flat_zero_products(fld):
+    """A product by zero is the zero polynomial, whatever the other
+    factor's degree: the kernel's zero counts are trimmed."""
+    rng = random.Random(3202)
+    c = rand_elem(rng, fld, True)
+    f = rand_poly(rng, fld, 4, c)
+    zero = Polynomial(c, ())
+    for p in (f.scale(fld.zero()), f * 0, zero * f, f * zero, zero * zero):
+        assert p.is_zero() and p.degree == -1 and p._flat[0] == []
+        assert_flat_matches_twin(p)
+        assert p == zero and p.coeffs == () and repr(p) == "0"
+        assert gauss_valuation(p) == gauss_valuation(zero)
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_truncated_inputs_stay_eager(fld):
+    """A truncated coefficient, lead, root or center keeps the eager route,
+    a flat operand included."""
+    rng = random.Random(3203)
+    trunc = fld.elem([(Fraction(1, 2), 1)], prec=3)
+    f = rand_poly(rng, fld, 3)
+    g = Polynomial.from_coeffs(fld, [trunc, fld.one()])
+    flat = f * f
+    for p in (f * g, g * f, flat * g, g * flat, f.scale(trunc), g ** 2,
+              Polynomial.from_roots(fld, [trunc, fld.one()]),
+              Polynomial.from_roots(fld, [fld.one()], lead=trunc)):
+        assert p._flat is None
+        assert not all(c.is_exact for c in p.coeffs)
+    assert flat * g == elementwise_mul(flat, g)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_flat_recenter(fld):
+    """At an equal center a flat polynomial stays flat; at another, exact,
+    it is shifted off its flat form, undecoded, as its twin is."""
+    rng = random.Random(3204)
+    for _ in range(20):
+        c = rand_elem(rng, fld, True)
+        f = rand_poly(rng, fld, 3, c) * rand_poly(rng, fld, 2, c)
+        twin = type(c)(*c._values(c))
+        same = f.recenter(twin)
+        assert is_flat(same) and same.center is twin and same._flat is f._flat
+        assert f.recenter(c) is f
+        a = rand_elem(rng, fld)
+        got = f.recenter(a)
+        assert is_flat(f) and got._flat is None
+        assert got == eager_twin(f).recenter(a) == elementwise_recenter(f, a)
+        assert f.recenter(twin).coeffs is f.coeffs

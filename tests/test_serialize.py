@@ -92,6 +92,16 @@ class TestElements:
                 seen.add(got[0])
         assert {PadicElem, PuiseuxElem, ValueError} <= seen
 
+    def test_integer_valued_float_is_the_int(self):
+        # JSON's 1.0 is an integer to the schema, so it is the constant 1
+        for fld in LITERAL_FIELDS:
+            for x in (1.0, -3.0, 0.0, -0.0, 1e20):
+                assert (ser.parse_elem_literal(fld, x)
+                        == ser.parse_elem_literal(fld, int(x)))
+            with pytest.raises(ValueError,
+                               match="cannot parse element literal '1.5'"):
+                ser.parse_elem_literal(fld, 1.5)
+
 
 LITERAL_FIELDS = [PuiseuxField(0), PuiseuxField(2), PuiseuxField(3),
                   PuiseuxField(5), PadicField(2), PadicField(3), PadicField(5)]

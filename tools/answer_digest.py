@@ -18,6 +18,9 @@ payload.  A rejected payload is worded by jsonschema where it is installed,
 so compare this line between trees run with the same jsonschema.
 
 Two trees answer alike on these items when they print the same digests.
+``tools/answer_digest.txt`` holds what this tree prints, with jsonschema
+4.26.0 installed; CI compares the output with it, so a change that changes
+answers updates that file.
 The library is imported from ``src/`` next to this file.  Uses the standard
 library only; it is not part of the test suite.
 """
