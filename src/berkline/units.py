@@ -3,11 +3,14 @@
 A domain here is a closed bounding disc minus finitely many pairwise disjoint
 excluded discs (each open or closed).  Certification that a rational function
 is a unit on a domain, boundary degrees and direction slopes at type-2 points
-reduce to counting roots in discs: from certified complete root lists when
-present, else off each polynomial's supporting line at the disc's center, so
-every answer is exact; no roots are ever computed and no Newton hull is
-built, not even for the witness of a failed certification.  The 1-unit
-homotopy decision adds leading forms at finitely many points.
+reduce to counting roots in discs, so every answer is exact.  A certified
+complete root list is placed in one pass: each root is tested against the
+bounding disc (or the closed disc at a type-2 point) and filed under the
+first hole (or direction) that holds it, since those are disjoint.  Without
+such a list each polynomial is counted per disc off its supporting line at
+the disc's center.  No roots are ever computed and no Newton hull is built,
+not even for the witness of a failed certification.  The 1-unit homotopy
+decision adds leading forms at finitely many points.
 
 Three facts keep this finite.  The divisor of a rational function on P^1 has
 degree 0, so what lies beyond a closed disc (infinity included) is minus what
@@ -62,8 +65,11 @@ class UnitClass(Record):
         return UnitClass(self.q + other.q, res, self.modulus)
 
     def inverse(self):
-        res = pow(self.res, -1, self.modulus) if self.modulus else 1 / self.res
-        return UnitClass(-self.q, res, self.modulus)
+        m = self.modulus
+        if (self.res % m if m else self.res) == 0:
+            raise ZeroElement("a zero residue has no inverse")
+        res = pow(self.res, -1, m) if m else 1 / Fraction(self.res)
+        return UnitClass(-self.q, res, m)
 
     @property
     def is_identity(self) -> bool:
@@ -190,11 +196,13 @@ def _certify(f: RationalFunction, dom: Domain, error, at=None,
     """Certify that the named sides of f, num before den, have no roots on
     the domain; return the roots of each in each excluded disc, in order.
 
-    A side is counted in the bounding disc first, then in the holes, and a
-    root on the domain raises ``error`` with its witness disc.  The zero
-    function raises ZeroElement and a wrong certified root list NotCertified,
-    before anything is counted.  ``at`` writes each polynomial at a center,
-    for the counts (see ``_count_in_disc``) and the witness.
+    A certified root list is placed in one pass (``_place``); without one,
+    a side is counted in the bounding disc, then in each hole, off its
+    supporting line.  A root on the domain raises ``error`` with its
+    witness disc.  The zero function raises ZeroElement and a wrong
+    certified root list NotCertified, before anything is counted.  ``at``
+    writes each polynomial at a center, for the counts (see
+    ``_count_in_disc``) and the witness.
     """
     if f.is_zero():
         raise ZeroElement("the zero function is not a unit anywhere")
@@ -203,16 +211,39 @@ def _certify(f: RationalFunction, dom: Domain, error, at=None,
     for which, poly, roots in zip(("num", "den"), (f.num, f.den), lists):
         if which not in sides:
             continue
-        total = _count_in_disc(poly, roots, dom.center, dom.s, at=at)
-        holes = tuple(_count_in_disc(poly, roots, d.center, d.s, d.closed, at)
-                      for d in dom.excluded)
-        n = total - sum(holes)
+        if roots is None:
+            total = _count_in_disc(poly, roots, dom.center, dom.s, at=at)
+            holes = tuple(_count_in_disc(poly, roots, d.center, d.s,
+                                         d.closed, at)
+                          for d in dom.excluded)
+            n = total - sum(holes)
+        else:
+            holes, n = _place(roots, dom)
         if n > 0:
             g = poly if at is None else at(poly, dom.center)
             raise error(f"{which} has {n} root(s) on the domain",
                         witness=_witness_disc(g, dom, which))
         out.append(holes)
     return out
+
+
+def _place(roots, dom: Domain):
+    """(roots in each hole, roots on the domain) of a certified root list,
+    each root tested against the bounding disc and then against the holes
+    up to the first that holds it: the holes are disjoint and lie inside
+    the bounding disc."""
+    holes = [0] * len(dom.excluded)
+    n = 0
+    for r in roots:
+        if not _within(r, dom.center, dom.s):
+            continue
+        for i, d in enumerate(dom.excluded):
+            if _within(r, d.center, d.s, d.closed):
+                holes[i] += 1
+                break
+        else:
+            n += 1
+    return tuple(holes), n
 
 
 def reduced_unit(f: RationalFunction, dom: Domain) -> ReducedUnit:
@@ -283,12 +314,15 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
     """
     if classify(x).type != 2:
         raise ValueError("direction slopes are defined at type-2 points")
-    f.certified_roots  # a wrong root list raises before directions are read
+    # a wrong root list raises before directions are read
+    lists = f.certified_roots
+    grow = directions is None and lists is not None
     if directions is None:
-        directions = list(f.num_roots) + list(f.den_roots)
         if f.num.degree > len(f.num_roots) or f.den.degree > len(f.den_roots):
             raise ValueError(
                 "directions must be supplied when root lists are partial")
+        # a certified list founds its own directions in the pass below
+        directions = () if grow else list(f.num_roots) + list(f.den_roots)
     # deduplicate direction centers: same direction iff within the open disc
     reps = []
     for b in directions:
@@ -296,13 +330,35 @@ def direction_slopes(f: RationalFunction, x: DiscPoint, directions=None):
             continue  # that direction is "up"
         if not any(_within(b, r, x.s, False) for r in reps):
             reps.append(b)
-    named = sorted([(b.canonical_str(), b) for b in reps], key=lambda nb: nb[0])
 
-    slopes = {f"dir:{name}": _degree_in(f, b, x.s, False) for name, b in named}
     # "up" holds everything at distance < s from the center, plus infinity;
     # deg(div f) = 0 makes that poles minus zeros in the closed disc, and
     # "other" is what the directions leave of the zeros minus poles in it
-    inside = _degree_in(f, x.center, x.s)
+    if lists is None:
+        reps.sort(key=lambda b: b.canonical_str())  # counted in key order
+        tally = [_degree_in(f, b, x.s, False) for b in reps]
+        inside = _degree_in(f, x.center, x.s)
+    else:
+        # one pass: a root in the closed disc goes to the one direction
+        # whose open disc holds it, or founds one when none was given
+        tally = [0] * len(reps)
+        inside = 0
+        for sign, roots in zip((1, -1), lists):
+            for r in roots:
+                if not _within(r, x.center, x.s):
+                    continue
+                inside += sign
+                for i, b in enumerate(reps):
+                    if _within(r, b, x.s, False):
+                        tally[i] += sign
+                        break
+                else:
+                    if grow:
+                        reps.append(r)
+                        tally.append(sign)
+    named = sorted([(b.canonical_str(), t) for b, t in zip(reps, tally)],
+                   key=lambda nt: nt[0])
+    slopes = {f"dir:{name}": t for name, t in named}
     other = inside - sum(slopes.values())
     slopes["up"] = -inside
     if other:

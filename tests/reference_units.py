@@ -22,6 +22,13 @@ read the witness of a failed certification off a whole Newton hull.
 
 ``_sides`` is the oracle's own copy of a helper that the library no longer
 has, since its certification became one routine.
+
+``certify_by_counts`` and ``slopes_by_counts`` are ``units._certify`` and
+``units.direction_slopes`` kept verbatim from while they counted every
+certified root once per disc they asked about (``units._count_in_disc``):
+the bounding disc, then each hole; each direction's open disc, then the
+closed disc.  ``tests/test_units_reference.py`` checks the one-pass
+placement of the library against them.
 """
 
 from __future__ import annotations
@@ -30,10 +37,10 @@ from fractions import Fraction
 
 import reference_gauss
 from berkline import units
-from berkline.errors import NotCertified, VanishesOnDomain
+from berkline.errors import NotCertified, VanishesOnDomain, ZeroElement
 from berkline.gauss import gauss_valuation, newton_polygon
 from berkline.logvalue import ZERO, LogValue
-from berkline.points import DiscPoint, _dist, classify
+from berkline.points import DiscPoint, _dist, _within, classify
 from berkline.poly import Polynomial, RationalFunction
 from berkline.units import (Domain, LeadingClass, reduced_unit,
                             require_unit, unit_class)
@@ -271,3 +278,57 @@ def _witness_disc(poly: Polynomial, dom: Domain, which: str):
                 "s": str(sigma),
             }
     return {"which": which, "center": dom.center.canonical_str(), "s": "inf"}
+
+
+def certify_by_counts(f: RationalFunction, dom: Domain, error, at=None,
+                      sides=("num", "den")):
+    """``units._certify`` counting each side in the bounding disc, then in
+    every hole, one pass over its roots per disc."""
+    if f.is_zero():
+        raise ZeroElement("the zero function is not a unit anywhere")
+    lists = f.certified_roots or (None, None)
+    out = []
+    for which, poly, roots in zip(("num", "den"), (f.num, f.den), lists):
+        if which not in sides:
+            continue
+        total = units._count_in_disc(poly, roots, dom.center, dom.s, at=at)
+        holes = tuple(units._count_in_disc(poly, roots, d.center, d.s,
+                                           d.closed, at)
+                      for d in dom.excluded)
+        n = total - sum(holes)
+        if n > 0:
+            g = poly if at is None else at(poly, dom.center)
+            raise error(f"{which} has {n} root(s) on the domain",
+                        witness=units._witness_disc(g, dom, which))
+        out.append(holes)
+    return out
+
+
+def slopes_by_counts(f: RationalFunction, x: DiscPoint, directions=None):
+    """``units.direction_slopes`` counting the roots once per direction and
+    once more for the closed disc."""
+    if classify(x).type != 2:
+        raise ValueError("direction slopes are defined at type-2 points")
+    f.certified_roots  # a wrong root list raises before directions are read
+    if directions is None:
+        directions = list(f.num_roots) + list(f.den_roots)
+        if f.num.degree > len(f.num_roots) or f.den.degree > len(f.den_roots):
+            raise ValueError(
+                "directions must be supplied when root lists are partial")
+    # deduplicate direction centers: same direction iff within the open disc
+    reps = []
+    for b in directions:
+        if not _within(b, x.center, x.s):
+            continue  # that direction is "up"
+        if not any(_within(b, r, x.s, False) for r in reps):
+            reps.append(b)
+    named = sorted([(b.canonical_str(), b) for b in reps], key=lambda nb: nb[0])
+
+    slopes = {f"dir:{name}": units._degree_in(f, b, x.s, False)
+              for name, b in named}
+    inside = units._degree_in(f, x.center, x.s)
+    other = inside - sum(slopes.values())
+    slopes["up"] = -inside
+    if other:
+        slopes["other"] = other
+    return slopes

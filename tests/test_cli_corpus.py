@@ -5,7 +5,13 @@
 of them.  Each goes to ``cli.main`` as a problem file on stdin.  No call may
 end in exit 4 or a traceback, and every exit-2 detail must come from a
 ``raise`` in berkline or from one of the classes of messages that Python
-writes listed below.
+writes listed below.  Each exit-0 answer of a command listed in
+``EXIT0_CHECKS`` is checked against the library by a relation that does not
+read the command's own code path:
+
+- ``np``: the segment widths sum to ``degree - mult0``;
+- ``balance`` on a domain: the boundary degrees sum to minus
+  ``units.exterior_degree``, which counts the bounding disc alone.
 """
 
 import io
@@ -15,7 +21,8 @@ import re
 import sys
 from pathlib import Path
 
-from berkline import cli
+from berkline import cli, serialize
+from berkline.units import exterior_degree
 from corpus import corpus
 
 SRC = Path(cli.__file__).resolve().parent
@@ -54,6 +61,22 @@ def _python_class(detail):
     return None
 
 
+def _check_np(payload, fld, out):
+    widths = sum(seg["width"] for seg in out["segments"])
+    return widths == out["degree"] - out["mult0"]
+
+
+def _check_balance(payload, fld, out):
+    if "point" in payload:
+        return None  # slopes: no check yet
+    f = serialize.ratfunc_from_json(payload["f"], fld)
+    dom = serialize.domain_from_json(payload["domain"], fld)
+    return sum(out["boundary_degrees"]) == -exterior_degree(f, dom)
+
+
+EXIT0_CHECKS = {"np": _check_np, "balance": _check_balance}
+
+
 def test_accepted_corpus_end_to_end(capsys, monkeypatch):
     acceptor = cli._acceptor()
     rejected, real = [], cli._schema_error
@@ -64,6 +87,7 @@ def test_accepted_corpus_end_to_end(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_schema_error", recording)
     codes = {}
+    checked = dict.fromkeys(EXIT0_CHECKS, 0)
     python_classes = set()
     unexplained = []
     for command, payload in corpus():
@@ -80,6 +104,11 @@ def test_accepted_corpus_end_to_end(capsys, monkeypatch):
             assert err == "" and out.endswith("\n"), case
             if code == 3:
                 assert json.loads(out).keys() == {"error", "witness", "detail"}
+            elif command in EXIT0_CHECKS:
+                fld = serialize.field_from_json(payload["field"])
+                ok = EXIT0_CHECKS[command](payload, fld, json.loads(out))
+                assert ok is not False, case
+                checked[command] += ok is True
             continue
         # one JSON object on stderr, never a traceback
         assert code == 2 and out == "", case
@@ -98,3 +127,5 @@ def test_accepted_corpus_end_to_end(capsys, monkeypatch):
     assert set(codes) == {0, 2, 3}
     assert sum(codes.values()) > 2500
     assert python_classes == set(PYTHON_WRITTEN)
+    print("exit-0 answers checked:", checked)
+    assert min(checked.values()) > 50, checked

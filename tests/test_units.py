@@ -17,7 +17,7 @@ from berkline.errors import (BackendMismatch, BadDomain, NotCertified,
 from berkline.field import INF, PadicField, PuiseuxField
 from berkline.logvalue import INFINITY
 from berkline.points import _dist
-from berkline.units import _count_in_disc
+from berkline.units import UnitClass, _count_in_disc
 from completion import complete_function
 from conftest import rand_padic, rand_puiseux
 
@@ -52,6 +52,19 @@ class TestUnitClass:
     def test_product_needs_one_residue_field(self, FQ, Q3):
         with pytest.raises(ValueError, match="over different residue fields"):
             unit_class(FQ.t(1)) * unit_class(Q3.t(1))
+
+    def test_inverse_over_q_is_exact(self):
+        u = UnitClass(Fraction(3), 2, 0).inverse()
+        assert (u.q, u.res) == (-3, Fraction(1, 2))
+        assert type(u.res) is Fraction
+        assert UnitClass(Fraction(0), Fraction(-2, 3), 0).inverse().res \
+            == Fraction(-3, 2)
+
+    @pytest.mark.parametrize("res, modulus", [
+        (0, 0), (Fraction(0), 0), (0, 3), (6, 3), (-2, 2)])
+    def test_inverse_of_a_zero_residue_raises(self, res, modulus):
+        with pytest.raises(ZeroElement, match="^a zero residue has no inverse$"):
+            UnitClass(Fraction(1), res, modulus).inverse()
 
     @pytest.mark.parametrize("backend", ["F2", "F3", "FQ", "Q3"])
     def test_group_homomorphism(self, backend, request):

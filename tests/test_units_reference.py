@@ -22,6 +22,13 @@ truncated coefficients:
   the same error where both raise, and where only the library answers (the
   products ran out of precision) the reference gives the same verdict on 8
   sampled exact completions of f0 and f1 (``completion.py``).
+
+``_certify`` and ``direction_slopes`` place a certified root list in one
+pass; ``ref.certify_by_counts`` and ``ref.slopes_by_counts`` count it once
+per disc, as they did before.  On seeded cases built around the edges of
+that placement (ties at a radius, repeated roots, repeated and outside
+directions, wrong, partial and truncated lists) both give the same results,
+slope key order, error types, messages and witnesses.
 """
 
 import random
@@ -35,7 +42,7 @@ from berkline import (INFINITY, Domain, ExcludedDisc, LogValue, PadicField,
                       Polynomial, PuiseuxField, RationalFunction,
                       gauss_valuation, units)
 from berkline.errors import (BadDomain, BerkError, NotCertified,
-                             PrecisionExhausted)
+                             PrecisionExhausted, VanishesOnDomain)
 from berkline.logvalue import ZERO
 from berkline.points import DiscPoint, _dist
 from berkline.units import homotopy_check
@@ -385,3 +392,189 @@ def test_not_certified_before_precision():
     for check in (homotopy_check, ref.shilov_homotopy_check):
         with pytest.raises(NotCertified):
             check(f0, f1, dom)
+
+
+# -- one-pass placement against the per-disc counts it replaced ------------
+
+PLACEMENT_CASES = 300
+
+
+def _full(exc):
+    """(type, message, witness) of an error."""
+    return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _answer(fn):
+    """fn()'s value, a dict as its item list (key order counts), or the
+    type, message and witness of its error."""
+    try:
+        out = fn()
+    except (BerkError, ValueError) as exc:
+        return _full(exc)
+    return list(out.items()) if isinstance(out, dict) else out
+
+
+def _copy(z):
+    """An element equal to z that is another object."""
+    return type(z)(*z._values(z))
+
+
+def _at_radius(rng, fld, center, s):
+    """A point at distance exactly s.q from center."""
+    return center + fld.t(s.q, _unit(rng, fld))
+
+
+def _placement_roots(rng, fld, dom, tags):
+    """Roots around the domain: beyond it, in its holes, on the boundary of
+    a hole or of the bounding disc, and repeated, as one object or as equal
+    ones; off the domain unless the case lets certification fail."""
+    on_domain_ok = rng.random() < 0.3
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        pick = rng.random()
+        finite = [d for d in dom.excluded if not d.s.is_infinite]
+        if pick < 0.15 and out:
+            z = rng.choice(out)
+            tags.add("repeated object")
+        elif pick < 0.3 and out:
+            z = _copy(rng.choice(out))
+            tags.add("repeated equal")
+        elif pick < 0.45 and finite:
+            d = rng.choice(finite)
+            z = _at_radius(rng, fld, d.center, d.s)
+        elif pick < 0.55:
+            z = _at_radius(rng, fld, dom.center, dom.s)
+        else:
+            z = _root(rng, fld, dom, on_domain_ok)
+        if on_domain_ok or not _on_domain(dom, z):
+            out.append(z)
+    return out
+
+
+def _placement_function(rng, fld, dom, tags):
+    zs = _placement_roots(rng, fld, dom, tags)
+    ps = _placement_roots(rng, fld, dom, tags)
+    kind = rng.choice(["full"] * 5 + ["partial", "none", "wrong", "zero"]
+                      + ([] if _padic(fld) else ["truncated"]))
+    center = rng.choice([None, dom.center])
+    one = Polynomial.from_coeffs(fld, [1], center)
+    if kind == "zero":
+        tags.add("zero")
+        return RationalFunction(Polynomial(one.center, ()), one)
+    f = _function(rng, fld, zs, ps, _lead(rng, fld),
+                  "full" if kind in ("wrong", "truncated") else kind, center)
+    if kind == "wrong" and not (zs or ps):
+        kind = "full"
+    if kind == "wrong":
+        # one listed root replaced by a point that is not a root
+        lists = {"num_roots": list(f.num_roots), "den_roots": list(f.den_roots)}
+        listed = lists["num_roots" if zs else "den_roots"]
+        i = rng.randrange(len(listed))
+        listed[i] = listed[i] + fld.t(dom.s.q + 7, 1)
+        f = RationalFunction(f.num, f.den, **{k: tuple(v)
+                                              for k, v in lists.items()})
+    elif kind == "truncated":
+        f = RationalFunction(_truncate(rng, fld, f.num),
+                             _truncate(rng, fld, f.den),
+                             num_roots=f.num_roots, den_roots=f.den_roots)
+    tags.add(kind)
+    return f
+
+
+def _placement_point(rng, fld, dom, f):
+    """A disc point centred at a hole, the bounding center or a root, its
+    radius often the distance to a listed root."""
+    roots = list(f.num_roots) + list(f.den_roots)
+    c = rng.choice([dom.center] + [d.center for d in dom.excluded] + roots)
+    dists = [_dist(r, c) for r in roots]
+    finite = [d.q for d in dists if not d.is_infinite]
+    if finite and rng.random() < 0.6:
+        q = rng.choice(finite)
+    else:
+        q = _exp(rng, fld, dom.s.q)
+    return DiscPoint(c, LogValue(q, rng.choice([0] * 8 + [1])))
+
+
+def _placement_directions(rng, fld, dom, f, x, tags):
+    """None, or directions drawn from the roots and centers, with some
+    outside the closed disc at x and some repeated."""
+    if rng.random() < 0.4:
+        return None
+    pool = list(f.num_roots) + list(f.den_roots) + [x.center] + \
+        [d.center for d in dom.excluded]
+    out = rng.sample(pool, rng.randint(0, len(pool)))
+    if not x.s.is_infinite and rng.random() < 0.4:
+        out.append(x.center + fld.t(x.s.q - 1, _unit(rng, fld)))
+        tags.add("direction outside")
+    if out and rng.random() < 0.4:
+        b = rng.choice(out)
+        out.insert(rng.randint(0, len(out)),
+                   rng.choice([b, _copy(b), b + fld.t(x.s.q + 1, 1)]))
+        tags.add("direction repeated")
+    return out
+
+
+def _ties(f, centers_radii):
+    """Whether a listed root lies at distance exactly s from a center."""
+    return any(not s.is_infinite and _dist(r, c) == LogValue(s.q)
+               for r in list(f.num_roots) + list(f.den_roots)
+               for c, s in centers_radii)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_one_pass_placement_matches_per_disc_counts(name):
+    """``_certify`` and ``direction_slopes`` place each certified root in
+    one pass; the per-disc counts they replaced give the same results, the
+    same slope key order, and the same error types, messages and
+    witnesses, whatever sides are asked for and whether an ``at`` memo
+    writes the polynomials."""
+    rng = random.Random(f"placement/{name}")
+    fld = FIELDS[name]
+    seen = set()
+    for _ in range(PLACEMENT_CASES):
+        tags = set()
+        dom = _domain(rng, fld)
+        f = _placement_function(rng, fld, dom, tags)
+        sides = rng.choice([("num", "den")] * 3 + [("num",), ("den",), ()])
+        at = rng.choice([None, lambda g, c: g.recenter(c)])
+        error = rng.choice([NotCertified, VanishesOnDomain])
+        got = _answer(lambda: units._certify(f, dom, error, at, sides))
+        want = _answer(lambda: ref.certify_by_counts(f, dom, error, at, sides))
+        assert got == want, (f, dom, sides)
+        certified = "full" in tags
+        if certified and isinstance(got, list):
+            for d, *counts in zip(dom.excluded, *got):
+                if any(counts):
+                    seen.add(("placed", "punctured" if d.s.is_infinite
+                              else "closed" if d.closed else "open"))
+            if _ties(f, [(d.center, d.s) for d in dom.excluded]
+                     + [(dom.center, dom.s)]):
+                seen.add("tie, certified")
+        elif certified:
+            seen.add(("raised", got[0].__name__))
+
+        x = _placement_point(rng, fld, dom, f)
+        directions = _placement_directions(rng, fld, dom, f, x, tags)
+        got = _answer(lambda: units.direction_slopes(f, x, directions))
+        want = _answer(lambda: ref.slopes_by_counts(f, x, directions))
+        assert got == want, (f, x, directions)
+        if isinstance(got, list):
+            if certified and _ties(f, [(x.center, x.s)]):
+                seen.add("tie, slopes")
+            if dict(got).get("other"):
+                seen.add("other")
+            seen |= {(t, "slopes") for t in tags}
+        else:
+            seen.add(("slopes raised", got[0].__name__))
+        seen |= tags
+    kinds = {"repeated object", "repeated equal", "direction outside",
+             "direction repeated", "partial", "none", "wrong", "zero",
+             "tie, certified", "tie, slopes", "other",
+             ("placed", "closed"), ("placed", "open"),
+             ("placed", "punctured"), ("raised", "NotCertified"),
+             ("raised", "VanishesOnDomain"), ("full", "slopes"),
+             ("slopes raised", "ValueError"),
+             ("slopes raised", "NotCertified")}
+    if not _padic(fld):
+        kinds |= {"truncated", ("truncated", "slopes")}
+    assert kinds <= seen, kinds - seen
