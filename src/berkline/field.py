@@ -290,10 +290,10 @@ def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
     ``acc`` maps integer exponents on the lattice (1/den)Z to int coefficient
     numerators over ``cden``, already reduced mod p over F_p (where cden is
     1); zero coefficients are dropped and the rest sorted, then
-    ``_lattice_terms`` builds the element.  Element arithmetic and
-    ``poly._shift`` accumulate in dicts and come here; ``truncated`` and
-    the products of elements and of polynomials hand their sorted lists to
-    ``_lattice_terms`` directly.
+    ``_lattice_terms`` builds the element.  Element arithmetic accumulates
+    in dicts and comes here; ``truncated``, the products of elements and
+    the decoding of flat polynomials (kernel products and ``poly._shift``
+    outputs) hand their sorted lists to ``_lattice_terms`` directly.
     """
     exps = sorted([e for e, c in acc.items() if c])
     return _lattice_terms(fld, exps, [acc[e] for e in exps], den, cden, prec)

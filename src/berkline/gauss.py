@@ -34,23 +34,31 @@ def _coeff_values(f: Polynomial, a=None):
 
 def _flat_values(fld, counts, exps, cofs, lat, cden):
     """(index, valuation) for the nonzero coefficients of an exact flat
-    form, as ``_classify`` gives them: over Puiseux series the first
-    exponent of each, over lat; over Q_p, v_p(numerator) - v_p(cden)."""
-    known = []
+    form, as ``_classify`` gives them (``_flat_heights``)."""
+    den, heights = _flat_heights(fld, counts, exps, cofs, lat, cden)
+    return [(i, Fraction(y, den)) for i, y, _ in heights]
+
+
+def _flat_heights(fld, counts, exps, cofs, lat, cden):
+    """(den, [(i, y, pos)]) for the nonzero coefficients i of an exact flat
+    form, in increasing i: valuation y/den with y an int, first term at
+    position pos.  Over Puiseux series y is the first exponent and den is
+    lat; over Q_p y is v_p(numerator) - v_p(cden) and den is 1."""
+    heights = []
     pos = 0
     if type(fld) is PadicField:
         p = fld.p
         vden = _vp(cden, p)
         for i, c in enumerate(counts):
             if c:
-                known.append((i, Fraction(_vp(cofs[pos], p) - vden)))
+                heights.append((i, _vp(cofs[pos], p) - vden, pos))
                 pos += c
-    else:
-        for i, c in enumerate(counts):
-            if c:
-                known.append((i, Fraction(exps[pos], lat)))
-                pos += c
-    return known
+        return 1, heights
+    for i, c in enumerate(counts):
+        if c:
+            heights.append((i, exps[pos], pos))
+            pos += c
+    return lat, heights
 
 
 def _classify(terms):
@@ -91,9 +99,8 @@ def _supporting_line(known, unknown, s: LogValue):
     on the line leaves the minimum as it is, but not the terms on the line.
     With nothing at all the minimum is +infinity, attained nowhere.
 
-    All terms share the eps part of s, so v + i*s is ordered by the int pair
-    (L*v + i*L*s.q, i*sign(s.e)), where L is the lcm of every denominator;
-    one LogValue is built, for the minimum.
+    The points go on the lattice (1/L)Z, L the lcm of every denominator,
+    and ``_int_line`` finds the line.
     """
     if not known:
         if unknown:
@@ -107,26 +114,43 @@ def _supporting_line(known, unknown, s: LogValue):
         if i == 0:
             return as_logvalue(v), [0], []
         return INFINITY, [i for i, _ in known], []
-    sq, se = s.q, s.e
-    sign = (se.numerator > 0) - (se.numerator < 0)
-    L = math.lcm(sq.denominator, *[v.denominator for _, v in known],
+    L = math.lcm(s.q.denominator, *[v.denominator for _, v in known],
                  *[p.denominator for _, p in unknown])
+    y, line, on_line = _int_line(
+        [(i, v.numerator * (L // v.denominator)) for i, v in known],
+        [(i, p.numerator * (L // p.denominator), p) for i, p in unknown], s, L)
+    return trusted(Fraction(y, L), line[0] * s.e), line, on_line
+
+
+def _int_line(known, unknown, s: LogValue, L: int):
+    """``_supporting_line`` at a finite s for points with int heights on the
+    lattice (1/L)Z, L a multiple of s.q's denominator: ``known`` holds
+    (i, y) for v_i = y/L, at least one, and ``unknown`` (i, y, p) for the
+    bound p = y/L.  Returns (L times the rational part of the minimum, the
+    indices attaining it, the unknown points on the line).
+
+    All terms share the eps part of s, so v + i*s is ordered by the int pair
+    (y + i*L*s.q, i*sign(s.e)); the eps part of the minimum is that of its
+    first index.
+    """
+    sq, e = s.q, s.e.numerator
+    sign = (e > 0) - (e < 0)
     step = sq.numerator * (L // sq.denominator)
     best = None
-    for i, v in known:
-        key = (v.numerator * (L // v.denominator) + i * step, i * sign)
+    for i, y in known:
+        key = (y + i * step, i * sign)
         if best is None or key < best:
             best, line = key, [i]
         elif key == best:
             line.append(i)
     on_line = []
-    for i, p in unknown:
-        key = (p.numerator * (L // p.denominator) + i * step, i * sign)
+    for i, y, p in unknown:
+        key = (y + i * step, i * sign)
         if key < best:
             raise _exhausted(i, p)
         if key == best:
             on_line.append((i, p))
-    return trusted(Fraction(best[0], L), line[0] * se), line, on_line
+    return best[0], line, on_line
 
 
 def naive_norm(f: Polynomial, r, a=None) -> float:

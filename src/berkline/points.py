@@ -93,18 +93,19 @@ def _within(a, b, s: LogValue, closed=True) -> bool:
     finite s = (q, eps) when v > q, or when v == q and the eps part allows
     it: (v, 0) >= (q, eps) when eps <= 0, (v, 0) > (q, eps) when eps < 0.
     Both tests compare ints: the sign of e*q.denominator - q.numerator*den,
-    and the sign of eps.numerator.
+    and the sign of eps.numerator.  s is read once, from its stored order
+    key (inf, q, eps).
     """
     v = None if a is b else a._vdiff(b)
+    inf, q, eps = s._k
     if v is None:
-        return closed or not s.is_infinite
-    if s.is_infinite:
+        return closed or not inf
+    if inf:
         return False
     e, den = v
-    q = s.q
     c = e * q.denominator - q.numerator * den
-    return c > 0 or (c == 0 and (s.e.numerator <= 0 if closed
-                                 else s.e.numerator < 0))
+    return c > 0 or (c == 0 and (eps.numerator <= 0 if closed
+                                 else eps.numerator < 0))
 
 
 class PointClassification(Record):

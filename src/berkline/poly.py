@@ -19,21 +19,21 @@ routes:
   one by one through ``f * g``;
 * ``recenter`` of exact coefficients by an exact shift is a Horner shift on
   int series, read per coefficient off the flat encoding (a flat
-  polynomial's own) and decoded once per output from dicts (``_decode``); at its own exact center a
-  polynomial is returned as it is, and at an equal center it keeps its
-  form;
+  polynomial's own), whose output is a flat polynomial (``_shift``); at
+  its own exact center a polynomial is returned as it is, and at an equal
+  center it keeps its form;
 * evaluation, ``divide_linear`` and a truncated shift run one synthetic
   division on elements (``_synthetic``): a truncated shift is n of them in
   a row.
 
-An exact product stays flat until read: the polynomial holds the kernel's
-output (counts, exponents, numerators, lattice and common denominator) in
-``_flat``, and ``coeffs`` decodes it into elements once, on first read, and
-keeps both.  ``degree`` and ``is_zero`` read the counts, a product with a
-flat operand, and an exact shift of one, take its encoding as it stands
-(exponents scaled to the product's lattice), and ``gauss`` reads valuations
-off it, so a chain of products whose elements nobody reads decodes none of
-them.
+An exact product, and an exact shift, stays flat until read: the
+polynomial holds the flat form (counts, exponents, numerators, lattice and
+common denominator) in ``_flat``, and ``coeffs`` decodes it into elements
+once, on first read, and keeps both.  ``degree`` and ``is_zero`` read the
+counts, a product with a flat operand, and an exact shift of one, take its
+encoding as it stands (exponents scaled to the product's lattice), and
+``gauss`` reads valuations and ``units`` leading forms off it, so a chain
+of products and shifts whose elements nobody reads decodes none of them.
 
 Rational functions keep numerator and denominator over the same center and
 may carry the root lists they were built from.  Once proven complete by exact
@@ -50,13 +50,14 @@ from . import kernel
 from ._record import Record, setfield
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
 from .field import (INF, PadicElem, PadicField, PuiseuxElem,
-                    _check_same_field, _lattice_elem, _lattice_terms,
+                    _check_same_field, _lattice_terms,
                     _product_prec, cached)
 
 
 class Polynomial(Record):
     """Coefficients c_0..c_n in (T - center), leading one nonzero; an exact
-    kernel product holds a flat form instead (``_flat_poly``)."""
+    kernel product or Taylor shift holds a flat form instead
+    (``_flat_poly``)."""
 
     _fields = ("center", "coeffs")
     _flat = None
@@ -105,18 +106,21 @@ class Polynomial(Record):
 
         With the center, the lead and every root exact, the lead and the
         linear factors are multiplied in one kernel chain
-        (``_kernel_product``): each is encoded once, and the result stays
-        flat until read.  Otherwise they are multiplied in one by one, each
+        (``_kernel_product``), which starts at the first linear factor when
+        no lead is given: each is encoded once, and the result stays flat
+        until read.  Otherwise they are multiplied in one by one, each
         product through ``_try_kernel_mul``.
         """
         center = fld.zero() if center is None else center
-        out = cls.from_coeffs(fld, [fld.one() if lead is None else lead], center)
-        shifts = [r - center for r in roots]
         one = fld.one()
+        out = cls.from_coeffs(fld, [one if lead is None else lead], center)
+        shifts = [r - center for r in roots]
         # an exact shift r - center means an exact root and center
         if out.coeffs and shifts and out.coeffs[0].is_exact \
                 and all(d.is_exact for d in shifts):
-            factors = [out, *(cls(center, (-d, one)) for d in shifts)]
+            factors = [cls(center, (-d, one)) for d in shifts]
+            if lead is not None:
+                factors.insert(0, out)
             return _flat_poly(center, *_kernel_product(fld, factors))
         for d in shifts:
             out = out * cls(center, (-d, one))
@@ -197,11 +201,11 @@ class Polynomial(Record):
         """The same function written in the variable (T - a); exact.
 
         Horner's Taylor shift by d = a - center.  With d = D/E and every
-        coefficient exact, it runs on int series: coefficient i, over the
-        common denominator L, is scaled by E**(n-i), shifted by D (mod p over
-        F_p) and output j is decoded once, over L*E**(n-j).  With a
-        truncated coefficient or d it is n synthetic divisions by (T - a) on
-        elements (``_synthetic``), each on the quotient of the last.
+        coefficient exact, it runs on int series (``_shift``) and the result
+        is flat: its elements are decoded only when ``coeffs`` is read.
+        With a truncated coefficient or d it is n synthetic divisions by
+        (T - a) on elements (``_synthetic``), each on the quotient of the
+        last.
 
         At its own center object, exact or truncated, a polynomial is
         returned as it is: T - a is then T - center, the same variable, so
@@ -220,7 +224,7 @@ class Polynomial(Record):
             setfield(out, "center", a)
             return out
         if d.is_exact and _is_exact(self):
-            return Polynomial(a, _shift(self.field, self, d))
+            return _flat_poly(a, *_shift(self.field, self, d))
         b = list(self.coeffs)
         for i in range(len(b) - 1):
             b[i:] = _synthetic(b[i:], d)
@@ -305,16 +309,6 @@ def _series(fld, coeffs, lat):
     return counts, exps, cofs, cden
 
 
-def _decode(fld, acc, lat, cden):
-    """The exact element with int series ``acc`` over ``cden`` on the
-    lattice (1/lat)Z; over Q_p, the reduced number acc[0]/cden."""
-    if type(fld) is PadicField:
-        n = acc.get(0, 0)
-        g = math.gcd(n, cden)
-        return PadicElem(fld, n // g, cden // g)
-    return _lattice_elem(fld, acc, lat, cden, INF)
-
-
 def _decode_flat(fld, counts, exps, cofs, lat, cden, precs=None) -> tuple:
     """The coefficients of the kernel output (counts, exps, cofs) over
     ``cden`` on the lattice (1/lat)Z, output k truncated at ``precs[k]``
@@ -374,8 +368,8 @@ def _is_exact(f: Polynomial) -> bool:
 
 def _flat_poly(center, counts, exps, cofs, lat, cden) -> Polynomial:
     """The polynomial around ``center`` whose ``_flat`` is the exact kernel
-    output (counts, exps, cofs, lat, cden), its trailing zero counts
-    trimmed (a zero operand makes the kernel return one per output
+    or ``_shift`` output (counts, exps, cofs, lat, cden), its trailing zero
+    counts trimmed (a zero operand makes the kernel return one per output
     coefficient); its ``coeffs`` are decoded on first read."""
     while counts and not counts[-1]:
         counts.pop()
@@ -418,18 +412,34 @@ def _encoded(fld, f: Polynomial, lat):
 
 def _shift(fld, f: Polynomial, d) -> tuple:
     """Horner's Taylor shift of the exact polynomial f by the exact d, on
-    ints, f encoded as ``_encoded`` gives it.
+    ints, f encoded as ``_encoded`` gives it; returns the flat form
+    (counts, exps, cofs, lat, cden) that ``_flat_poly`` takes.
 
     With X = T - center - d, d = D/E and coefficients B_i/L,
     sum B_i/L (X + D/E)**i has X**j-coefficient
-    sum_i C(i, j) (B_i E**(n-i)) D**(i-j) / (L E**(n-j)).
+    sum_i C(i, j) (B_i E**(n-i)) D**(i-j) / (L E**(n-j)).  Output j is
+    scaled by E**j onto the one denominator L E**n, and its terms are
+    sorted with the zeros dropped, as the kernel gives its output.  Over
+    Q_p every series is one term at exponent 0, so the rule runs on the
+    numerators themselves.
     """
     lat = math.lcm(_lattice(fld, [d]), _lattice_of(fld, f))
     _, exps, cofs, big_e = _series(fld, [d], lat)
     step = list(zip(exps, cofs))
     counts, exps, cofs, big_l = _encoded(fld, f, lat)
-    terms = zip(exps, cofs)
     n = len(counts) - 1
+    cden = big_l * big_e ** max(n, 0)
+    if type(fld) is PadicField:
+        ((_, big_d),) = step
+        nums = iter(cofs)
+        b = [next(nums) * big_e ** (n - i) if c else 0
+             for i, c in enumerate(counts)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                b[j] += big_d * b[j + 1]
+        cofs = [x * big_e ** j for j, x in enumerate(b) if x]
+        return [1 if x else 0 for x in b], [0] * len(cofs), cofs, lat, cden
+    terms = zip(exps, cofs)
     b = []
     for i, c in enumerate(counts):
         w = big_e ** (n - i)
@@ -446,8 +456,15 @@ def _shift(fld, f: Polynomial, d) -> tuple:
                     e = e1 + e2
                     v = acc.get(e, 0) + c1 * c2
                     acc[e] = v % p if p else v
-    return tuple(_decode(fld, b[j], lat, big_l * big_e ** (n - j))
-                 for j in range(n + 1))
+    counts, exps, cofs = [], [], []
+    w = 1
+    for acc in b:
+        keys = sorted([e for e, x in acc.items() if x])
+        counts.append(len(keys))
+        exps += keys
+        cofs += [acc[e] for e in keys] if w == 1 else [acc[e] * w for e in keys]
+        w *= big_e
+    return counts, exps, cofs, lat, cden
 
 
 class RationalFunction(Record):

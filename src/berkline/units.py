@@ -28,14 +28,15 @@ certified only when a check fails.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._record import Record, setfield
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
-from .field import PadicElem, PuiseuxElem
-from .gauss import (_classify, _coeff_values, _exhausted, _lowest_term,
-                    _supporting_line, roots_in_disc)
+from .field import PadicElem, PadicField, PuiseuxElem, _vp
+from .gauss import (_classify, _coeff_values, _exhausted, _flat_heights,
+                    _int_line, _lowest_term, _supporting_line, roots_in_disc)
 from .logvalue import LogValue, as_logvalue, trusted
 from .points import DiscPoint, _within, classify
 from .poly import Polynomial, RationalFunction
@@ -86,21 +87,27 @@ def unit_class(c) -> UnitClass:
 
 def _residue(c):
     """The leading coefficient of a nonzero element as a residue: a Fraction
-    over Q((t)), an int mod p over F_p((t)) and Q_p."""
+    over Q((t)), an int mod p over F_p((t)) and Q_p (``_lead_residue``)."""
     if isinstance(c, PuiseuxElem):
         if not c.exps:
             raise PrecisionExhausted("element known only below its precision")
-        return c.nums[0] if c.field.char else Fraction(c.nums[0], c.cden)
+        return _lead_residue(c.field, c.nums[0], c.cden)
     if isinstance(c, PadicElem):
-        p = c.field.p
-        v = int(c.valuation())
-        num, den = c.num, c.den
-        if v > 0:
-            num //= p ** v
-        elif v < 0:
-            den //= p ** -v
-        return (num % p) * pow(den % p, -1, p) % p
+        return _lead_residue(c.field, c.num, c.den)
     raise TypeError(f"not a field element: {c!r}")
+
+
+def _lead_residue(fld, num: int, den: int):
+    """The residue of a leading term with nonzero coefficient num/den: the
+    int itself over F_p((t)) (den is 1), the Fraction over Q((t)), and over
+    Q_p the unit part of num/den mod p, num and den taken with their
+    powers of p removed."""
+    if type(fld) is PadicField:
+        p = fld.p
+        num //= p ** _vp(num, p)
+        den //= p ** _vp(den, p)
+        return num % p * pow(den % p, -1, p) % p
+    return num if fld.char else Fraction(num, den)
 
 
 def char_poly_point(units) -> tuple:
@@ -520,8 +527,11 @@ def _leading_form(g: Polynomial, s: LogValue):
     coefficient and its valuation.
 
     A truncated zero coefficient whose bound lies on or below the line
-    raises PrecisionExhausted: it could hold a term of the form.
+    raises PrecisionExhausted: it could hold a term of the form.  A
+    polynomial still flat is read off its flat form (``_flat_form``).
     """
+    if g._flat is not None and "coeffs" not in vars(g):
+        return _flat_form(g.field, *g._flat, s)
     known, unknown = _classify(enumerate(g.coeffs))
     if s.is_infinite:
         i, m = _lowest_term(known, unknown)
@@ -532,6 +542,22 @@ def _leading_form(g: Polynomial, s: LogValue):
             raise _exhausted(*on_line[0])
         m = m.q
     return m, {i: _residue(g.coeffs[i]) for i in line}
+
+
+def _flat_form(fld, counts, exps, cofs, lat, cden, s: LogValue):
+    """``_leading_form`` of a nonzero exact flat form, with no element
+    decoded: the line from the int heights of ``_flat_heights``, each
+    residue from its coefficient's first term."""
+    den, heights = _flat_heights(fld, counts, exps, cofs, lat, cden)
+    if s.is_infinite:
+        i, y, pos = heights[0]  # the lowest term
+        return Fraction(y, den), {i: _lead_residue(fld, cofs[pos], cden)}
+    L = math.lcm(den, s.q.denominator)
+    k = L // den
+    top, line, _ = _int_line([(i, y * k) for i, y, _ in heights], (), s, L)
+    first = {i: pos for i, _, pos in heights}
+    return Fraction(top, L), {i: _lead_residue(fld, cofs[first[i]], cden)
+                              for i in line}
 
 
 def _times(a, b, p: int):

@@ -14,7 +14,9 @@ synthetic division; ``horner_call``, ``elementwise_divide_linear`` and
 ``elementwise_recenter`` are the three loops it replaces.  An exact product
 stays flat until its coefficients are read; ``eager_twin`` is the same
 polynomial built from its decoded coefficients, and every question asked of
-the flat product must get the twin's answer.
+the flat product must get the twin's answer.  So does an exact shift: its
+leading forms, root counts, witness discs, leading classes and homotopy
+verdicts, read off the flat form, must be those read off the elements.
 """
 
 import pickle
@@ -24,12 +26,15 @@ from fractions import Fraction
 
 import pytest
 
-from berkline import (INF, LogValue, PadicField, Polynomial, PuiseuxField,
-                      _purekernel, gauss_valuation, newton_polygon,
-                      root_count_annulus, spectral_profile)
+from berkline import (INF, INFINITY, Domain, ExcludedDisc, LogValue,
+                      PadicField, Polynomial, PuiseuxField, RationalFunction,
+                      _purekernel, gauss_valuation, homotopy_check,
+                      leading_class, newton_polygon, root_count_annulus,
+                      roots_in_disc, spectral_profile)
 from berkline.field import PadicElem, PuiseuxElem
 from berkline import poly as poly_mod
-from berkline.errors import BackendMismatch
+from berkline.errors import BackendMismatch, NotCertified
+from berkline.units import _leading_form, _witness_disc
 
 FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(3),
           PadicField(5)]
@@ -656,6 +661,31 @@ def test_from_roots_chain_matches_sequential(fld):
     assert seen == want_seen
 
 
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_from_roots_without_a_lead_starts_at_the_first_factor(fld, monkeypatch):
+    """With no lead, the kernel chain has no constant-one factor: it gives
+    what ``lead=one`` gives with one kernel call fewer."""
+    rng = random.Random(1703)
+    calls = []
+    mul = _purekernel.poly_mul_modp
+    monkeypatch.setattr(poly_mod.kernel, "poly_mul_modp",
+                        lambda *a: calls.append(1) or mul(*a))
+    for n in (1, 2, 6):
+        for k in range(10):
+            center = fld.zero() if k % 2 else rand_elem(rng, fld, True)
+            roots = [rand_elem(rng, fld) for _ in range(n)]
+            calls.clear()
+            bare = Polynomial.from_roots(fld, roots, center)
+            without = len(calls)
+            calls.clear()
+            led = Polynomial.from_roots(fld, roots, center, fld.one())
+            assert without == len(calls) - 1 == n - 1
+            assert is_flat(bare) and bare.center is center
+            assert bare.degree == led.degree == n
+            assert bare.coeffs == led.coeffs
+            assert bare == sequential_from_roots(fld, roots, center)
+
+
 @pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
 def test_truncated_from_roots_multiplies_one_factor_at_a_time(fld, monkeypatch):
     """A truncated root, lead or center keeps the loop through
@@ -763,11 +793,11 @@ RADII = [LogValue(q, e) for q in (Fraction(-3, 2), 0, Fraction(2, 3), 5)
 
 
 def answer(fn, *args):
-    """A call's value, or its error's type and message."""
+    """A call's value, or its error's type, message and witness."""
     try:
         return fn(*args)
     except Exception as e:
-        return type(e), str(e)
+        return type(e), str(e), getattr(e, "witness", None)
 
 
 def gauss_answers(f):
@@ -912,7 +942,8 @@ def test_truncated_inputs_stay_eager(fld):
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)
 def test_flat_recenter(fld):
     """At an equal center a flat polynomial stays flat; at another, exact,
-    it is shifted off its flat form, undecoded, as its twin is."""
+    it is shifted off its flat form, undecoded, and the shift is flat and
+    equals its eager twin, as the shift of f's twin does."""
     rng = random.Random(3204)
     for _ in range(20):
         c = rand_elem(rng, fld, True)
@@ -923,6 +954,216 @@ def test_flat_recenter(fld):
         assert f.recenter(c) is f
         a = rand_elem(rng, fld)
         got = f.recenter(a)
-        assert is_flat(f) and got._flat is None
+        assert is_flat(f)
+        assert_flat_matches_twin(got)
         assert got == eager_twin(f).recenter(a) == elementwise_recenter(f, a)
         assert f.recenter(twin).coeffs is f.coeffs
+
+
+# ---------------------------------------------------------------------------
+# exact shifts stay flat, and the homotopy readers read them as they stand
+
+
+def detached_twin(f):
+    """``eager_twin`` of a copy of f, so that f itself stays undecoded."""
+    return eager_twin(pickle.loads(pickle.dumps(f)))
+
+
+def decode_shifts(monkeypatch):
+    """Make every ``recenter`` decode its output, so that the readers take
+    the elements: the eager route that the flat readers must match."""
+    recenter = Polynomial.recenter
+
+    def eager(self, a):
+        out = recenter(self, a)
+        out.coeffs
+        return out
+
+    monkeypatch.setattr(Polynomial, "recenter", eager)
+
+
+def assert_kernel_shaped(f):
+    """f's flat form is as the kernel gives its output: per coefficient,
+    strictly increasing exponents with nonzero numerators, and no trailing
+    zero count."""
+    counts, exps, cofs, lat, cden = f._flat
+    assert len(exps) == len(cofs) == sum(counts) and all(cofs)
+    assert not counts or counts[-1]
+    pos = 0
+    for c in counts:
+        assert all(x < y for x, y in zip(exps[pos:pos + c - 1],
+                                         exps[pos + 1:pos + c]))
+        pos += c
+
+
+def record_shifts(monkeypatch):
+    """Make ``recenter`` keep every shift it makes, not the polynomials it
+    returns at an equal center, in the list returned, and check each one's
+    shape before any reader walks it."""
+    shifted = []
+    recenter = Polynomial.recenter
+
+    def recording(self, a):
+        out = recenter(self, a)
+        if out._flat is not self._flat:
+            shifted.append(out)
+            assert_kernel_shaped(out)
+        return out
+
+    monkeypatch.setattr(Polynomial, "recenter", recording)
+    return shifted
+
+
+def shift_kinds(fld, d):
+    """Which of the shapes the shift tests must meet the shift d has: a
+    denominator E > 1 (each output j scaled by E**j) or exponents off the
+    lattice Z (a change of lattice)."""
+    kinds = set()
+    if isinstance(fld, PadicField):
+        if d.den > 1:
+            kinds.add("E > 1")
+        return kinds
+    if d.cden > 1:
+        kinds.add("E > 1")
+    if d.den > 1:
+        kinds.add("fractional exponents")
+    return kinds
+
+
+def want_shift_kinds(fld):
+    if isinstance(fld, PadicField):
+        return {"E > 1"}
+    return {"fractional exponents"} | (set() if fld.char else {"E > 1"})
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_flat_shifts_match_their_eager_twins(fld, monkeypatch):
+    """An exact shift, of an eager or a flat polynomial, is flat, and its
+    leading forms and root counts, read off the flat form, are those of the
+    element-wise shift read off its elements."""
+    rng = random.Random(3401)
+    seen = set()
+    shifted = record_shifts(monkeypatch)
+    for k in range(40):
+        c = fld.zero() if k % 2 else rand_elem(rng, fld, True)
+        f = rand_poly(rng, fld, rng.randint(0, 4), c)
+        if k % 3 == 0:
+            f = f * rand_poly(rng, fld, 1, c)
+        d = rand_elem(rng, fld, True)
+        seen |= shift_kinds(fld, d)
+        a = c + d
+        got = f.recenter(a)
+        want = elementwise_recenter(f, a)
+        forms = [answer(_leading_form, got, s) for s in (*RADII, INFINITY)]
+        counts = [answer(roots_in_disc, got, b, s, closed)
+                  for b in (a, c) for s in RADII for closed in (True, False)]
+        with monkeypatch.context() as m:
+            decode_shifts(m)
+            assert forms == [answer(_leading_form, want, s)
+                             for s in (*RADII, INFINITY)]
+            assert counts == [answer(roots_in_disc, want, b, s, closed)
+                              for b in (a, c) for s in RADII
+                              for closed in (True, False)]
+        for g in shifted:
+            assert_kernel_shaped(g)
+        shifted.clear()
+        assert_flat_matches_twin(got)
+        assert stored(got) == stored(want)
+        assert got == want and want == got and hash(got) == hash(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+    assert seen == want_shift_kinds(fld)
+
+
+def poly_center(fld, k):
+    """The center the functions are written at: 0, the domain's, or one
+    whose shifts to the check points have E > 1 and, over Puiseux series,
+    fractional exponents."""
+    if k % 3 == 0:
+        return fld.zero()
+    if isinstance(fld, PadicField):
+        return fld.elem(Fraction(2, 7) if k % 3 == 1 else Fraction(1, fld.p))
+    return fld.t(Fraction(1, 2), 1 if fld.char else Fraction(2, 3))
+
+
+def homotopy_case(rng, fld, k):
+    """(domain, f0, [f1, ...]): f0 has certified root lists, its zeros and
+    poles in the holes or beyond the bounding disc; the f1 are f0 times a
+    1-unit (homotopic), times T (not), and times T - z for a z on the
+    domain (not a unit), over f0's own denominator or a copy of it."""
+    centers = [fld.zero(), fld.one(), fld.t(-1)]
+    closed = [(k + j) % 2 == 0 for j in range(3)]
+    dom = Domain(fld.zero(), LogValue(-1), tuple(
+        ExcludedDisc(x, LogValue(1), cl) for x, cl in zip(centers, closed)))
+    c = poly_center(fld, k)
+
+    def unit():
+        if isinstance(fld, PadicField):
+            return rng.choice([1, 2, -1, Fraction(1, 2)])
+        return rng.randrange(1, fld.char) if fld.char \
+            else rng.choice([1, -2, Fraction(1, 3)])
+
+    roots, poles = [], []
+    for x, cl in zip(centers, closed):
+        for out in (roots, poles):
+            for _ in range(rng.randint(0, 2)):
+                out.append(x + fld.t(rng.choice([2, 3]), unit()))
+    roots.append(fld.t(-2, unit()))
+    num = Polynomial.from_roots(fld, roots, c)
+    den = Polynomial.from_roots(fld, poles, c) if poles \
+        else Polynomial.from_coeffs(fld, [1], c)
+    f0 = RationalFunction(num, den, num_roots=tuple(roots),
+                          den_roots=tuple(poles))
+    one_unit = Polynomial.from_coeffs(fld, [fld.one()] + [
+        fld.t(j + 1 + rng.randint(0, 1), unit()) for j in range(1, 3)], c)
+    z = fld.t(-1) + fld.one()
+    off = Polynomial.from_roots(fld, [z], c)
+    t_var = Polynomial.variable(fld, c)
+    return dom, f0, [
+        RationalFunction(num * one_unit, den),
+        RationalFunction(num * one_unit * t_var * t_var, den * t_var * t_var),
+        RationalFunction(num * t_var, den),
+        RationalFunction(num * off, den)]
+
+
+def homotopy_answers(dom, f0, f1s):
+    """Both homotopy verdicts and their errors, the leading classes at the
+    bounding point, and the witness discs of every numerator and
+    denominator on the domain."""
+    out = [answer(homotopy_check, f0, f1, dom) for f1 in f1s]
+    out += [answer(leading_class, f, dom) for f in (f0, *f1s)]
+    out += [answer(_witness_disc, g, dom, "num")
+            for f in (f0, *f1s) for g in (f.num, f.den)]
+    return out
+
+
+def twin_function(f, den=None):
+    return RationalFunction(detached_twin(f.num),
+                            detached_twin(f.den) if den is None else den,
+                            f.reduced, f.num_roots, f.den_roots)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_homotopy_readers_match_on_flat_shifts(fld, monkeypatch):
+    """Witness discs, leading classes and homotopy verdicts, with every
+    shift flat and read as it stands, are those of the eager route; a
+    homotopy check leaves the polynomials it shifts undecoded."""
+    rng = random.Random(3402)
+    verdicts = Counter()
+    for k in range(24):
+        dom, f0, f1s = homotopy_case(rng, fld, k)
+        twin0 = twin_function(f0)
+        twins = [twin_function(f1, twin0.den if f1.den is f0.den else None)
+                 for f1 in f1s]
+        for f1 in f1s:
+            with monkeypatch.context() as m:
+                shifted = record_shifts(m)
+                verdict = answer(homotopy_check, f0, f1, dom)
+            verdicts[verdict if isinstance(verdict, bool) else verdict[0]] += 1
+            assert shifted and all(is_flat(g) for g in shifted)
+            for g in shifted:
+                assert_kernel_shaped(g)
+        flat = homotopy_answers(dom, f0, f1s)
+        with monkeypatch.context() as m:
+            decode_shifts(m)
+            assert flat == homotopy_answers(dom, twin0, twins)
+    assert verdicts[True] and verdicts[False] and verdicts[NotCertified]
