@@ -99,7 +99,7 @@ def _solution_polygon(num: Polynomial, den: Polynomial, N: int) -> NewtonPolygon
     known, unknown = _classify(sorted(terms.items()))
     if not known and not unknown:
         raise ZeroPolynomial("the zero polynomial has no Newton polygon")
-    return _polygon(known, unknown, max(i for i, _ in known + unknown))
+    return _polygon(known, unknown, max(pt[0] for pt in known + unknown))
 
 
 def y2_divisor(g: RationalFunction, N: int, ann: AnnulusSpec) -> Divisor:

@@ -16,63 +16,62 @@ from fractions import Fraction
 from ._record import Record, setfield
 from .errors import (CoefficientOverflow, PrecisionExhausted, ZeroConstantTerm,
                      ZeroPolynomial)
-from .field import PadicField, _vp
+from .field import PadicElem, PadicField, _vp
 from .logvalue import INFINITY, ZERO, LogValue, as_logvalue, trusted
 from .poly import Polynomial
 
 
 def _coeff_values(f: Polynomial, a=None):
-    """_classify of the coefficients of f, recentered at a if given; read
-    off the flat form of a polynomial still flat (``poly._flat_poly``), so
-    its elements are not decoded.  Decoded elements keep their valuations,
-    which read faster than the flat form's."""
+    """The points of the coefficients of f, recentered at a if given, as two
+    lists in increasing index: (i, y, den, num, cden) for each provably
+    nonzero c_i, valuation y/den and leading coefficient num/cden, and
+    (i, y, den) for each truncated zero, known only below t^(y/den).
+
+    A polynomial that holds a flat form (``poly._flat_poly``) is read from
+    it, its elements decoded or not; any other from its elements
+    (``_classify``)."""
     g = f if a is None else f.recenter(a)
-    if g._flat is None or "coeffs" in vars(g):
+    if g._flat is None:
         return _classify(enumerate(g.coeffs))
-    return _flat_values(g.field, *g._flat), []
+    return _flat_points(g.field, *g._flat), []
 
 
-def _flat_values(fld, counts, exps, cofs, lat, cden):
-    """(index, valuation) for the nonzero coefficients of an exact flat
-    form, as ``_classify`` gives them (``_flat_heights``)."""
-    den, heights = _flat_heights(fld, counts, exps, cofs, lat, cden)
-    return [(i, Fraction(y, den)) for i, y, _ in heights]
-
-
-def _flat_heights(fld, counts, exps, cofs, lat, cden):
-    """(den, [(i, y, pos)]) for the nonzero coefficients i of an exact flat
-    form, in increasing i: valuation y/den with y an int, first term at
-    position pos.  Over Puiseux series y is the first exponent and den is
-    lat; over Q_p y is v_p(numerator) - v_p(cden) and den is 1."""
-    heights = []
+def _flat_points(fld, counts, exps, cofs, lat, cden):
+    """The known points of an exact flat form, one per nonzero coefficient,
+    off its first term: over Puiseux series y is its exponent over lat;
+    over Q_p y is v_p(numerator) - v_p(cden) over 1."""
+    points = []
     pos = 0
     if type(fld) is PadicField:
         p = fld.p
         vden = _vp(cden, p)
         for i, c in enumerate(counts):
             if c:
-                heights.append((i, _vp(cofs[pos], p) - vden, pos))
+                num = cofs[pos]
+                points.append((i, _vp(num, p) - vden, 1, num, cden))
                 pos += c
-        return 1, heights
+        return points
     for i, c in enumerate(counts):
         if c:
-            heights.append((i, exps[pos], pos))
+            points.append((i, exps[pos], lat, cofs[pos], cden))
             pos += c
-    return lat, heights
+    return points
 
 
 def _classify(terms):
-    """(index, valuation) for provably nonzero coefficients, plus lower bounds
-    (index, prec) for truncated zeros whose value is unknown; exact zeros are
-    skipped.  ``terms`` yields (index, coefficient) in increasing index."""
+    """``_coeff_values``' two lists from the elements ``terms`` yields as
+    (index, coefficient) in increasing index; exact zeros are skipped."""
     known, unknown = [], []
     for i, c in terms:
         if c.is_zero():
             continue
-        if not c and not c.is_exact:
-            unknown.append((i, c.prec))
+        if type(c) is PadicElem:
+            p = c.field.p
+            known.append((i, _vp(c.num, p) - _vp(c.den, p), 1, c.num, c.den))
+        elif c.exps:
+            known.append((i, c.exps[0], c.den, c.nums[0], c.cden))
         else:
-            known.append((i, c.valuation()))
+            unknown.append((i, c.prec.numerator, c.prec.denominator))
     return known, unknown
 
 
@@ -83,24 +82,27 @@ def gauss_valuation(f: Polynomial, a=None, s=ZERO) -> LogValue:
     return _supporting_line(known, unknown, s)[0]
 
 
-def _exhausted(i, p):
-    return PrecisionExhausted(f"coefficient {i} is only known below t^{p}",
-                              witness=i)
+def _exhausted(i, y, den):
+    return PrecisionExhausted(
+        f"coefficient {i} is only known below t^{Fraction(y, den)}", witness=i)
 
 
 def _supporting_line(known, unknown, s: LogValue):
-    """(min_i(v_i + i*s), the indices i attaining it, the unknown points on
-    the line).
+    """(min_i(v_i + i*s), the known points attaining it, the unknown points
+    on the line).
 
-    ``known`` and ``unknown`` are the two lists of ``_classify``.  An unknown
-    point (i, p) bounds v_i from below only, so the first one whose bound
-    p + i*s lies below the minimum, or the first one at all when nothing is
-    known, raises PrecisionExhausted with witness i.  One whose bound lies
-    on the line leaves the minimum as it is, but not the terms on the line.
-    With nothing at all the minimum is +infinity, attained nowhere.
+    ``known`` and ``unknown`` are the two lists of ``_coeff_values``.  An
+    unknown point (i, y, den) bounds v_i from below only, so the first one
+    whose bound y/den + i*s lies below the minimum, or the first one at all
+    when nothing is known, raises PrecisionExhausted with witness i.  One
+    whose bound lies on the line leaves the minimum as it is, but not the
+    terms on the line.  With nothing at all the minimum is +infinity,
+    attained nowhere.
 
-    The points go on the lattice (1/L)Z, L the lcm of every denominator,
-    and ``_int_line`` finds the line.
+    At a finite s the heights go on the lattice (1/L)Z, L the lcm of s.q's
+    denominator and every den.  All terms share the eps part of s, so
+    v + i*s is ordered by the int pair (L*v + i*L*s.q, i*sign(s.e)); the
+    eps part of the minimum is that of its first index.
     """
     if not known:
         if unknown:
@@ -110,47 +112,32 @@ def _supporting_line(known, unknown, s: LogValue):
         # i*s is +infinity for every i > 0: only index 0 counts
         if unknown and unknown[0][0] == 0:
             raise _exhausted(*unknown[0])
-        i, v = known[0]
+        i, y, den, _, _ = known[0]
         if i == 0:
-            return as_logvalue(v), [0], []
-        return INFINITY, [i for i, _ in known], []
-    L = math.lcm(s.q.denominator, *[v.denominator for _, v in known],
-                 *[p.denominator for _, p in unknown])
-    y, line, on_line = _int_line(
-        [(i, v.numerator * (L // v.denominator)) for i, v in known],
-        [(i, p.numerator * (L // p.denominator), p) for i, p in unknown], s, L)
-    return trusted(Fraction(y, L), line[0] * s.e), line, on_line
-
-
-def _int_line(known, unknown, s: LogValue, L: int):
-    """``_supporting_line`` at a finite s for points with int heights on the
-    lattice (1/L)Z, L a multiple of s.q's denominator: ``known`` holds
-    (i, y) for v_i = y/L, at least one, and ``unknown`` (i, y, p) for the
-    bound p = y/L.  Returns (L times the rational part of the minimum, the
-    indices attaining it, the unknown points on the line).
-
-    All terms share the eps part of s, so v + i*s is ordered by the int pair
-    (y + i*L*s.q, i*sign(s.e)); the eps part of the minimum is that of its
-    first index.
-    """
+            return as_logvalue(Fraction(y, den)), known[:1], []
+        return INFINITY, known, []
     sq, e = s.q, s.e.numerator
+    L = math.lcm(sq.denominator, *[pt[2] for pt in known],
+                 *[pt[2] for pt in unknown])
     sign = (e > 0) - (e < 0)
     step = sq.numerator * (L // sq.denominator)
     best = None
-    for i, y in known:
-        key = (y + i * step, i * sign)
+    for pt in known:
+        i, y, den, _, _ = pt
+        key = (y * (L // den) + i * step, i * sign)
         if best is None or key < best:
-            best, line = key, [i]
+            best, line = key, [pt]
         elif key == best:
-            line.append(i)
+            line.append(pt)
     on_line = []
-    for i, y, p in unknown:
-        key = (y + i * step, i * sign)
+    for pt in unknown:
+        i, y, den = pt
+        key = (y * (L // den) + i * step, i * sign)
         if key < best:
-            raise _exhausted(i, p)
+            raise _exhausted(*pt)
         if key == best:
-            on_line.append((i, p))
-    return best[0], line, on_line
+            on_line.append(pt)
+    return trusted(Fraction(best[0], L), line[0][0] * s.e), line, on_line
 
 
 def naive_norm(f: Polynomial, r, a=None) -> float:
@@ -169,7 +156,7 @@ def log2_naive_norm(f: Polynomial, log2_r, a=None) -> float:
         raise _exhausted(*unknown[0])
     if not known:
         return -math.inf
-    logs = [float(-v) + i * float(log2_r) for i, v in known]
+    logs = [-y / den + i * float(log2_r) for i, y, den, _, _ in known]
     top = max(logs)
     return top + math.log2(sum(2.0 ** (x - top) for x in logs))
 
@@ -246,80 +233,76 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
 
 
 def _polygon(known, unknown, degree) -> NewtonPolygon:
-    """The Newton polygon of the classified points of a nonzero polynomial.
+    """The Newton polygon of the points ``_coeff_values`` gives of a
+    nonzero polynomial.
 
     Heights are compared as ints on the lattice (1/L)Z, L the lcm of every
-    denominator; the vertices keep their Fractions and each slope is one
-    Fraction, built at the end.
+    den; each vertex and each slope is one Fraction, built at the end.
     """
     if not known:
         raise PrecisionExhausted("all coefficients below their precision bounds")
-    pts = sorted(known)
-    L = math.lcm(*[v.denominator for _, v in pts],
-                 *[p.denominator for _, p in unknown])
-    hull = _lower_hull([(i, v.numerator * (L // v.denominator), v)
-                        for i, v in pts])
+    L = math.lcm(*[pt[2] for pt in known], *[pt[2] for pt in unknown])
+    hull = _lower_hull([(i, y * (L // den)) for i, y, den, _, _ in known])
     # a truncated-zero coefficient is tolerable only strictly inside the known
     # index range and with its bound at or above the hull there; anywhere else
     # it could change mult0, the degree, or cut the hull
-    for i, p in unknown:
+    for i, y, den in unknown:
         if (i < hull[0][0] or i > hull[-1][0]
-                or _below_hull(hull, i, p.numerator * (L // p.denominator))):
+                or _below_hull(hull, i, y * (L // den))):
             raise PrecisionExhausted(
-                f"coefficient {i} known only below t^{p} could cut the hull",
-                witness=i,
-            )
-    mult0 = pts[0][0]
+                f"coefficient {i} known only below t^{Fraction(y, den)} "
+                f"could cut the hull", witness=i)
     segments = tuple((Fraction(y2 - y1, L * (x2 - x1)), x2 - x1)
-                     for (x1, y1, _), (x2, y2, _) in zip(hull, hull[1:]))
-    return NewtonPolygon(tuple((x, v) for x, _, v in hull), segments, mult0,
-                         degree)
+                     for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple((x, Fraction(y, L)) for x, y in hull),
+                         segments, known[0][0], degree)
 
 
 def _lower_hull(pts):
-    """Monotone chain over (x, y, payload) with ints x, increasing, and y;
-    collinear interior points are dropped."""
+    """Monotone chain over int points (x, y), x increasing; collinear
+    interior points are dropped."""
     hull = []
-    for p in pts:
-        x, y, _ = p
+    for x, y in pts:
         while len(hull) >= 2:
-            (x1, y1, _), (x2, y2, _) = hull[-2], hull[-1]
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append((x, y))
     return hull
 
 
 def _below_hull(hull, x, y) -> bool:
     """Whether the int point (x, y) lies strictly below the hull, for x
     between its first and last vertex."""
-    for (x1, y1, _), (x2, y2, _) in zip(hull, hull[1:]):
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
             return (y - y1) * (x2 - x1) < (y2 - y1) * (x - x1)
 
 
 def _lowest_term(known, unknown):
-    """(i, v_i) of the lowest nonzero term: i roots sit at the center."""
+    """The known point of the lowest nonzero term: its index i is the
+    number of roots at the center."""
     if not known or unknown and unknown[0][0] < known[0][0]:
         raise _exhausted(*unknown[0])  # it may be lower, or f may be 0
     return known[0]
 
 
 def _count(known, unknown, s: LogValue, closed: bool) -> int:
-    """#(v >= s) when closed, #(v > s) when open, from ``_classify``'s lists:
-    the last or first index on the supporting line of slope -s.  An unknown
-    point on it raises only beyond that index; with none known, f may be 0."""
+    """#(v >= s) when closed, #(v > s) when open, from ``_coeff_values``'
+    lists: the last or first index on the supporting line of slope -s.  An
+    unknown point on it raises only beyond that index; with none known, f
+    may be 0."""
     if not known:
         raise _exhausted(*unknown[0])
     if s.is_infinite:
         return _lowest_term(known, unknown)[0] if closed else 0
     _, line, on_line = _supporting_line(known, unknown, s)
-    n = line[-1] if closed else line[0]
-    for i, p in on_line:
-        if (i > n) if closed else (i < n):
-            raise _exhausted(i, p)
+    n = line[-1][0] if closed else line[0][0]
+    for pt in on_line:
+        if (pt[0] > n) if closed else (pt[0] < n):
+            raise _exhausted(*pt)
     return n
 
 

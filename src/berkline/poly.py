@@ -30,10 +30,13 @@ An exact product, and an exact shift, stays flat until read: the
 polynomial holds the flat form (counts, exponents, numerators, lattice and
 common denominator) in ``_flat``, and ``coeffs`` decodes it into elements
 once, on first read, and keeps both.  ``degree`` and ``is_zero`` read the
-counts, a product with a flat operand, and an exact shift of one, take its
-encoding as it stands (exponents scaled to the product's lattice), and
-``gauss`` reads valuations and ``units`` leading forms off it, so a chain
-of products and shifts whose elements nobody reads decodes none of them.
+counts, and a product with a flat operand, and an exact shift of one, take
+its encoding as it stands (exponents scaled to the product's lattice).
+``gauss._coeff_values`` reads each coefficient's point, its valuation and
+leading coefficient as ints, off the flat form whenever a polynomial holds
+one, decoded or not: Gauss valuations, hulls, root counts, witnesses and
+leading forms all read those points, so a chain of products and shifts
+whose elements nobody reads decodes none of them.
 
 Rational functions keep numerator and denominator over the same center and
 may carry the root lists they were built from.  Once proven complete by exact

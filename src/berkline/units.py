@@ -28,15 +28,14 @@ certified only when a check fails.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from ._record import Record, setfield
 from .errors import (BadDomain, NotCertified, PrecisionExhausted,
                      VanishesOnDomain, ZeroElement)
-from .field import PadicElem, PadicField, PuiseuxElem, _vp
-from .gauss import (_classify, _coeff_values, _exhausted, _flat_heights,
-                    _int_line, _lowest_term, _supporting_line, roots_in_disc)
+from .field import PadicElem, PadicField, PuiseuxElem, _truncated_zero, _vp
+from .gauss import (_coeff_values, _exhausted, _lowest_term, _supporting_line,
+                    roots_in_disc)
 from .logvalue import LogValue, as_logvalue, trusted
 from .points import DiscPoint, _within, classify
 from .poly import Polynomial, RationalFunction
@@ -274,12 +273,16 @@ def _witness_disc(poly: Polynomial, dom: Domain, which: str):
     sigma is at most the largest of the known ratios and the bound ratios
     (v0 - p)/(j - i0): below s, that is "inf" on every completion."""
     known, unknown = _coeff_values(poly, dom.center)
-    i0, v0 = known[0]  # the lowest term
-    ratios = [(v0 - v) / (j - i0) for j, v in known[1:]]
+    i0, y0, d0, _, _ = known[0]  # the lowest term
+
+    def ratio(j, y, d):  # (v0 - y/d) / (j - i0)
+        return Fraction(y0 * d - y * d0, d0 * d * (j - i0))
+
+    ratios = [ratio(*pt[:3]) for pt in known[1:]]
     sigma = max(ratios, default=None)
-    bound = max(ratios + [(v0 - p) / (j - i0) for j, p in unknown if j > i0],
+    bound = max(ratios + [ratio(*pt) for pt in unknown if pt[0] > i0],
                 default=None)
-    if any(j < i0 for j, _ in unknown):
+    if any(pt[0] < i0 for pt in unknown):
         sigma = dom.s  # the lowest term may be unknown
     elif bound is None or trusted(bound) < dom.s:
         sigma = "inf"
@@ -398,18 +401,21 @@ def leading_class(f: RationalFunction, dom: Domain) -> LeadingClass:
         raise ZeroElement("the zero function is not a unit anywhere")
     s = dom.s
     q, e = (Fraction(0), Fraction(1)) if s.is_infinite else (s.q, s.e)
+    fld = dom.field
     sides = []
-    for g in (f.num.recenter(dom.center), f.den.recenter(dom.center)):
-        known, unknown = _classify(enumerate(g.coeffs))
-        if unknown:
-            # a truncated zero has no valuation: this raises PrecisionExhausted
-            g.coeffs[unknown[0][0]].valuation()
+    for g in (f.num, f.den):
+        known, unknown = _coeff_values(g, dom.center)
+        if unknown:  # a truncated zero has no valuation
+            _, y, den = unknown[0]
+            raise _truncated_zero(Fraction(y, den))
         m, line, _ = _supporting_line(known, [], trusted(q))
         lo, hi = line[0], line[-1]
-        sides.append((trusted(m.q, min(lo * e, hi * e)),
-                      g.coeffs[lo if e > -1 else hi]))
+        _, y, den, num, cden = lo if e > -1 else hi
+        sides.append((trusted(m.q, min(lo[0] * e, hi[0] * e)),
+                      UnitClass(Fraction(y, den), _lead_residue(fld, num, cden),
+                                fld.residue_char)))
     (vn, cn), (vd, cd) = sides
-    ratio = unit_class(cn) * unit_class(cd).inverse()
+    ratio = cn * cd.inverse()
     return LeadingClass(None if s.is_infinite else vn - vd, ratio.q,
                         ratio.res, ratio.modulus)
 
@@ -524,40 +530,22 @@ def _forms_agree(n1, d0, n0, d1, s: LogValue, p: int) -> bool:
 def _leading_form(g: Polynomial, s: LogValue):
     """(m, {i: residue of c_i}) for the indices i on g's supporting line at
     radius s, m its minimum; at s = +infinity, the lowest-index nonzero
-    coefficient and its valuation.
+    coefficient and its valuation.  The line and each residue are read off
+    the points of ``_coeff_values``, a flat polynomial's off its flat form.
 
     A truncated zero coefficient whose bound lies on or below the line
-    raises PrecisionExhausted: it could hold a term of the form.  A
-    polynomial still flat is read off its flat form (``_flat_form``).
+    raises PrecisionExhausted: it could hold a term of the form.
     """
-    if g._flat is not None and "coeffs" not in vars(g):
-        return _flat_form(g.field, *g._flat, s)
-    known, unknown = _classify(enumerate(g.coeffs))
+    fld = g.field
+    known, unknown = _coeff_values(g)
     if s.is_infinite:
-        i, m = _lowest_term(known, unknown)
-        line = (i,)
-    else:
-        m, line, on_line = _supporting_line(known, unknown, s)
-        if on_line:
-            raise _exhausted(*on_line[0])
-        m = m.q
-    return m, {i: _residue(g.coeffs[i]) for i in line}
-
-
-def _flat_form(fld, counts, exps, cofs, lat, cden, s: LogValue):
-    """``_leading_form`` of a nonzero exact flat form, with no element
-    decoded: the line from the int heights of ``_flat_heights``, each
-    residue from its coefficient's first term."""
-    den, heights = _flat_heights(fld, counts, exps, cofs, lat, cden)
-    if s.is_infinite:
-        i, y, pos = heights[0]  # the lowest term
-        return Fraction(y, den), {i: _lead_residue(fld, cofs[pos], cden)}
-    L = math.lcm(den, s.q.denominator)
-    k = L // den
-    top, line, _ = _int_line([(i, y * k) for i, y, _ in heights], (), s, L)
-    first = {i: pos for i, _, pos in heights}
-    return Fraction(top, L), {i: _lead_residue(fld, cofs[first[i]], cden)
-                              for i in line}
+        i, y, den, num, cden = _lowest_term(known, unknown)
+        return Fraction(y, den), {i: _lead_residue(fld, num, cden)}
+    m, line, on_line = _supporting_line(known, unknown, s)
+    if on_line:
+        raise _exhausted(*on_line[0])
+    return m.q, {i: _lead_residue(fld, num, cden)
+                 for i, _, _, num, cden in line}
 
 
 def _times(a, b, p: int):

@@ -2,6 +2,9 @@
 were while they compared one log-value per term, and the root counts as they
 were while they read a whole Newton hull: the test oracle.
 
+They read the points (i, v(c_i)) off the elements with their own
+``coeff_values``, which ``tests/test_root_counts_reference.py`` and
+``tests/test_witness_reference.py`` also call.
 ``gauss_valuation``, ``newton_polygon`` with ``_polygon``, ``_lower_hull``
 and ``_hull_height``, and ``_unique_argmin`` are kept verbatim apart from
 their log-value class, the dataclass ``RefLogValue``.  They build a
@@ -19,17 +22,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from berkline.errors import PrecisionExhausted, ZeroPolynomial
-from berkline.gauss import NewtonPolygon, _coeff_values
+from berkline.gauss import NewtonPolygon
 from berkline.poly import Polynomial
 from reference_logvalue import (REF_INFINITY as INFINITY, REF_ZERO as ZERO,
                                 RefLogValue as LogValue,
                                 ref_as_logvalue as as_logvalue)
 
 
+def coeff_values(f: Polynomial, a=None):
+    """(index, valuation) for the provably nonzero coefficients of f,
+    recentered at a if given, and (index, prec) for its truncated zeros;
+    exact zeros are skipped.  Read off the elements, not the library's
+    point lists."""
+    known, unknown = [], []
+    for i, c in enumerate((f if a is None else f.recenter(a)).coeffs):
+        if not c.is_exact and not c:
+            unknown.append((i, c.prec))
+        elif not c.is_zero():
+            known.append((i, c.valuation()))
+    return known, unknown
+
+
 def gauss_valuation(f: Polynomial, a=None, s=ZERO) -> LogValue:
     """Valuation of f at the disc point D(a, 2**(-s)); +infinity for f = 0."""
     s = as_logvalue(s)
-    known, unknown = _coeff_values(f, a)
+    known, unknown = coeff_values(f, a)
     if not known and not unknown:
         return INFINITY
     best = None
@@ -49,7 +66,7 @@ def gauss_valuation(f: Polynomial, a=None, s=ZERO) -> LogValue:
 def newton_polygon(f: Polynomial) -> NewtonPolygon:
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton polygon")
-    known, unknown = _coeff_values(f)
+    known, unknown = coeff_values(f)
     return _polygon(known, unknown, f.degree)
 
 

@@ -14,7 +14,12 @@ mathematics instead:
   disc), and the direction slopes at a type-2 point sum to zero;
 * translation: f(T - c), with every center, hole, root and direction moved
   by c, is the same function seen from elsewhere: the same slopes under the
-  moved keys, boundary degrees and homotopy verdicts.
+  moved keys, boundary degrees and homotopy verdicts;
+* completion: a truncated polynomial stands for each of its exact
+  completions, so a Gauss valuation or Newton polygon answered on it is the
+  answer on every completion (``completion.py``);
+* homotopy is an equivalence: |f1/f0 - 1| < 1 is symmetric in f0 and f1,
+  and f0 ~ f1 with f0 not ~ f2 gives f1 not ~ f2.
 
 Each relation runs on seeded cases over F_2((t)), F_3((t)), Q((t)), Q_2 and
 Q_3, half of them with truncated Puiseux coefficients and shifts (p-adic
@@ -35,8 +40,9 @@ from berkline import (INFINITY, DiscPoint, Domain, ExcludedDisc, LogValue,
                       PadicField, Polynomial, PuiseuxField, RationalFunction,
                       boundary_degrees, build_skeleton, classify,
                       direction_slopes, exterior_degree, gauss_valuation,
-                      homotopy_check, roots_in_disc)
+                      homotopy_check, newton_polygon, roots_in_disc)
 from berkline.errors import BadDomain, BerkError, PrecisionExhausted
+from completion import complete_poly
 from conftest import rand_padic, rand_puiseux, rand_puiseux_nonzero
 
 FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(2),
@@ -344,3 +350,75 @@ def test_translation_keeps_slopes_degrees_and_verdicts(fld):
     print(dict(seen))
     assert seen[True] and seen[False] and seen["slopes answered"] > CASES // 2, \
         seen
+
+
+# -- completions of truncated polynomials -------------------------------------
+
+COMPLETIONS = 8
+
+
+def polygon(f):
+    np_ = newton_polygon(f)
+    return np_.vertices, np_.mult0
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+@pytest.mark.parametrize("query", ["gauss_valuation", "newton_polygon"])
+def test_answers_hold_on_every_completion(fld, query):
+    """A truncated polynomial's Gauss valuation at a disc point, or its
+    Newton polygon (vertices and mult0), equals the answer on each of 8
+    exact completions, or the call raises PrecisionExhausted."""
+    rng = random.Random(3008)
+    tally = Counter()
+    for _ in range(CASES * 5):
+        (f,), _, c, s = case(rng, fld, 1)  # an odd case: truncated
+        if query == "gauss_valuation":
+            ask = lambda g: gauss_valuation(g, c, s)  # noqa: E731
+        else:
+            ask = polygon
+        got = answer(ask, f)
+        tally["raised" if got is UNKNOWN else "answered"] += 1
+        if got is UNKNOWN:
+            continue
+        for _ in range(COMPLETIONS):
+            g = complete_poly(rng, f)
+            assert ask(g) == got, (f, g, c, s)
+    print(dict(tally))
+    assert tally["answered"] >= CASES * 5 // 2, tally
+
+
+def homotopy_triple(rng, fld, k):
+    """``unit_case``'s domain, f0 and f1, and f2, f1 times a constant: 1,
+    a 1-unit, a residue unit, t or 1/t."""
+    dom, f0, f1 = unit_case(rng, fld, k)
+    scale = rng.choice([fld.one(), fld.one() + mono(rng, fld, 1),
+                        fld.t(0, unit(rng, fld)), fld.t(1), fld.t(-1)])
+    f2 = RationalFunction(f1.num.scale(scale), f1.den,
+                          num_roots=f1.num_roots, den_roots=f1.den_roots)
+    return dom, f0, f1, f2
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_homotopy_is_symmetric_and_transitive(fld):
+    """Where both calls answer, homotopy_check(f0, f1) equals
+    homotopy_check(f1, f0); and f0 ~ f1 with f0 not ~ f2 gives f1 not ~ f2
+    wherever all three answer."""
+    rng = random.Random(3009)
+    seen = Counter()
+    for k in range(CASES):
+        dom, f0, f1, f2 = homotopy_triple(rng, fld, k)
+        h01, h02 = (outcome(homotopy_check, f0, f, dom) for f in (f1, f2))
+        for f, h in ((f1, h01), (f2, h02)):
+            back = outcome(homotopy_check, f, f0, dom)
+            if isinstance(h, bool) and isinstance(back, bool):
+                assert back == h, (f0, f, dom)
+                seen["symmetric pairs"] += 1
+            else:
+                assert {h, back} <= {True, False, UNKNOWN}, (h, back)
+        if h01 is True and h02 is False:
+            h12 = outcome(homotopy_check, f1, f2, dom)
+            assert h12 in (False, UNKNOWN), (f0, f1, f2, dom)
+            seen["consistent triples"] += h12 is False
+    print(dict(seen))
+    assert seen["symmetric pairs"] >= CASES, seen
+    assert seen["consistent triples"] >= CASES // 10, seen

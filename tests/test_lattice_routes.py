@@ -17,8 +17,13 @@ polynomial built from its decoded coefficients, and every question asked of
 the flat product must get the twin's answer.  So does an exact shift: its
 leading forms, root counts, witness discs, leading classes and homotopy
 verdicts, read off the flat form, must be those read off the elements.
+Every reader takes the coefficient points of ``gauss._coeff_values``, read
+off the flat form whenever a polynomial holds one; those points, and what
+each reader makes of them, must be those of the eager twin, whose elements
+may lie on different lattices.
 """
 
+import math
 import pickle
 import random
 from collections import Counter
@@ -29,11 +34,12 @@ import pytest
 from berkline import (INF, INFINITY, Domain, ExcludedDisc, LogValue,
                       PadicField, Polynomial, PuiseuxField, RationalFunction,
                       _purekernel, gauss_valuation, homotopy_check,
-                      leading_class, newton_polygon, root_count_annulus,
-                      roots_in_disc, spectral_profile)
+                      leading_class, naive_norm, newton_polygon,
+                      root_count_annulus, roots_in_disc, spectral_profile)
 from berkline.field import PadicElem, PuiseuxElem
 from berkline import poly as poly_mod
-from berkline.errors import BackendMismatch, NotCertified
+from berkline.errors import BackendMismatch, NotCertified, PrecisionExhausted
+from berkline.gauss import _coeff_values, log2_naive_norm
 from berkline.units import _leading_form, _witness_disc
 
 FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(3),
@@ -970,14 +976,14 @@ def detached_twin(f):
 
 
 def decode_shifts(monkeypatch):
-    """Make every ``recenter`` decode its output, so that the readers take
-    the elements: the eager route that the flat readers must match."""
+    """Make every ``recenter`` return its output rebuilt from its decoded
+    elements, with no flat form, so that the readers take the elements:
+    the eager route that the flat readers must match."""
     recenter = Polynomial.recenter
 
     def eager(self, a):
         out = recenter(self, a)
-        out.coeffs
-        return out
+        return out if out._flat is None else eager_twin(out)
 
     monkeypatch.setattr(Polynomial, "recenter", eager)
 
@@ -1167,3 +1173,126 @@ def test_homotopy_readers_match_on_flat_shifts(fld, monkeypatch):
             decode_shifts(m)
             assert flat == homotopy_answers(dom, twin0, twins)
     assert verdicts[True] and verdicts[False] and verdicts[NotCertified]
+
+
+# ---------------------------------------------------------------------------
+# one point form: a flat polynomial's points are its eager twin's
+
+
+def points(f):
+    """``_coeff_values`` of f, each valuation y/den and leading coefficient
+    num/cden as a Fraction."""
+    known, unknown = _coeff_values(f)
+    return ([(i, Fraction(y, den), Fraction(num, cden))
+             for i, y, den, num, cden in known],
+            [(i, Fraction(y, den)) for i, y, den in unknown])
+
+
+def element_points(f):
+    """``points`` read off the elements themselves."""
+    known, unknown = [], []
+    for i, c in enumerate(f.coeffs):
+        if c.is_zero():
+            continue
+        if not c:
+            unknown.append((i, c.prec))
+        elif isinstance(c, PadicElem):
+            known.append((i, c.valuation(), c.value))
+        else:
+            known.append((i, c.valuation(), Fraction(c.terms[0][1])))
+    return known, unknown
+
+
+def log2_norm_formula(f, log2_r):
+    """log2 of the sum norm from ``element_points`` by the float(Fraction)
+    formula."""
+    logs = [float(-v) + i * float(log2_r) for i, v, _ in element_points(f)[0]]
+    top = max(logs)
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+
+
+def reader_answers(f, g):
+    """What every reader of the one point form makes of f (and of f/g):
+    ``gauss_answers``, the sum norms as float reprs, leading forms, witness
+    discs and leading classes at finite, eps and +infinity radii around f's
+    center."""
+    out = gauss_answers(f)
+    for r, log2_r in ((1, 0), (2, 1), (Fraction(1, 4), -2), (3, math.log2(3)),
+                      (1.7, math.log2(1.7))):
+        want = log2_norm_formula(f, log2_r)
+        assert repr(log2_naive_norm(f, log2_r)) == repr(want)
+        assert repr(naive_norm(f, r)) == repr(2.0 ** want)
+        out.append(repr(want))
+    for s in (*RADII, INFINITY):
+        dom = Domain(f.center, s)
+        out += [answer(_leading_form, f, s), answer(_witness_disc, f, dom, "num"),
+                answer(leading_class, RationalFunction(f, g), dom),
+                answer(leading_class, RationalFunction(g, f), dom)]
+    return out
+
+
+def mixed_lattice_poly(rng, fld, center):
+    """A polynomial whose coefficients lie on (1/2)Z, (1/3)Z and Z, so its
+    eager twin's elements keep different denominators."""
+    c = (lambda: rng.randrange(1, fld.char)) if fld.char \
+        else (lambda: rng.choice(Q_COEFS))
+    coeffs = [fld.t(Fraction(rng.randint(-3, 3), 2), c()),
+              fld.t(Fraction(rng.randint(-3, 3), 3), c()),
+              fld.t(rng.randint(-2, 2), c())]
+    rng.shuffle(coeffs)
+    return Polynomial.from_coeffs(fld, coeffs, center)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_one_point_form_matches_the_eager_twin(fld):
+    """Flat products and shifts, undecoded and decoded, give the points of
+    their twins built from the decoded elements, each valuation and leading
+    coefficient equal as a Fraction; the flat points stay on the flat
+    form's lattice once decoded; sum norms equal the float(Fraction)
+    formula bit for bit on both; and leading forms, witness discs and
+    leading classes agree on both at finite, eps and +infinity radii."""
+    rng = random.Random(3501)
+    mixed = 0
+    for k in range(30):
+        c = fld.zero() if k % 2 else rand_elem(rng, fld, True)
+        if k % 3 == 0 and isinstance(fld, PuiseuxField):
+            f = mixed_lattice_poly(rng, fld, c) * Polynomial.from_coeffs(
+                fld, [1], c)
+        else:
+            f = rand_poly(rng, fld, rng.randint(0, 4), c) * rand_poly(
+                rng, fld, rng.randint(0, 2), c)
+        if k % 4 == 1:
+            f = f.recenter(c + rand_elem(rng, fld, True)).recenter(c)
+        g = rand_poly(rng, fld, 2, c) * rand_poly(rng, fld, 1, c)
+        assert is_flat(f) and is_flat(g)
+        got = points(f)
+        assert is_flat(f)
+        twin = Polynomial.from_coeffs(fld, f.coeffs, c)
+        twin_g = Polynomial.from_coeffs(fld, g.coeffs, c)
+        assert twin._flat is None
+        assert got == points(twin) == element_points(twin)
+        assert not got[1]
+        assert points(f) == got  # decoded, still read off the flat form
+        lat = f._flat[3]
+        assert all(pt[2] == (1 if isinstance(fld, PadicField) else lat)
+                   for pt in _coeff_values(f)[0])
+        mixed += len({pt[2] for pt in _coeff_values(twin)[0]}) > 1
+        assert reader_answers(f, g) == reader_answers(twin, twin_g)
+    assert mixed or isinstance(fld, PadicField)
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+def test_truncated_zero_points_keep_their_messages(fld):
+    """A truncated zero is the point (i, y, den), and the errors it raises
+    print its bound as the Fraction y/den."""
+    f = Polynomial.from_coeffs(fld, [fld.one(), fld.elem([], Fraction(-4, 6)),
+                                     fld.one()])
+    assert _coeff_values(f)[1] == [(1, -2, 3)]
+    assert answer(log2_naive_norm, f, 0) == (
+        PrecisionExhausted, "coefficient 1 is only known below t^-2/3", 1)
+    assert answer(newton_polygon, f) == (
+        PrecisionExhausted,
+        "coefficient 1 known only below t^-2/3 could cut the hull", 1)
+    dom = Domain(fld.zero(), LogValue(0))
+    assert answer(leading_class, RationalFunction(f, f), dom) == (
+        PrecisionExhausted, "valuation only known to be >= -2/3", "-2/3")

@@ -28,7 +28,7 @@ import reference_gauss as ref
 from completion import complete_poly
 from berkline import PadicField, Polynomial, PuiseuxField
 from berkline.errors import BerkError, PrecisionExhausted
-from berkline.gauss import _coeff_values, root_count_annulus, roots_in_disc
+from berkline.gauss import root_count_annulus, roots_in_disc
 from berkline.logvalue import LogValue
 from reference_logvalue import RefLogValue
 from test_lattice_routes import EXPONENTS, rand_elem, rand_poly, rand_trunc
@@ -73,7 +73,7 @@ def _radius(rng, g):
     +infinity."""
     if rng.random() < 0.12:
         return math.inf, 0
-    known, unknown = _coeff_values(g)
+    known, unknown = ref.coeff_values(g)
     pts = known + unknown
     if len(pts) >= 2 and rng.random() < 0.7:
         (i, v), (j, w) = rng.sample(pts, 2)

@@ -34,7 +34,6 @@ from berkline import (INFINITY, Domain, ExcludedDisc, LogValue, PadicField,
                       Polynomial, PuiseuxField, RationalFunction, units)
 from berkline.errors import (BadDomain, BerkError, PrecisionExhausted,
                              VanishesOnDomain)
-from berkline.gauss import _coeff_values
 from reference_logvalue import RefLogValue
 from test_lattice_routes import EXPONENTS, rand_elem
 
@@ -91,7 +90,7 @@ def _radius(rng, fld, polys, center):
     of one side written at the center, or at random."""
     if rng.random() < 0.1:
         return INFINITY
-    known, unknown = _coeff_values(rng.choice(polys), center)
+    known, unknown = reference_gauss.coeff_values(rng.choice(polys), center)
     pts = known + unknown
     if len(pts) >= 2 and rng.random() < 0.6:
         (i, v), (j, w) = rng.sample(pts, 2)
