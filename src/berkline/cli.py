@@ -22,9 +22,9 @@ validity, over exactly the keywords that document uses (``type``, ``$ref``,
 ``required``, ``properties``, ``additionalProperties``, ``items``,
 ``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
 ``minimum``, ``pattern``, ``oneOf``, ``anyOf``; ``description``, ``title``,
-``$schema`` and ``$id`` are ignored) and raises on any other, so a valid
-payload never imports jsonschema.  jsonschema, where installed, only words
-a rejection, which stands either way.
+``$schema`` and ``$id`` are ignored) and raises on any other.  A rejection
+is worded by ``_wording``, imported then only, as jsonschema 4.26.0's
+``best_match`` words it; no call imports jsonschema.
 
 Dispatch imports ``serialize``, decodes the field once and hands it to the
 command's ``_cmd_*``, which imports its compute modules when it runs, so a
@@ -208,28 +208,15 @@ def _acceptor():
     return _Acceptor(_schema_defs())
 
 
-@functools.cache
-def _validator(name):
-    from jsonschema import Draft202012Validator
-
-    # the document itself is checked against the meta-schema by the tests,
-    # not on every call
-    return Draft202012Validator({"$ref": f"#/$defs/{name}", "$defs": _schema_defs()})
-
-
 def _validate(name, payload):
-    if _acceptor().accepts(name, payload):
+    acceptor = _acceptor()
+    if acceptor.accepts(name, payload):
         return
-    # the acceptor's rejection stands; jsonschema, where installed, words it
-    try:
-        from jsonschema.exceptions import best_match
-        validator = _validator(name)
-    except ImportError:
-        error = None
-    else:
-        error = best_match(validator.iter_errors(payload))
-    detail = "payload does not match the schema" if error is None else error.message
-    raise SchemaError(f"{name}: {detail}")
+    # the acceptor's rejection stands; a walk of the same document words it
+    from . import _wording
+
+    detail = _wording.detail(acceptor, name, payload)
+    raise SchemaError(f"{name}: {detail or 'payload does not match the schema'}")
 
 
 def _loads(text):

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from ._record import Record, setfield
 from .errors import (BackendMismatch, DivisionByZero, NotPrime, PrecisionExhausted,
-                     ResourceLimit)
+                     ResourceLimit, ZeroElement)
 # bound here, not read off the module, so that a tracer patching
 # kernel.poly_mul_modp counts polynomial products only
 from .kernel import poly_mul_modp
@@ -585,7 +585,9 @@ class PuiseuxElem(Record):
 
 
 def _vp(n: int, p: int) -> int:
-    """The p-adic valuation of a nonzero int."""
+    """The p-adic valuation of a nonzero int; 0 has none, and raises."""
+    if not n:
+        raise ZeroElement("0 has no p-adic valuation")
     v = 0
     while n % p == 0:
         n //= p

@@ -17,7 +17,7 @@ from ._record import Record, setfield
 from .errors import (CoefficientOverflow, PrecisionExhausted, ZeroConstantTerm,
                      ZeroPolynomial)
 from .field import PadicElem, PadicField, _vp
-from .logvalue import INFINITY, ZERO, LogValue, as_logvalue, trusted
+from .logvalue import INFINITY, ZERO, _F0, LogValue, as_logvalue, trusted
 from .poly import Polynomial
 
 
@@ -137,7 +137,9 @@ def _supporting_line(known, unknown, s: LogValue):
             raise _exhausted(*pt)
         if key == best:
             on_line.append(pt)
-    return trusted(Fraction(best[0], L), line[0][0] * s.e), line, on_line
+    i = line[0][0]
+    eps = Fraction(i * e, s.e.denominator) if i and e else _F0
+    return trusted(Fraction(best[0], L), eps), line, on_line
 
 
 def naive_norm(f: Polynomial, r, a=None) -> float:
@@ -158,7 +160,7 @@ def log2_naive_norm(f: Polynomial, log2_r, a=None) -> float:
         return -math.inf
     logs = [-y / den + i * float(log2_r) for i, y, den, _, _ in known]
     top = max(logs)
-    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+    return top + math.log2(math.fsum(2.0 ** (x - top) for x in logs))
 
 
 def _log2(r):

@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from berkline import serialize as ser
-from berkline.cli import COMMANDS, _validator, build_parser, main
+from berkline.cli import COMMANDS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = "src/berkline/schemas/berkline.schema.json"
@@ -294,8 +294,7 @@ class TestErrors:
         ("jsonschema",), ("jsonschema", "jsonschema.exceptions")])
     def test_rejection_without_jsonschema_exit_2(self, capsys, monkeypatch,
                                                  blocked):
-        # a validator cached by an earlier test would skip the import
-        _validator.cache_clear()
+        # the rejection is worded without jsonschema, as with it
         for name in blocked:
             monkeypatch.setitem(sys.modules, name, None)
         path = ROOT / "perfbench" / "problems" / "classify__bad_schema.json"
@@ -303,7 +302,8 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert json.loads(err) == {
             "error": "schema",
-            "detail": "classify: payload does not match the schema"}
+            "detail": "classify: {'kind': 'circle'} is not valid under any "
+                      "of the given schemas"}
 
     def test_domain_error_exit_3(self, capsys):
         fld = ser.field_from_json(json.loads(FIELD_Q))

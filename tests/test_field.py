@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from berkline import (INF, PadicField, Polynomial, PuiseuxField,
 from berkline import field
 from berkline.errors import (BackendMismatch, DivisionByZero, NotCertified,
                              NotPrime, PrecisionExhausted, ResourceLimit,
-                             ZeroDenominator)
+                             ZeroDenominator, ZeroElement)
 from conftest import (rand_padic, rand_padic_nonzero, rand_puiseux,
                       rand_puiseux_nonzero)
 
@@ -190,6 +191,23 @@ class TestPadicBasics:
             assert (y.num, y.den) == ((a + b).numerator, (a + b).denominator)
         with pytest.raises(ValueError, match="the p-adic value group is Z"):
             Q2.t(Fraction(1, 2))
+
+    def test_vp(self):
+        assert [field._vp(n, 3) for n in (1, -1, 3, -18, 3**40 * 7)] == [0, 0, 1, 2, 40]
+
+    def test_vp_of_zero_raises_at_once(self):
+        # under a one-second timer: the loop that took 0 never returned
+        def expired(signum, frame):
+            raise TimeoutError("_vp(0, p) did not return")
+
+        old = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ZeroElement):
+                field._vp(0, 3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestCharacteristic:

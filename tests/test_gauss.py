@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from berkline import (INFINITY, LogValue, Polynomial, gauss_valuation,
-                      naive_norm, newton_polygon, root_count_annulus,
-                      roots_in_disc, spectral_limit, sym_annulus_membership)
+                      log2_naive_norm, naive_norm, newton_polygon,
+                      root_count_annulus, roots_in_disc, spectral_limit,
+                      sym_annulus_membership)
 from berkline.errors import ZeroConstantTerm, ZeroPolynomial
 from conftest import rand_poly, rand_puiseux
 
@@ -69,6 +70,13 @@ class TestNaiveNorm:
         # a float radius, and a rational one off the powers of two
         assert naive_norm(f, 0.5) == pytest.approx(0.25, rel=1e-12)
         assert naive_norm(f, Fraction(1, 3)) == pytest.approx(1 / 9, rel=1e-12)
+
+    def test_log2_sum_is_correctly_rounded(self, FQ):
+        # the terms 2**(log - top) are summed correctly rounded, as on every
+        # Python: the builtin sum before 3.12 gave 3.664559292635295 here
+        exps = [-1, -2, Fraction(3, 2), 1, 3, Fraction(-1, 2)]
+        f = Polynomial.from_coeffs(FQ, [FQ.t(q) for q in exps])
+        assert repr(log2_naive_norm(f, 0.3)) == "3.6645592926352943"
 
     def test_dominates_gauss_norm(self, FQ):
         rng = random.Random(3)

@@ -1205,10 +1205,10 @@ def element_points(f):
 
 def log2_norm_formula(f, log2_r):
     """log2 of the sum norm from ``element_points`` by the float(Fraction)
-    formula."""
+    formula, its terms summed correctly rounded."""
     logs = [float(-v) + i * float(log2_r) for i, v, _ in element_points(f)[0]]
     top = max(logs)
-    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+    return top + math.log2(math.fsum(2.0 ** (x - top) for x in logs))
 
 
 def reader_answers(f, g):

@@ -24,6 +24,10 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 # the modules that compute, as opposed to parse, validate and emit
 COMPUTE = {"gauss", "points", "units", "cancel", "sheaf", "snf", "skeleton"}
 
+# the other modules every call that reaches dispatch loads
+DISPATCH = {"cli", "errors", "serialize", "field", "logvalue", "poly", "kernel",
+            "_purekernel", "_record"}
+
 # the public names of the package, by defining module
 PUBLIC = {
     "cancel": ["AnnulusSpec", "Divisor", "SectionComponent", "SectionData",
@@ -72,15 +76,18 @@ def _child(code, *flags):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# standard-library modules no accepted call loads: dataclasses and the
-# inspect it imports, importlib.resources and the pathlib it imports
+# standard-library modules no call loads: dataclasses and the inspect it
+# imports, importlib.resources and the pathlib it imports
 NOT_AT_STARTUP = ("dataclasses", "inspect", "importlib.resources", "pathlib")
+
+# a rejection's wording is berkline's own: no call loads jsonschema
+UNLOADED = (*NOT_AT_STARTUP, "jsonschema")
 
 
 def _fresh_main(argv, *flags):
     """cli.main(argv) in a new interpreter, started with the given flags:
-    (exit code, the berkline modules loaded, the NOT_AT_STARTUP modules
-    loaded).  The command's own output is captured and dropped."""
+    (exit code, the berkline modules loaded, the UNLOADED modules loaded).
+    The command's own output is captured and dropped."""
     code = ("import contextlib, io, json, sys\n"
             "from berkline import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
@@ -88,7 +95,7 @@ def _fresh_main(argv, *flags):
             f"    code = cli.main({argv!r})\n"
             "mods = [m.split('.', 1)[1] for m in sys.modules "
             "if m.startswith('berkline.')]\n"
-            f"std = [m for m in {NOT_AT_STARTUP!r} if m in sys.modules]\n"
+            f"std = [m for m in {UNLOADED!r} if m in sys.modules]\n"
             "print(json.dumps([code, mods, std]))\n")
     exit_code, mods, std = _child(code, *flags)
     return exit_code, set(mods), std
@@ -98,15 +105,23 @@ def _problems():
     return sorted(p for p in PROBLEMS.glob("*.json") if p.name != "golden.json")
 
 
+# the problem files the schema rejects; the other two are refused before
+# validation, as JSON that does not parse and as a problem of version 2
+SCHEMA_REJECTED = {"classify__bad_schema", "sheaf__bad_missing_n"}
+
+
 @pytest.mark.parametrize("path", _problems(), ids=lambda p: p.stem)
 def test_command_loads_only_its_modules(path):
     command = path.stem.split("__")[0]
-    code, loaded, _ = _fresh_main([command, "--problem", str(path)])
+    code, loaded, std = _fresh_main([command, "--problem", str(path)])
+    assert "jsonschema" not in std
     if "__bad_" in path.stem:
-        # rejected before dispatch: not even the decoders are loaded
-        assert (code, loaded) == (2, {"cli", "errors"})
+        # rejected before dispatch: not even the decoders are loaded; a
+        # schema rejection loads the walk that words it
+        wording = {"_wording"} if path.stem in SCHEMA_REJECTED else set()
+        assert (code, loaded) == (2, {"cli", "errors"} | wording)
         return
-    assert {"serialize", "field", "logvalue"} <= loaded
+    assert loaded - COMPUTE == DISPATCH
     loaded &= COMPUTE
     if path.stem == "sheaf__explicit":
         # an explicit sheaf builds no skeleton
@@ -116,14 +131,12 @@ def test_command_loads_only_its_modules(path):
         assert loaded == LOADED[command]
 
 
-@pytest.mark.parametrize("path", [p for p in _problems() if "__bad_" not in p.stem],
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", _problems(), ids=lambda p: p.stem)
 def test_accepted_call_loads_no_dataclasses_or_resources(path):
     """Run under ``python -S``, so that no .pth file imports any of these
-    first.  Payloads rejected before dispatch are exempt: jsonschema, which
-    words the rejection, imports dataclasses itself."""
+    first.  Rejected payloads are held to the same."""
     code, _, loaded = _fresh_main([path.stem.split("__")[0], "--problem", str(path)], "-S")
-    assert code in (0, 3) and loaded == []
+    assert code in ((2,) if "__bad_" in path.stem else (0, 3)) and loaded == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -132,7 +145,11 @@ def test_accepted_call_loads_no_dataclasses_or_resources(path):
     ["cancel", "--g", "t"],
 ], ids=["bad_json", "schema_error", "missing_N"])
 def test_rejected_payload_loads_no_compute_module(argv):
-    assert _fresh_main(argv)[:2] == (2, {"cli", "errors"})
+    # each is a schema rejection (bad JSON in a flag is the string itself),
+    # and loads the walk that words it
+    code, loaded, std = _fresh_main(argv)
+    assert (code, loaded) == (2, {"cli", "errors", "_wording"})
+    assert "jsonschema" not in std
 
 
 def test_import_berkline_loads_no_compute_module():

@@ -1,11 +1,12 @@
-"""The CLI's built-in schema acceptor against jsonschema.
+"""The CLI's built-in schema acceptor and rejection wording against
+jsonschema.
 
-The acceptor in ``berkline.cli`` decides validity on its own and loads
-jsonschema only to word a rejection.  These tests hold it to
-``Draft202012Validator.is_valid`` on the seeded mutation corpus of
-``tests/corpus.py``, on hand cases for each place where JSON and Python
-semantics part, and check that it fails loudly on a schema keyword it does
-not know.
+The acceptor in ``berkline.cli`` decides validity on its own, and the walk
+in ``berkline._wording`` words a rejection; neither loads jsonschema.  These
+tests hold them to ``Draft202012Validator`` and ``best_match`` (jsonschema
+4.26.0) on the seeded mutation corpus of ``tests/corpus.py`` and on hand
+cases for each place where JSON and Python semantics part, and check that
+the acceptor fails loudly on a schema keyword it does not know.
 """
 
 import json
@@ -16,8 +17,9 @@ from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
-from berkline import cli
+from berkline import _wording, cli
 from berkline.cli import COMMANDS, UnsupportedSchema, _Acceptor
 from corpus import PROBLEMS, corpus, problem_payloads
 
@@ -38,17 +40,31 @@ def test_problem_files_cover_every_command():
     assert len(problem_payloads()) == 26
 
 
+def _wording_of(defs, name, instance):
+    """(the acceptor's verdict, the walk's detail, best_match's message)."""
+    acceptor = _Acceptor(defs)
+    error = best_match(_validator(defs, name).iter_errors(instance))
+    return (acceptor.accepts(name, instance),
+            _wording.detail(acceptor, name, instance),
+            None if error is None else error.message)
+
+
 def test_mutation_corpus_agrees_with_jsonschema():
+    """The acceptor decides as jsonschema does, the walk finds an error
+    exactly when the acceptor rejects, and words it as best_match does."""
     defs = _defs()
     acceptor = _Acceptor(defs)
     validators = {name: _validator(defs, name) for name in COMMANDS}
     seen = {True: 0, False: 0}
     disagree = []
     for command, payload in corpus():
-        want = validators[command].is_valid(payload)
-        seen[want] += 1
-        if acceptor.accepts(command, payload) != want:
-            disagree.append((command, payload, want))
+        error = best_match(validators[command].iter_errors(payload))
+        want = None if error is None else error.message
+        seen[want is None] += 1
+        got = (acceptor.accepts(command, payload),
+               _wording.detail(acceptor, command, payload))
+        if got != (want is None, want):
+            disagree.append((command, payload, got, want))
     assert not disagree[:5]
     assert sum(seen.values()) >= 20_000
     # neither side of the corpus is vacuous
@@ -179,7 +195,59 @@ CUSTOM_CASES = [
 def test_custom_schema_hand_cases(schema, instance, valid):
     defs = {"case": schema}
     assert _validator(defs, "case").is_valid(instance) is valid
-    assert _Acceptor(defs).accepts("case", instance) is valid
+    accepts, detail, message = _wording_of(defs, "case", instance)
+    assert accepts is valid
+    assert detail == message
+
+
+# (schema, instance): rejections whose wording turns on best_match's rule,
+# each against best_match itself
+WORDING_CASES = [
+    # ties keep the first error in keyword order, then in required order
+    ({"required": ["a", "b"], "type": "object"}, {}),
+    ({"minimum": 3, "type": "string"}, 1),
+    ({"type": "string", "minimum": 3}, 1),
+    # a deeper error outranks a shallower one; the later path a sibling
+    ({"properties": {"a": {"type": "string"}, "b": {"type": "string"}},
+      "required": ["c"]}, {"a": 1, "b": 2}),
+    ({"items": {"type": "string"}, "maxItems": 1}, [1, 2]),
+    # anyOf and oneOf: weak against a same-level error, and descended into
+    # unless their two least relevant branch errors tie
+    ({"anyOf": [{"type": "string"}, {"type": "integer"}], "enum": [1]}, None),
+    ({"anyOf": [{"type": "string"}, {"minimum": 5}]}, 1),
+    ({"anyOf": [{"type": "string"}, {"type": "array"}]}, 1),
+    ({"oneOf": [{"properties": {"a": {"const": 1}}},
+                {"properties": {"a": {"items": {"const": 2}}}}]},
+     {"a": [1]}),
+    ({"oneOf": [{"type": "object", "required": ["a"]},
+                {"type": "array"}]}, {"b": 1}),
+    ({"oneOf": [{"minimum": 0}, {"type": "integer"}, {"enum": [1, 2]}]}, 1),
+    # nested context: anyOf inside a oneOf branch
+    ({"oneOf": [{"anyOf": [{"required": ["a"]}, {"required": ["b"]}]},
+                {"type": "array"}]}, {}),
+    # false schemas, false items and additionalProperties as a schema
+    ({"properties": {"a": False}}, {"a": 1}),
+    ({"prefixItems": [{}], "items": False}, [1, 2]),
+    ({"prefixItems": [{}, {}], "items": False}, [1, 2, 3, 4]),
+    ({"items": False}, [1]),
+    ({"additionalProperties": {"type": "integer"}}, {"b": "x", "a": "y"}),
+    ({"additionalProperties": False, "properties": {"a": {}}},
+     {"c": 1, "a": 1, "b": 2}),
+    # $ref to a definition, with a type list
+    ({"properties": {"r": {"$ref": "#/$defs/other"}}}, {"r": 1.5}),
+]
+
+
+@pytest.mark.parametrize("schema,instance", WORDING_CASES)
+def test_wording_hand_cases(schema, instance):
+    defs = {"case": schema, "other": {"type": ["string", "integer"]}}
+    accepts, detail, message = _wording_of(defs, "case", instance)
+    assert (accepts, detail) == (False, message)
+
+
+def test_walk_knows_the_acceptors_keywords():
+    assert _wording._WORDS.keys() | _wording._APPLY.keys() == _Acceptor._KEYWORDS.keys()
+    assert not _wording._WORDS.keys() & _wording._APPLY.keys()
 
 
 def _unused_branch(defs):
@@ -237,23 +305,23 @@ def test_valid_payload_does_not_import_jsonschema():
     assert (code, err, imported) == (0, "", False)
 
 
-def test_invalid_payload_imports_jsonschema_for_the_wording():
+def test_invalid_payload_imports_no_jsonschema():
     code, err, imported = _fresh_main(
         ["np", "--poly", '{"center":0,"coeffs":[0,1]}',
          "--count", '{"lo":"1/2","hi_open":"yes"}'])
-    assert (code, imported) == (2, True)
+    assert (code, imported) == (2, False)
     # the wording recorded before the acceptor, as in test_invalid_payload_detail
     assert json.loads(err) == {"error": "schema",
                                "detail": "np: 'yes' is not of type 'boolean'"}
 
 
 def test_the_acceptor_alone_decides(capsys, monkeypatch):
-    class Rejecting:
+    class Rejecting(_Acceptor):
         def accepts(self, name, payload):
-            return False
+            return name != "skeleton" and super().accepts(name, payload)
 
-    # jsonschema finds no error in this payload, yet the rejection stands
-    monkeypatch.setattr(cli, "_acceptor", Rejecting)
+    # the walk finds no error in this payload, yet the rejection stands
+    monkeypatch.setattr(cli, "_acceptor", lambda: Rejecting(_defs()))
     code = cli.main(["skeleton", "--centers", "[0]"])
     out = capsys.readouterr()
     assert (code, out.out) == (2, "")

@@ -14,8 +14,7 @@ printed as ``name  hexdigest``.
 The ``cli_corpus`` line hashes all 20,800 payloads of ``tests/corpus.py``,
 valid and invalid, each given to ``cli.main`` in this process as a problem
 file on stdin: one JSON line ``[command, exit code, stdout, stderr]`` per
-payload.  A rejected payload is worded by jsonschema where it is installed,
-so compare this line between trees run with the same jsonschema.
+payload.  The line does not depend on whether jsonschema is installed.
 
 The ``library`` line hashes what no workload asks: over F_2((t)), F_3((t)),
 Q((t)), Q_3 and Q_5, seeded polynomials (exact ones as built, as kernel
@@ -28,8 +27,8 @@ radii.  Each outcome is hashed as its ``repr``, or as the error's
 ``repr((type name, message, witness))``.
 
 Two trees answer alike on these items when they print the same digests.
-``tools/answer_digest.txt`` holds what this tree prints, with jsonschema
-4.26.0 installed; CI compares the output with it, so a change that changes
+``tools/answer_digest.txt`` holds what this tree prints, on Python 3.10 to
+3.13 alike; CI compares the output with it, so a change that changes
 answers updates that file.
 The library is imported from ``src/`` next to this file.  Uses the standard
 library only; it is not part of the test suite.
