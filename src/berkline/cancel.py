@@ -2,8 +2,9 @@
 
 Two zero-cycles on the closed annulus: the root-of-unity locus of total mass
 N, and the solution locus of t**N = g(t), located by the Newton polygon of
-t**N den(g) - num(g).  That polygon is built from the nonzero terms only, so
-its cost does not grow with N.  The mass difference of the two loci,
+t**N den(g) - num(g).  Past the degree of num(g) that polygon is built from
+the coefficient points of num(g) and den(g), so its cost does not grow
+with N.  The mass difference of the two loci,
 component by component of a section, is the splitting delta; for g = t it
 returns the original section once, and for g = 1 it vanishes.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from ._record import Record, setfield
 from .errors import BoundarySolution, ResourceLimit, ZeroPolynomial
 from .field import _vp
-from .gauss import NewtonPolygon, _classify, _polygon
+from .gauss import NewtonPolygon, _coeff_values, _polygon, newton_polygon
 from .logvalue import LogValue, ZERO, as_logvalue
 from .poly import Polynomial, RationalFunction
 from .units import Domain, ExcludedDisc, require_unit
@@ -88,15 +89,21 @@ def y1_divisor(N: int, fld) -> Divisor:
 
 
 def _solution_polygon(num: Polynomial, den: Polynomial, N: int) -> NewtonPolygon:
-    """Newton polygon of P = T**N den - num, built from its nonzero terms.
+    """Newton polygon of P = T**N den - num.
 
-    Adding an exact zero changes no coefficient, precision included, so this
-    is the polygon of the dense P, at a cost independent of N.
+    With N <= deg num, P is formed densely.  Otherwise no index of num
+    meets one of T**N den, so P's points are num's and den's moved up by
+    N, read off their flat forms at a cost independent of N; a sign moves
+    no point.
     """
-    terms = {i: -c for i, c in enumerate(num.coeffs)}
-    for j, c in enumerate(den.coeffs):
-        terms[N + j] = c + terms[N + j] if N + j in terms else c
-    known, unknown = _classify(sorted(terms.items()))
+    if N <= num.degree:
+        fld = den.field
+        return newton_polygon(Polynomial.from_coeffs(
+            fld, [fld.zero()] * N + list(den.coeffs), den.center) - num)
+    known, unknown = _coeff_values(num)
+    den_known, den_unknown = _coeff_values(den)
+    known += [(i + N, *pt) for i, *pt in den_known]
+    unknown += [(i + N, *pt) for i, *pt in den_unknown]
     if not known and not unknown:
         raise ZeroPolynomial("the zero polynomial has no Newton polygon")
     return _polygon(known, unknown, max(pt[0] for pt in known + unknown))

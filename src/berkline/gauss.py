@@ -16,62 +16,37 @@ from fractions import Fraction
 from ._record import Record, setfield
 from .errors import (CoefficientOverflow, PrecisionExhausted, ZeroConstantTerm,
                      ZeroPolynomial)
-from .field import PadicElem, PadicField, _vp
+from .field import INF, PadicField, _vp
 from .logvalue import INFINITY, ZERO, _F0, LogValue, as_logvalue, trusted
 from .poly import Polynomial
 
 
 def _coeff_values(f: Polynomial, a=None):
-    """The points of the coefficients of f, recentered at a if given, as two
-    lists in increasing index: (i, y, den, num, cden) for each provably
-    nonzero c_i, valuation y/den and leading coefficient num/cden, and
-    (i, y, den) for each truncated zero, known only below t^(y/den).
+    """The points of the coefficients of f, recentered at a if given, read
+    off its flat form as two lists in increasing index: (i, y, den, num,
+    cden) for each provably nonzero c_i, valuation y/den and leading
+    coefficient num/cden, and (i, y, den) for each truncated zero, known
+    only below t^(y/den).
 
-    A polynomial that holds a flat form (``poly._flat_poly``) is read from
-    it, its elements decoded or not; any other from its elements
-    (``_classify``)."""
+    A nonzero c_i is read off its first term: over Puiseux series y is its
+    exponent and den the form's lattice; over Q_p y is v_p(numerator) -
+    v_p(cden) and den is 1.  A truncated zero is a zero count with a finite
+    precision; an exact zero has neither and is skipped."""
     g = f if a is None else f.recenter(a)
-    if g._flat is None:
-        return _classify(enumerate(g.coeffs))
-    return _flat_points(g.field, *g._flat), []
-
-
-def _flat_points(fld, counts, exps, cofs, lat, cden):
-    """The known points of an exact flat form, one per nonzero coefficient,
-    off its first term: over Puiseux series y is its exponent over lat;
-    over Q_p y is v_p(numerator) - v_p(cden) over 1."""
-    points = []
+    counts, exps, cofs, lat, cden, precs = g._flat
+    p = g.field.p if type(g.field) is PadicField else 0
+    vden = _vp(cden, p) if p else 0
+    known, unknown = [], []
     pos = 0
-    if type(fld) is PadicField:
-        p = fld.p
-        vden = _vp(cden, p)
-        for i, c in enumerate(counts):
-            if c:
-                num = cofs[pos]
-                points.append((i, _vp(num, p) - vden, 1, num, cden))
-                pos += c
-        return points
     for i, c in enumerate(counts):
         if c:
-            points.append((i, exps[pos], lat, cofs[pos], cden))
+            num = cofs[pos]
+            known.append((i, _vp(num, p) - vden, 1, num, cden) if p
+                         else (i, exps[pos], lat, num, cden))
             pos += c
-    return points
-
-
-def _classify(terms):
-    """``_coeff_values``' two lists from the elements ``terms`` yields as
-    (index, coefficient) in increasing index; exact zeros are skipped."""
-    known, unknown = [], []
-    for i, c in terms:
-        if c.is_zero():
-            continue
-        if type(c) is PadicElem:
-            p = c.field.p
-            known.append((i, _vp(c.num, p) - _vp(c.den, p), 1, c.num, c.den))
-        elif c.exps:
-            known.append((i, c.exps[0], c.den, c.nums[0], c.cden))
-        else:
-            unknown.append((i, c.prec.numerator, c.prec.denominator))
+        elif precs is not None and precs[i] != INF:
+            q = precs[i]
+            unknown.append((i, q.numerator, q.denominator))
     return known, unknown
 
 

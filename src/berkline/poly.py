@@ -1,16 +1,30 @@
 """Polynomials and rational functions over a valued-field backend.
 
 A polynomial stores its coefficients in the variable (T - center); recentering
-is an exact Taylor shift.  Products, and shifts whose coefficients and center
-are all exact, run on one int-series encoding of the coefficients
-(``_series``): exponents on the lcm lattice, numerators over one common
-denominator, a p-adic number as the one-term series at exponent 0.  The
-routes:
+is an exact Taylor shift.  It has one form with two views, each computed from
+the other on first read and then kept (``field.cached``): ``coeffs``, the
+elements, and ``_flat``, their int-series encoding (``_series``).  The flat
+form is (counts, exps, cofs, lat, cden, precs): coefficient i has counts[i]
+terms, the next ones in exps/cofs, with exponents on the lattice (1/lat)Z and
+numerators over the common denominator cden, a p-adic number as the one-term
+series at exponent 0; precs is None when every coefficient is exact, else
+each coefficient's precision, so a truncated zero is a zero count with a
+finite precision.  A polynomial built from elements encodes them once, when
+``_flat`` is first read; an exact product or shift is built flat and decodes
+its elements once, when ``coeffs`` is first read.
+
+``degree``, ``is_zero`` and ``_is_exact`` read the flat form, and so does
+``gauss._coeff_values``, which gives each coefficient's point, its valuation
+and leading coefficient as ints, or its precision when it is a truncated
+zero: Gauss valuations, hulls, root counts, witnesses and leading forms all
+read those points, so a chain of products and shifts whose elements nobody
+reads decodes none of them.  The routes:
 
 * ``f * g``, and ``f * c`` (``scale``, c a constant polynomial), call
   ``_try_kernel_mul``, a kernel chain of two factors
   (``_kernel_product``): the kernel makes one keyed pass per product, all
-  term pairs in one dict sorted once.  When an input is truncated, each
+  term pairs in one dict sorted once, on the operands' flat forms.  With
+  both factors exact the product is flat; when an input is truncated, each
   output coefficient is decoded at once from its sorted terms
   (``_decode_flat``) and truncated once;
 * ``from_roots`` with an exact center, lead and roots is one kernel chain
@@ -18,25 +32,13 @@ routes:
   next product as it stands.  A truncated input multiplies the factors in
   one by one through ``f * g``;
 * ``recenter`` of exact coefficients by an exact shift is a Horner shift on
-  int series, read per coefficient off the flat encoding (a flat
-  polynomial's own), whose output is a flat polynomial (``_shift``); at
-  its own exact center a polynomial is returned as it is, and at an equal
-  center it keeps its form;
+  the flat form's int series, whose output is flat (``_shift``); at its own
+  center a polynomial is returned as it is, and at an equal center it keeps
+  both views it holds;
 * evaluation, ``divide_linear`` and a truncated shift run one synthetic
   division on elements (``_synthetic``): a truncated shift is n of them in
-  a row.
-
-An exact product, and an exact shift, stays flat until read: the
-polynomial holds the flat form (counts, exponents, numerators, lattice and
-common denominator) in ``_flat``, and ``coeffs`` decodes it into elements
-once, on first read, and keeps both.  ``degree`` and ``is_zero`` read the
-counts, and a product with a flat operand, and an exact shift of one, take
-its encoding as it stands (exponents scaled to the product's lattice).
-``gauss._coeff_values`` reads each coefficient's point, its valuation and
-leading coefficient as ints, off the flat form whenever a polynomial holds
-one, decoded or not: Gauss valuations, hulls, root counts, witnesses and
-leading forms all read those points, so a chain of products and shifts
-whose elements nobody reads decodes none of them.
+  a row.  These, ``+`` and negation read elements and build elements, and
+  none of them encodes its output.
 
 Rational functions keep numerator and denominator over the same center and
 may carry the root lists they were built from.  Once proven complete by exact
@@ -58,12 +60,13 @@ from .field import (INF, PadicElem, PadicField, PuiseuxElem,
 
 
 class Polynomial(Record):
-    """Coefficients c_0..c_n in (T - center), leading one nonzero; an exact
-    kernel product or Taylor shift holds a flat form instead
-    (``_flat_poly``)."""
+    """Coefficients c_0..c_n in (T - center), leading one nonzero.
+
+    Built from its elements ``coeffs``, or flat (``_flat_poly``) from an
+    exact product or shift; each view is computed from the other on its
+    first read and kept, so both describe one form."""
 
     _fields = ("center", "coeffs")
-    _flat = None
 
     def __init__(self, center, coeffs: tuple):
         setfield(self, "center", center)
@@ -73,18 +76,20 @@ class Polynomial(Record):
     def coeffs(self) -> tuple:
         return _decode_flat(self.field, *self._flat)
 
+    @cached
+    def _flat(self) -> tuple:
+        return _series(self.field, self.coeffs)
+
     @property
     def field(self):
         return self.center.field
 
     @property
     def degree(self) -> int:
-        flat = self._flat
-        return len(self.coeffs if flat is None else flat[0]) - 1
+        return len(self._flat[0]) - 1
 
     def is_zero(self) -> bool:
-        flat = self._flat
-        return not (self.coeffs if flat is None else flat[0])
+        return not self._flat[0]
 
     @classmethod
     def from_coeffs(cls, fld, coeffs, center=None):
@@ -168,6 +173,9 @@ class Polynomial(Record):
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
@@ -204,8 +212,9 @@ class Polynomial(Record):
         """The same function written in the variable (T - a); exact.
 
         Horner's Taylor shift by d = a - center.  With d = D/E and every
-        coefficient exact, it runs on int series (``_shift``) and the result
-        is flat: its elements are decoded only when ``coeffs`` is read.
+        coefficient exact, it runs on the flat form's int series (``_shift``)
+        and the result is flat: its elements are decoded only when
+        ``coeffs`` is read.
         With a truncated coefficient or d it is n synthetic divisions by
         (T - a) on elements (``_synthetic``), each on the quotient of the
         last.
@@ -215,8 +224,8 @@ class Polynomial(Record):
         every coefficient is unchanged.  The difference a - center computed
         on elements would be a truncated zero when a is truncated, and the
         divisions would spread that O(t^p) into each coefficient.  At an
-        equal center object the result keeps this polynomial's forms, flat,
-        decoded or both.
+        equal center object the result keeps the views this polynomial
+        holds, flat, decoded or both.
         """
         if a is self.center:
             return self
@@ -241,7 +250,7 @@ class Polynomial(Record):
     def divide_linear(self, root):
         """Divide by (T - root); returns (quotient, remainder element).  An
         int root is the field's constant, as for ``+`` and ``*``."""
-        if self.is_zero():
+        if not self.coeffs:
             return self, self.field.zero()
         if isinstance(root, int):
             root = self.field.constant(root)
@@ -279,29 +288,24 @@ def _synthetic(coeffs, d) -> list:
     return out
 
 
-def _lattice(fld, coeffs) -> int:
-    """The lcm of the exponent denominators of exact coefficients."""
-    return 1 if type(fld) is PadicField else math.lcm(*(c.den for c in coeffs))
+def _series(fld, coeffs) -> tuple:
+    """The flat form (counts, exps, cofs, lat, cden, precs) of the elements
+    ``coeffs``; a truncated coefficient by its known terms, its precision
+    kept apart.
 
-
-def _lattice_of(fld, f: Polynomial) -> int:
-    """The lattice of f's encoding: its flat form's, or its coefficients'."""
-    return _lattice(fld, f.coeffs) if f._flat is None else f._flat[3]
-
-
-def _series(fld, coeffs, lat):
-    """Coefficients as int series, in the kernel's flat encoding; a
-    truncated coefficient by its known terms, its precision kept apart.
-
-    Returns (counts, exps, cofs, cden): coefficient i has counts[i] terms,
-    the next ones in exps/cofs, with exponents on the lattice (1/lat)Z and
-    numerators over cden, the lcm of the coefficient denominators (1 over
-    F_p).  A p-adic number is the one-term series at exponent 0.
+    Coefficient i has counts[i] terms, the next ones in exps/cofs, with
+    exponents on the lattice (1/lat)Z, lat the lcm of the exponent
+    denominators, and numerators over cden, the lcm of the coefficient
+    denominators (1 over F_p).  A p-adic number is the one-term series at
+    exponent 0, on the lattice Z.  precs is None when every coefficient is
+    exact, else the list of their precisions.
     """
     if type(fld) is PadicField:
         cden = math.lcm(*(c.den for c in coeffs))
         cofs = [c.num * (cden // c.den) for c in coeffs if c.num]
-        return [1 if c.num else 0 for c in coeffs], [0] * len(cofs), cofs, cden
+        return ([1 if c.num else 0 for c in coeffs], [0] * len(cofs), cofs, 1,
+                cden, None)
+    lat = math.lcm(*(c.den for c in coeffs))
     cden = 1 if fld.char else math.lcm(*(c.cden for c in coeffs))
     counts, exps, cofs = [], [], []
     for c in coeffs:
@@ -309,13 +313,15 @@ def _series(fld, coeffs, lat):
         s, m = lat // c.den, cden // c.cden
         exps.extend(c.exps if s == 1 else [e * s for e in c.exps])
         cofs.extend(c.nums if m == 1 else [n * m for n in c.nums])
-    return counts, exps, cofs, cden
+    precs = (None if all(c.prec == INF for c in coeffs)
+             else [c.prec for c in coeffs])
+    return counts, exps, cofs, lat, cden, precs
 
 
-def _decode_flat(fld, counts, exps, cofs, lat, cden, precs=None) -> tuple:
-    """The coefficients of the kernel output (counts, exps, cofs) over
-    ``cden`` on the lattice (1/lat)Z, output k truncated at ``precs[k]``
-    when given, with trailing exact zeros dropped.
+def _decode_flat(fld, counts, exps, cofs, lat, cden, precs) -> tuple:
+    """The coefficients of the flat form (counts, exps, cofs) over ``cden``
+    on the lattice (1/lat)Z, output k truncated at ``precs[k]`` unless
+    precs is None, with trailing exact zeros dropped.
 
     The kernel returns each coefficient's terms sorted and zero-free, so
     each slice goes straight to ``_lattice_terms``; over Q_p a coefficient
@@ -343,8 +349,8 @@ def _decode_flat(fld, counts, exps, cofs, lat, cden, precs=None) -> tuple:
 def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     """Route every product through the convolution kernel.
 
-    Both factors go on the int-series encoding, exponents on one lattice;
-    the kernel convolves mod p over F_p and over Z (p = 0) for Q((t)) and
+    Both factors go on their flat forms, exponents on one lattice; the
+    kernel convolves mod p over F_p and over Z (p = 0) for Q((t)) and
     Q_p, over the product of the two common denominators.  With both
     factors exact the product stays flat (``_flat_poly``).  With a
     truncated coefficient it is decoded at once, output k truncated once,
@@ -365,20 +371,22 @@ def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _is_exact(f: Polynomial) -> bool:
-    """Whether every coefficient is exact; a flat polynomial always is."""
-    return f._flat is not None or all(c.is_exact for c in f.coeffs)
+    """Whether every coefficient is exact: the flat form carries no
+    precisions."""
+    return f._flat[5] is None
 
 
 def _flat_poly(center, counts, exps, cofs, lat, cden) -> Polynomial:
     """The polynomial around ``center`` whose ``_flat`` is the exact kernel
-    or ``_shift`` output (counts, exps, cofs, lat, cden), its trailing zero
-    counts trimmed (a zero operand makes the kernel return one per output
-    coefficient); its ``coeffs`` are decoded on first read."""
+    or ``_shift`` output (counts, exps, cofs, lat, cden), with no
+    precisions, its trailing zero counts trimmed (a zero operand makes the
+    kernel return one per output coefficient); its ``coeffs`` are decoded
+    on first read."""
     while counts and not counts[-1]:
         counts.pop()
     f = object.__new__(Polynomial)
     setfield(f, "center", center)
-    setfield(f, "_flat", (counts, exps, cofs, lat, cden))
+    setfield(f, "_flat", (counts, exps, cofs, lat, cden, None))
     return f
 
 
@@ -386,37 +394,35 @@ def _kernel_product(fld, factors) -> tuple:
     """The flat form (counts, exps, cofs, lat, cden) of the product of the
     polynomials ``factors``, as one kernel chain.
 
-    Every factor goes on one lattice, the lcm of theirs; a flat factor
-    keeps its encoding, its exponents scaled when that lattice is larger,
-    and any other is encoded once (``_series``).  Each kernel output is the
-    next left operand as it stands and the common denominators multiply.
-    The kernel is called through the module attribute, which
-    ``perfbench/tracing.py`` patches.
+    Every factor's flat form goes on one lattice, the lcm of theirs, its
+    exponents scaled when that lattice is larger (``_encoded``).  Each
+    kernel output is the next left operand as it stands and the common
+    denominators multiply.  The kernel is called through the module
+    attribute, which ``perfbench/tracing.py`` patches.
     """
-    lat = math.lcm(*(_lattice_of(fld, f) for f in factors))
-    *acc, cden = _encoded(fld, factors[0], lat)
-    for f in factors[1:]:
-        *k, c = _encoded(fld, f, lat)
+    flats = [f._flat for f in factors]
+    lat = math.lcm(*(flat[3] for flat in flats))
+    *acc, cden = _encoded(flats[0], lat)
+    for flat in flats[1:]:
+        *k, c = _encoded(flat, lat)
         acc = kernel.poly_mul_modp(*acc, *k, fld.char)
         cden *= c
     return (*acc, lat, cden)
 
 
-def _encoded(fld, f: Polynomial, lat):
-    """(counts, exps, cofs, cden) of f on the lattice (1/lat)Z: a flat
-    polynomial's own lists, exponents scaled by lat over its lattice, or
-    else ``_series`` of its coefficients."""
-    if f._flat is None:
-        return _series(fld, f.coeffs, lat)
-    counts, exps, cofs, own, cden = f._flat
+def _encoded(flat, lat):
+    """(counts, exps, cofs, cden) of the flat form ``flat`` on the lattice
+    (1/lat)Z: its own lists, exponents scaled by lat over its lattice."""
+    counts, exps, cofs, own, cden, _ = flat
     s = lat // own
     return counts, exps if s == 1 else [e * s for e in exps], cofs, cden
 
 
 def _shift(fld, f: Polynomial, d) -> tuple:
     """Horner's Taylor shift of the exact polynomial f by the exact d, on
-    ints, f encoded as ``_encoded`` gives it; returns the flat form
-    (counts, exps, cofs, lat, cden) that ``_flat_poly`` takes.
+    the ints of their flat forms, put on one lattice by ``_encoded``;
+    returns the flat form (counts, exps, cofs, lat, cden) that
+    ``_flat_poly`` takes.
 
     With X = T - center - d, d = D/E and coefficients B_i/L,
     sum B_i/L (X + D/E)**i has X**j-coefficient
@@ -426,10 +432,11 @@ def _shift(fld, f: Polynomial, d) -> tuple:
     Q_p every series is one term at exponent 0, so the rule runs on the
     numerators themselves.
     """
-    lat = math.lcm(_lattice(fld, [d]), _lattice_of(fld, f))
-    _, exps, cofs, big_e = _series(fld, [d], lat)
+    d_flat = _series(fld, (d,))
+    lat = math.lcm(d_flat[3], f._flat[3])
+    _, exps, cofs, big_e = _encoded(d_flat, lat)
     step = list(zip(exps, cofs))
-    counts, exps, cofs, big_l = _encoded(fld, f, lat)
+    counts, exps, cofs, big_l = _encoded(f._flat, lat)
     n = len(counts) - 1
     cden = big_l * big_e ** max(n, 0)
     if type(fld) is PadicField:
@@ -539,10 +546,14 @@ class RationalFunction(Record):
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             other = RationalFunction(other, _one_poly(other))
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(
             self.num * other.num, self.den * other.den, False,
             self.num_roots + other.num_roots, self.den_roots + other.den_roots,
         )
+
+    __rmul__ = __mul__
 
     def canonical_str(self):
         ds = self.den.canonical_str()

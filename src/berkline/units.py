@@ -531,7 +531,8 @@ def _leading_form(g: Polynomial, s: LogValue):
     """(m, {i: residue of c_i}) for the indices i on g's supporting line at
     radius s, m its minimum; at s = +infinity, the lowest-index nonzero
     coefficient and its valuation.  The line and each residue are read off
-    the points of ``_coeff_values``, a flat polynomial's off its flat form.
+    the points of ``_coeff_values``, off the flat form of g, whatever built
+    it, and its truncated zeros off the form's precisions.
 
     A truncated zero coefficient whose bound lies on or below the line
     raises PrecisionExhausted: it could hold a term of the form.

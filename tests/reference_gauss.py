@@ -15,6 +15,14 @@ library against them, and ``reference_units.leading_class`` searches with
 ``roots_in_disc``, are kept verbatim from before counts were read off the
 supporting line: they sum the widths of the hull's segments in the interval.
 ``tests/test_root_counts_reference.py`` checks the library against them.
+
+``element_coeff_values`` with ``classify`` is the point reader the library
+kept for polynomials built from elements before every polynomial was read
+through its flat form: the points of ``gauss._coeff_values``, each read off
+its element, on that element's own lattice and denominator.
+``tests/test_lattice_routes.py`` checks the flat readers against it, and
+``reference_cancel`` builds the sparse polygon of ``cancel.y2_divisor``
+with ``classify``.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from berkline.errors import PrecisionExhausted, ZeroPolynomial
+from berkline.field import PadicElem, _vp
 from berkline.gauss import NewtonPolygon
 from berkline.poly import Polynomial
 from reference_logvalue import (REF_INFINITY as INFINITY, REF_ZERO as ZERO,
@@ -40,6 +49,29 @@ def coeff_values(f: Polynomial, a=None):
             unknown.append((i, c.prec))
         elif not c.is_zero():
             known.append((i, c.valuation()))
+    return known, unknown
+
+
+def element_coeff_values(f: Polynomial, a=None):
+    """``gauss._coeff_values`` of f, recentered at a if given, read off the
+    elements: ``classify`` of its coefficients."""
+    return classify(enumerate((f if a is None else f.recenter(a)).coeffs))
+
+
+def classify(terms):
+    """``_coeff_values``' two lists from the elements ``terms`` yields as
+    (index, coefficient) in increasing index; exact zeros are skipped."""
+    known, unknown = [], []
+    for i, c in terms:
+        if c.is_zero():
+            continue
+        if type(c) is PadicElem:
+            p = c.field.p
+            known.append((i, _vp(c.num, p) - _vp(c.den, p), 1, c.num, c.den))
+        elif c.exps:
+            known.append((i, c.exps[0], c.den, c.nums[0], c.cden))
+        else:
+            unknown.append((i, c.prec.numerator, c.prec.denominator))
     return known, unknown
 
 

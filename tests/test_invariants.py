@@ -17,9 +17,14 @@ mathematics instead:
   moved keys, boundary degrees and homotopy verdicts;
 * completion: a truncated polynomial stands for each of its exact
   completions, so a Gauss valuation or Newton polygon answered on it is the
-  answer on every completion (``completion.py``);
+  answer on every completion (``completion.py``), and each coefficient of a
+  product or a shift is that of every completion below its precision;
 * homotopy is an equivalence: |f1/f0 - 1| < 1 is symmetric in f0 and f1,
-  and f0 ~ f1 with f0 not ~ f2 gives f1 not ~ f2.
+  and f0 ~ f1 with f0 not ~ f2 gives f1 not ~ f2;
+* the Gauss side against the root side: for f = lead * prod(T - z), the
+  Gauss valuation at the disc D(a, 2**(-s)) is v(lead) + sum_z min(v(z - a),
+  s), and the closed and open disc counts are those of the root list, read
+  off the coefficients whether f is a flat product or built from elements.
 
 Each relation runs on seeded cases over F_2((t)), F_3((t)), Q((t)), Q_2 and
 Q_3, half of them with truncated Puiseux coefficients and shifts (p-adic
@@ -42,7 +47,8 @@ from berkline import (INFINITY, DiscPoint, Domain, ExcludedDisc, LogValue,
                       direction_slopes, exterior_degree, gauss_valuation,
                       homotopy_check, newton_polygon, roots_in_disc)
 from berkline.errors import BadDomain, BerkError, PrecisionExhausted
-from completion import complete_poly
+from berkline.gauss import _coeff_values
+from completion import complete_elem, complete_poly
 from conftest import rand_padic, rand_puiseux, rand_puiseux_nonzero
 
 FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(2),
@@ -352,6 +358,68 @@ def test_translation_keeps_slopes_degrees_and_verdicts(fld):
         seen
 
 
+# -- the Gauss side against the root side ------------------------------------
+
+ROOT_FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0),
+               PadicField(3), PadicField(5)]
+ROOT_IDS = ["F2", "F3", "Q", "Q3", "Q5"]
+
+
+def root_case(rng, fld):
+    """(lead, roots, center, a, radii): 0-5 exact roots, some repeated; a
+    root or a random point a; radii with eps parts -1, 0 and 1, some of
+    them at a root's distance v(z - a) from a, and +infinity."""
+    roots = [elem(rng, fld) for _ in range(rng.randint(0, 5))]
+    if roots and rng.random() < 0.3:
+        roots.append(rng.choice(roots))
+    lead = elem(rng, fld, nonzero=True)
+    center = elem(rng, fld) if rng.random() < 0.5 else fld.zero()
+    a = rng.choice(roots) if roots and rng.random() < 0.5 else elem(rng, fld)
+    radii = [INFINITY]
+    for _ in range(3):
+        e = rng.choice((-1, 0, 1))
+        dists = [(z - a).valuation() for z in roots if not z.agrees_with(a)]
+        if dists and rng.random() < 0.5:
+            radii.append(LogValue(rng.choice(dists), e))
+        else:
+            radii.append(LogValue(Fraction(rng.randint(-3, 8),
+                                           rng.choice((1, 2, 3))), e))
+    return lead, roots, center, a, radii
+
+
+@pytest.mark.parametrize("fld", ROOT_FIELDS, ids=ROOT_IDS)
+def test_gauss_side_matches_root_side(fld):
+    """For f = lead * prod(T - z), built by ``from_roots`` (a flat kernel
+    chain) and by ``from_coeffs`` of its decoded coefficients (encoded when
+    first read), ``gauss_valuation(f, a, s)`` is v(lead) + sum_z min(v(z -
+    a), s), and ``roots_in_disc`` counts #(v(z - a) >= s) closed and
+    #(v(z - a) > s) open."""
+    rng = random.Random(3010)
+    seen = Counter()
+    for _ in range(CASES):
+        lead, roots, center, a, radii = root_case(rng, fld)
+        flat = Polynomial.from_roots(fld, roots, center, lead)
+        built = Polynomial.from_coeffs(fld, flat.coeffs, center)
+        dists = [LogValue((z - a).valuation()) for z in roots]
+        for s in radii:
+            want = LogValue(lead.valuation())
+            for d in dists:
+                want = want + min(d, s)
+            closed = sum(d >= s for d in dists)
+            opened = sum(d > s for d in dists)
+            for f in (flat, built):
+                assert gauss_valuation(f, a, s) == want, (f, a, s)
+                assert roots_in_disc(f, a, s, True) == closed, (f, a, s)
+                assert roots_in_disc(f, a, s, False) == opened, (f, a, s)
+            seen["probes"] += 1
+            seen["root at a"] += INFINITY in dists
+            seen["on a root's distance"] += s in dists
+            seen["eps"] += s.e != 0
+            seen["open differs"] += closed != opened
+    assert seen["probes"] == CASES * 4
+    assert min(seen.values()) > CASES // 10, seen
+
+
 # -- completions of truncated polynomials -------------------------------------
 
 COMPLETIONS = 8
@@ -385,6 +453,40 @@ def test_answers_hold_on_every_completion(fld, query):
             assert ask(g) == got, (f, g, c, s)
     print(dict(tally))
     assert tally["answered"] >= CASES * 5 // 2, tally
+
+
+@pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
+@pytest.mark.parametrize("op", ["product", "recenter"])
+def test_precisions_hold_on_every_completion(fld, op):
+    """Each output coefficient of f * g, or of f.recenter(b), is that of the
+    same operation on each of 8 exact completions of the inputs, truncated
+    at the output's precision: no precision claims a term that a completion
+    does not share.  ``_coeff_values``' unknown list names exactly the
+    outputs that are truncated zeros."""
+    rng = random.Random(3011)
+    seen = Counter()
+    for _ in range(CASES):
+        (f, g), b, _, _ = case(rng, fld, 1, factors=2)  # an odd case
+        if op == "product":
+            out = f * g
+            complete = lambda: complete_poly(rng, f) * complete_poly(rng, g)  # noqa: E731
+        else:
+            out = f.recenter(b)
+            complete = lambda: complete_poly(rng, f).recenter(  # noqa: E731
+                complete_elem(rng, b))
+        for _ in range(COMPLETIONS):
+            full = complete().coeffs
+            assert len(full) <= len(out.coeffs)
+            full += (fld.zero(),) * (len(out.coeffs) - len(full))
+            for c, x in zip(out.coeffs, full):
+                assert x.truncated(c.prec) == c, (f, g, b, c, x)
+        zeros = [i for i, c in enumerate(out.coeffs) if not c and not c.is_exact]
+        assert [pt[0] for pt in _coeff_values(out)[1]] == zeros
+        seen["truncated output"] += not all(c.is_exact for c in out.coeffs)
+        seen["truncated zero"] += bool(zeros)
+    print(dict(seen))
+    assert seen["truncated output"] > CASES // 2, seen
+    assert seen["truncated zero"] > CASES // 5, seen
 
 
 def homotopy_triple(rng, fld, k):

@@ -11,16 +11,19 @@ multiplies all its factors in one kernel chain; ``sequential_from_roots``
 is the loop of binary products it replaces, and the two must agree in every
 stored field.  Evaluation, ``divide_linear`` and a truncated shift share one
 synthetic division; ``horner_call``, ``elementwise_divide_linear`` and
-``elementwise_recenter`` are the three loops it replaces.  An exact product
-stays flat until its coefficients are read; ``eager_twin`` is the same
-polynomial built from its decoded coefficients, and every question asked of
-the flat product must get the twin's answer.  So does an exact shift: its
-leading forms, root counts, witness discs, leading classes and homotopy
-verdicts, read off the flat form, must be those read off the elements.
-Every reader takes the coefficient points of ``gauss._coeff_values``, read
-off the flat form whenever a polynomial holds one; those points, and what
-each reader makes of them, must be those of the eager twin, whose elements
-may lie on different lattices.
+``elementwise_recenter`` are the three loops it replaces.  A polynomial has
+one form with two views, its elements and its flat int-series encoding,
+each computed from the other on first read.  An exact product stays flat
+until its coefficients are read; ``eager_twin`` is the same polynomial
+built from its decoded coefficients, and every question asked of the flat
+product must get the twin's answer.  So does an exact shift: its leading
+forms, root counts, witness discs, leading classes and homotopy verdicts,
+read off the flat form, must be those read off the elements.  Every reader
+takes the coefficient points of ``gauss._coeff_values``, read off the flat
+form of every polynomial; those points, and what each reader makes of
+them, must be those of the element reader that
+``reference_gauss.element_coeff_values`` keeps, whose elements may lie on
+different lattices, truncated polynomials included.
 """
 
 import math
@@ -37,10 +40,12 @@ from berkline import (INF, INFINITY, Domain, ExcludedDisc, LogValue,
                       leading_class, naive_norm, newton_polygon,
                       root_count_annulus, roots_in_disc, spectral_profile)
 from berkline.field import PadicElem, PuiseuxElem
+from berkline import cancel, gauss, units
 from berkline import poly as poly_mod
 from berkline.errors import BackendMismatch, NotCertified, PrecisionExhausted
 from berkline.gauss import _coeff_values, log2_naive_norm
 from berkline.units import _leading_form, _witness_disc
+from reference_gauss import element_coeff_values
 
 FIELDS = [PuiseuxField(2), PuiseuxField(3), PuiseuxField(0), PadicField(3),
           PadicField(5)]
@@ -463,6 +468,30 @@ def test_element_and_int_operands_commute(fld):
             assert n + f == f + n
 
 
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_rational_function_and_subtraction_operands_commute(fld):
+    """A polynomial times a rational function is the same on either side;
+    ``n - f`` is ``-(f - n)`` for an int n, as it is for an element; and a
+    rational function times anything but a polynomial or a rational
+    function is refused with TypeError, on either side."""
+    rng = random.Random(34)
+    for _ in range(10):
+        x = rand_poly(rng, fld, rng.randint(0, 4))
+        f = RationalFunction(rand_poly(rng, fld, rng.randint(0, 3)),
+                             rand_poly(rng, fld, rng.randint(0, 3)))
+        assert x * f == f * x
+        a = rand_elem(rng, fld)
+        assert a - x == -(x - a)
+        for n in (0, 3, -2):
+            assert n - x == -(x - n)
+        for other in (3, a, 1.5, "3", None):
+            assert f.__mul__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                f * other
+            with pytest.raises(TypeError):
+                other * f
+
+
 @pytest.mark.parametrize("other", [1.5, Fraction(1, 2), "3", None, [1]])
 def test_other_operands_raise_type_error(other):
     fld = PuiseuxField(3)
@@ -783,15 +812,23 @@ def test_recenter_at_truncated_center_refines_elementwise(fld):
 
 def eager_twin(f):
     """The polynomial f built from its decoded coefficients; it holds no
-    flat form."""
+    flat form until one is read."""
     twin = Polynomial(f.center, f.coeffs)
-    assert twin._flat is None
+    assert "_flat" not in vars(twin)
     return twin
 
 
 def is_flat(f):
     """Whether f holds a flat form whose elements are not decoded yet."""
-    return f._flat is not None and "coeffs" not in vars(f)
+    return "_flat" in vars(f) and "coeffs" not in vars(f)
+
+
+def read_elements(monkeypatch):
+    """Make every reader of coefficient points read them off the elements
+    (``reference_gauss.element_coeff_values``), not off the flat form: the
+    element reader that the flat readers must match."""
+    for mod in (gauss, units, cancel):
+        monkeypatch.setattr(mod, "_coeff_values", element_coeff_values)
 
 
 RADII = [LogValue(q, e) for q in (Fraction(-3, 2), 0, Fraction(2, 3), 5)
@@ -826,13 +863,17 @@ def gauss_answers(f):
 
 def assert_flat_matches_twin(f):
     """f is flat; the Gauss facts leave it undecoded and equal its twin's,
-    and once decoded it equals its twin as a record in every respect."""
+    read off the twin's elements and off its own encoding, and once decoded
+    f equals its twin as a record in every respect."""
     assert is_flat(f)
     facts = gauss_answers(f)
     assert is_flat(f)
     copy = pickle.loads(pickle.dumps(f))
     assert is_flat(copy)
     twin = eager_twin(f)
+    with pytest.MonkeyPatch.context() as m:
+        read_elements(m)
+        assert facts == gauss_answers(twin)
     assert facts == gauss_answers(twin)
     assert stored(f) == stored(twin) == stored(copy)
     assert f.coeffs == twin.coeffs and f.center is twin.center
@@ -842,7 +883,7 @@ def assert_flat_matches_twin(f):
     assert hash(f) == hash(twin) == hash(copy)
     assert repr(f) == repr(twin)
     assert pickle.loads(pickle.dumps(f)) == twin
-    assert f._flat is not None      # kept once decoded
+    assert "_flat" in vars(f)       # kept once decoded
     assert gauss_answers(f) == facts
 
 
@@ -931,7 +972,8 @@ def test_flat_zero_products(fld):
 @pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
 def test_truncated_inputs_stay_eager(fld):
     """A truncated coefficient, lead, root or center keeps the eager route,
-    a flat operand included."""
+    a flat operand included: the product is decoded at once, and its flat
+    form, read later, carries each coefficient's precision."""
     rng = random.Random(3203)
     trunc = fld.elem([(Fraction(1, 2), 1)], prec=3)
     f = rand_poly(rng, fld, 3)
@@ -940,8 +982,9 @@ def test_truncated_inputs_stay_eager(fld):
     for p in (f * g, g * f, flat * g, g * flat, f.scale(trunc), g ** 2,
               Polynomial.from_roots(fld, [trunc, fld.one()]),
               Polynomial.from_roots(fld, [fld.one()], lead=trunc)):
-        assert p._flat is None
+        assert "_flat" not in vars(p)
         assert not all(c.is_exact for c in p.coeffs)
+        assert p._flat[5] == precs(p)
     assert flat * g == elementwise_mul(flat, g)
 
 
@@ -975,24 +1018,12 @@ def detached_twin(f):
     return eager_twin(pickle.loads(pickle.dumps(f)))
 
 
-def decode_shifts(monkeypatch):
-    """Make every ``recenter`` return its output rebuilt from its decoded
-    elements, with no flat form, so that the readers take the elements:
-    the eager route that the flat readers must match."""
-    recenter = Polynomial.recenter
-
-    def eager(self, a):
-        out = recenter(self, a)
-        return out if out._flat is None else eager_twin(out)
-
-    monkeypatch.setattr(Polynomial, "recenter", eager)
-
-
 def assert_kernel_shaped(f):
     """f's flat form is as the kernel gives its output: per coefficient,
-    strictly increasing exponents with nonzero numerators, and no trailing
-    zero count."""
-    counts, exps, cofs, lat, cden = f._flat
+    strictly increasing exponents with nonzero numerators, no trailing
+    zero count, and no precisions."""
+    counts, exps, cofs, lat, cden, precs = f._flat
+    assert precs is None
     assert len(exps) == len(cofs) == sum(counts) and all(cofs)
     assert not counts or counts[-1]
     pos = 0
@@ -1011,7 +1042,8 @@ def record_shifts(monkeypatch):
 
     def recording(self, a):
         out = recenter(self, a)
-        if out._flat is not self._flat:
+        flat = vars(out).get("_flat")
+        if flat is not None and flat is not vars(self).get("_flat"):
             shifted.append(out)
             assert_kernel_shaped(out)
         return out
@@ -1064,7 +1096,7 @@ def test_flat_shifts_match_their_eager_twins(fld, monkeypatch):
         counts = [answer(roots_in_disc, got, b, s, closed)
                   for b in (a, c) for s in RADII for closed in (True, False)]
         with monkeypatch.context() as m:
-            decode_shifts(m)
+            read_elements(m)
             assert forms == [answer(_leading_form, want, s)
                              for s in (*RADII, INFINITY)]
             assert counts == [answer(roots_in_disc, want, b, s, closed)
@@ -1170,7 +1202,7 @@ def test_homotopy_readers_match_on_flat_shifts(fld, monkeypatch):
                 assert_kernel_shaped(g)
         flat = homotopy_answers(dom, f0, f1s)
         with monkeypatch.context() as m:
-            decode_shifts(m)
+            read_elements(m)
             assert flat == homotopy_answers(dom, twin0, twins)
     assert verdicts[True] and verdicts[False] and verdicts[NotCertified]
 
@@ -1179,10 +1211,10 @@ def test_homotopy_readers_match_on_flat_shifts(fld, monkeypatch):
 # one point form: a flat polynomial's points are its eager twin's
 
 
-def points(f):
-    """``_coeff_values`` of f, each valuation y/den and leading coefficient
-    num/cden as a Fraction."""
-    known, unknown = _coeff_values(f)
+def points(f, a=None, reader=_coeff_values):
+    """``reader``'s points of f, recentered at a if given, each valuation
+    y/den and leading coefficient num/cden as a Fraction."""
+    known, unknown = reader(f, a)
     return ([(i, Fraction(y, den), Fraction(num, cden))
              for i, y, den, num, cden in known],
             [(i, Fraction(y, den)) for i, y, den in unknown])
@@ -1244,13 +1276,14 @@ def mixed_lattice_poly(rng, fld, center):
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)
-def test_one_point_form_matches_the_eager_twin(fld):
+def test_one_point_form_matches_the_eager_twin(fld, monkeypatch):
     """Flat products and shifts, undecoded and decoded, give the points of
-    their twins built from the decoded elements, each valuation and leading
-    coefficient equal as a Fraction; the flat points stay on the flat
-    form's lattice once decoded; sum norms equal the float(Fraction)
-    formula bit for bit on both; and leading forms, witness discs and
-    leading classes agree on both at finite, eps and +infinity radii."""
+    their twins built from the decoded elements, read off the elements or
+    off the twin's own encoding, each valuation and leading coefficient
+    equal as a Fraction; the flat points stay on the flat form's lattice
+    once decoded; sum norms equal the float(Fraction) formula bit for bit
+    on both; and leading forms, witness discs and leading classes agree on
+    both, the twins read either way, at finite, eps and +infinity radii."""
     rng = random.Random(3501)
     mixed = 0
     for k in range(30):
@@ -1269,16 +1302,68 @@ def test_one_point_form_matches_the_eager_twin(fld):
         assert is_flat(f)
         twin = Polynomial.from_coeffs(fld, f.coeffs, c)
         twin_g = Polynomial.from_coeffs(fld, g.coeffs, c)
-        assert twin._flat is None
-        assert got == points(twin) == element_points(twin)
+        assert "_flat" not in vars(twin)
+        assert got == points(twin, reader=element_coeff_values) \
+            == element_points(twin) == points(twin)
         assert not got[1]
         assert points(f) == got  # decoded, still read off the flat form
         lat = f._flat[3]
         assert all(pt[2] == (1 if isinstance(fld, PadicField) else lat)
                    for pt in _coeff_values(f)[0])
-        mixed += len({pt[2] for pt in _coeff_values(twin)[0]}) > 1
-        assert reader_answers(f, g) == reader_answers(twin, twin_g)
+        mixed += len({pt[2] for pt in element_coeff_values(twin)[0]}) > 1
+        want = reader_answers(f, g)
+        assert reader_answers(twin, twin_g) == want
+        with monkeypatch.context() as m:
+            read_elements(m)
+            assert reader_answers(twin, twin_g) == want
     assert mixed or isinstance(fld, PadicField)
+
+
+def point_answers(f, a):
+    """``gauss_answers`` of f, its Gauss valuations and root counts around
+    a, and its leading forms and witness discs around its own center."""
+    out = gauss_answers(f)
+    out += [answer(gauss_valuation, f, a, s) for s in RADII]
+    out += [answer(roots_in_disc, f, a, s, closed)
+            for s in RADII[::3] for closed in (True, False)]
+    for s in (*RADII, INFINITY):
+        out += [answer(_leading_form, f, s),
+                answer(_witness_disc, f, Domain(f.center, s), "num")]
+    return out
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=IDS)
+def test_flat_points_match_the_element_reader(fld, monkeypatch):
+    """Every polynomial is read through its flat form, whatever built it:
+    from elements, truncated ones included, or as a flat product.  Its
+    points, at its own center and recentered at an exact or truncated a,
+    are the element reader's, each valuation and leading coefficient equal
+    as a Fraction and each truncated zero's bound equal; and every answer
+    read off them is the one read off the elements."""
+    rng = random.Random(3502)
+    seen = Counter()
+    for k in range(120):
+        c = fld.zero() if k % 2 else rand_elem(rng, fld, True)
+        make = rand_trunc if k % 3 else rand_elem
+        f = rand_poly(rng, fld, rng.randint(0, 5), c, make)
+        if k % 4 == 0:
+            f = f * rand_poly(rng, fld, 1, c, make)
+        a = make(rng, fld)
+        seen["flat"] += is_flat(f)
+        seen["truncated"] += not all(x.is_exact for x in f.coeffs)
+        for b in (None, a):
+            got = points(f, b)
+            assert got == points(f, b, element_coeff_values)
+            seen["truncated zero"] += bool(got[1])
+        want = point_answers(f, a)
+        with monkeypatch.context() as m:
+            read_elements(m)
+            assert point_answers(f, a) == want
+        seen["answered"] += sum(not (isinstance(x, tuple) and isinstance(
+            x[0], type)) for x in want)
+    assert seen["flat"] >= 10 and seen["answered"] > 1000
+    if isinstance(fld, PuiseuxField):
+        assert seen["truncated"] > 40 and seen["truncated zero"] > 10
 
 
 @pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
