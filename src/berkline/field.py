@@ -293,7 +293,8 @@ def _lattice_elem(fld, acc, den, cden, prec) -> "PuiseuxElem":
     ``_lattice_terms`` builds the element.  Element arithmetic accumulates
     in dicts and comes here; ``truncated``, the products of elements and
     the decoding of flat polynomials (kernel products and ``poly._shift``
-    outputs) hand their sorted lists to ``_lattice_terms`` directly.
+    outputs, cut at their precisions by ``poly._flat_poly``) hand their
+    sorted lists to ``_lattice_terms`` directly.
     """
     exps = sorted([e for e, c in acc.items() if c])
     return _lattice_terms(fld, exps, [acc[e] for e in exps], den, cden, prec)
@@ -327,13 +328,12 @@ def _lattice_terms(fld, exps, nums, den, cden, prec) -> "PuiseuxElem":
 
 
 def _product_prec(x, y):
-    """The precision of x*y by the standard series rule: the product is
-    known modulo t**min(prec_x + v(y), prec_y + v(x)), with v the valuation
-    lower bound; INF when both are exact, or when either is an exact zero."""
-    if x.prec == INF and y.prec == INF:
-        return INF
-    return min(x.prec + y.valuation_lower_bound(),
-               y.prec + x.valuation_lower_bound())
+    """The precision of a product of two series, each given as the pair
+    (prec, v) of its precision and valuation lower bound, by the standard
+    series rule: it is known modulo t**min(prec_x + v_y, prec_y + v_x); INF
+    when both are exact, or when either is an exact zero (INF, INF)."""
+    (px, vx), (py, vy) = x, y
+    return INF if px == py == INF else min(px + vy, py + vx)
 
 
 class PuiseuxElem(Record):
@@ -488,7 +488,8 @@ class PuiseuxElem(Record):
             return NotImplemented
         _check_same_field(self, other)
         f = self.field
-        prec = _product_prec(self, other)
+        prec = _product_prec((self.prec, self.valuation_lower_bound()),
+                             (other.prec, other.valuation_lower_bound()))
         if not self.exps or not other.exps:
             return PuiseuxElem(f, (), (), 1, 1, prec)
         xs, ys, den = _on_common_den(self.den, self.exps, other.den, other.exps)

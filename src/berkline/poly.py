@@ -9,36 +9,31 @@ terms, the next ones in exps/cofs, with exponents on the lattice (1/lat)Z and
 numerators over the common denominator cden, a p-adic number as the one-term
 series at exponent 0; precs is None when every coefficient is exact, else
 each coefficient's precision, so a truncated zero is a zero count with a
-finite precision.  A polynomial built from elements encodes them once, when
-``_flat`` is first read; an exact product or shift is built flat and decodes
-its elements once, when ``coeffs`` is first read.
+finite precision; no term lies at or above its coefficient's precision.  A
+polynomial built from elements encodes them once, when ``_flat`` is first
+read; a product or shift is built flat (``_flat_poly``) and decodes its
+elements once, when ``coeffs`` is first read.
 
-``degree``, ``is_zero`` and ``_is_exact`` read the flat form, and so does
+``degree`` and ``is_zero`` read the flat form, and so does
 ``gauss._coeff_values``, which gives each coefficient's point, its valuation
 and leading coefficient as ints, or its precision when it is a truncated
 zero: Gauss valuations, hulls, root counts, witnesses and leading forms all
 read those points, so a chain of products and shifts whose elements nobody
-reads decodes none of them.  The routes:
+reads decodes none of them.  The routes, exact or truncated alike:
 
-* ``f * g``, and ``f * c`` (``scale``, c a constant polynomial), call
-  ``_try_kernel_mul``, a kernel chain of two factors
-  (``_kernel_product``): the kernel makes one keyed pass per product, all
-  term pairs in one dict sorted once, on the operands' flat forms.  With
-  both factors exact the product is flat; when an input is truncated, each
-  output coefficient is decoded at once from its sorted terms
-  (``_decode_flat``) and truncated once;
-* ``from_roots`` with an exact center, lead and roots is one kernel chain
-  of all its factors: each is encoded once and each kernel output feeds the
-  next product as it stands.  A truncated input multiplies the factors in
-  one by one through ``f * g``;
-* ``recenter`` of exact coefficients by an exact shift is a Horner shift on
-  the flat form's int series, whose output is flat (``_shift``); at its own
-  center a polynomial is returned as it is, and at an equal center it keeps
-  both views it holds;
-* evaluation, ``divide_linear`` and a truncated shift run one synthetic
-  division on elements (``_synthetic``): a truncated shift is n of them in
-  a row.  These, ``+`` and negation read elements and build elements, and
-  none of them encodes its output.
+* every product is one kernel chain on the factors' flat forms
+  (``_kernel_product``), each kernel output the next left operand as it
+  stands: ``f * g``, ``scale`` (the product by the constant polynomial c)
+  and ``**`` through ``_try_kernel_mul``, a chain of two factors, and
+  ``from_roots`` through one chain of the lead and the linear factors;
+* ``recenter`` is one Horner shift on the flat form's int series
+  (``_shift``), except at its own center, where a polynomial is returned
+  as it is, and at an equal center, where it keeps both views it holds;
+* precisions follow ``field._product_prec`` through every product and
+  Horner step, and ``_flat_poly`` cuts each coefficient at its own once;
+* evaluation and ``divide_linear`` run one synthetic division on elements
+  (``_synthetic``).  These, ``+`` and negation read elements and build
+  elements, and none of them encodes its output.
 
 Rational functions keep numerator and denominator over the same center and
 may carry the root lists they were built from.  Once proven complete by exact
@@ -48,22 +43,24 @@ bookkeeping directly, without any root finding.
 
 from __future__ import annotations
 
+import bisect
 import math
-from itertools import islice
+from fractions import Fraction
+from itertools import accumulate, islice
 
 from . import kernel
 from ._record import Record, setfield
 from .errors import BackendMismatch, NotCertified, ZeroDenominator
 from .field import (INF, PadicElem, PadicField, PuiseuxElem,
-                    _check_same_field, _lattice_terms,
+                    _check_same_field, _lattice_bound, _lattice_terms,
                     _product_prec, cached)
 
 
 class Polynomial(Record):
     """Coefficients c_0..c_n in (T - center), leading one nonzero.
 
-    Built from its elements ``coeffs``, or flat (``_flat_poly``) from an
-    exact product or shift; each view is computed from the other on its
+    Built from its elements ``coeffs``, or flat (``_flat_poly``) from a
+    product or shift; each view is computed from the other on its
     first read and kept, so both describe one form."""
 
     _fields = ("center", "coeffs")
@@ -112,27 +109,18 @@ class Polynomial(Record):
     def from_roots(cls, fld, roots, center=None, lead=None):
         """The monic polynomial with the given roots (times an optional lead).
 
-        With the center, the lead and every root exact, the lead and the
-        linear factors are multiplied in one kernel chain
-        (``_kernel_product``), which starts at the first linear factor when
-        no lead is given: each is encoded once, and the result stays flat
-        until read.  Otherwise they are multiplied in one by one, each
-        product through ``_try_kernel_mul``.
+        The lead and the linear factors, truncated ones included, are
+        multiplied in one kernel chain (``_kernel_product``), which starts
+        at the first linear factor when no lead is given: each is encoded
+        once, and the result stays flat until read.
         """
         center = fld.zero() if center is None else center
         one = fld.one()
         out = cls.from_coeffs(fld, [one if lead is None else lead], center)
-        shifts = [r - center for r in roots]
-        # an exact shift r - center means an exact root and center
-        if out.coeffs and shifts and out.coeffs[0].is_exact \
-                and all(d.is_exact for d in shifts):
-            factors = [cls(center, (-d, one)) for d in shifts]
-            if lead is not None:
-                factors.insert(0, out)
-            return _flat_poly(center, *_kernel_product(fld, factors))
-        for d in shifts:
-            out = out * cls(center, (-d, one))
-        return out
+        factors = [cls(center, (-(r - center), one)) for r in roots]
+        if lead is not None or not factors:
+            factors.insert(0, out)
+        return _flat_poly(center, *_kernel_product(fld, factors))
 
     def _check_compatible(self, other):
         if self.center is other.center:
@@ -211,19 +199,12 @@ class Polynomial(Record):
     def recenter(self, a) -> "Polynomial":
         """The same function written in the variable (T - a); exact.
 
-        Horner's Taylor shift by d = a - center.  With d = D/E and every
-        coefficient exact, it runs on the flat form's int series (``_shift``)
-        and the result is flat: its elements are decoded only when
-        ``coeffs`` is read.
-        With a truncated coefficient or d it is n synthetic divisions by
-        (T - a) on elements (``_synthetic``), each on the quotient of the
-        last.
-
-        At its own center object, exact or truncated, a polynomial is
-        returned as it is: T - a is then T - center, the same variable, so
-        every coefficient is unchanged.  The difference a - center computed
-        on elements would be a truncated zero when a is truncated, and the
-        divisions would spread that O(t^p) into each coefficient.  At an
+        Horner's Taylor shift by d = a - center on the flat form's int
+        series (``_shift``); the result is flat.  At its own center object,
+        exact or truncated, a polynomial is returned as it is: T - a is then
+        T - center, so every coefficient is unchanged, while a - center
+        computed on elements would be a truncated zero when a is truncated,
+        and the shift would spread that O(t^p) into each coefficient.  At an
         equal center object the result keeps the views this polynomial
         holds, flat, decoded or both.
         """
@@ -235,12 +216,7 @@ class Polynomial(Record):
             vars(out).update(vars(self))
             setfield(out, "center", a)
             return out
-        if d.is_exact and _is_exact(self):
-            return _flat_poly(a, *_shift(self.field, self, d))
-        b = list(self.coeffs)
-        for i in range(len(b) - 1):
-            b[i:] = _synthetic(b[i:], d)
-        return Polynomial.from_coeffs(self.field, b, a)
+        return _flat_poly(a, *_shift(self.field, self, d))
 
     def __call__(self, x):
         """Evaluate at a field element or an int: the remainder of
@@ -347,67 +323,80 @@ def _decode_flat(fld, counts, exps, cofs, lat, cden, precs) -> tuple:
 
 
 def _try_kernel_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Route every product through the convolution kernel.
-
-    Both factors go on their flat forms, exponents on one lattice; the
-    kernel convolves mod p over F_p and over Z (p = 0) for Q((t)) and
-    Q_p, over the product of the two common denominators.  With both
-    factors exact the product stays flat (``_flat_poly``).  With a
-    truncated coefficient it is decoded at once, output k truncated once,
-    at the least ``_product_prec`` of the pairs i + j = k: every partial
-    product and sum of the element-wise loop is known at or above that
-    bound, so the two agree term for term.  ``perfbench/tracing.py``
-    patches it by this name.
-    """
-    fld = f.field
-    if _is_exact(f) and _is_exact(g):
-        return _flat_poly(f.center, *_kernel_product(fld, (f, g)))
-    precs = [INF] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            precs[i + j] = min(precs[i + j], _product_prec(a, b))
-    return Polynomial(f.center,
-                      _decode_flat(fld, *_kernel_product(fld, (f, g)), precs))
+    """f * g as a kernel chain of two factors (``_kernel_product``), kept
+    flat.  ``perfbench/tracing.py`` patches it by this name."""
+    return _flat_poly(f.center, *_kernel_product(f.field, (f, g)))
 
 
-def _is_exact(f: Polynomial) -> bool:
-    """Whether every coefficient is exact: the flat form carries no
-    precisions."""
-    return f._flat[5] is None
-
-
-def _flat_poly(center, counts, exps, cofs, lat, cden) -> Polynomial:
-    """The polynomial around ``center`` whose ``_flat`` is the exact kernel
-    or ``_shift`` output (counts, exps, cofs, lat, cden), with no
-    precisions, its trailing zero counts trimmed (a zero operand makes the
-    kernel return one per output coefficient); its ``coeffs`` are decoded
-    on first read."""
-    while counts and not counts[-1]:
+def _flat_poly(center, counts, exps, cofs, lat, cden, precs) -> Polynomial:
+    """The polynomial around ``center`` whose ``_flat`` is the kernel or
+    ``_shift`` output (counts, exps, cofs, lat, cden, precs), each
+    coefficient cut once at its precision (a term at or above one reaches
+    only terms at or above the precision of a product or Horner step),
+    trailing exact zeros trimmed and precs None if all are exact."""
+    if precs is not None:
+        cut, pos = ([], [], []), 0
+        for c, p in zip(counts, precs):
+            end = pos + c
+            stop = end if p == INF else bisect.bisect_left(
+                exps, _lattice_bound(p, lat), pos, end)
+            cut[0].append(stop - pos)
+            cut[1].extend(exps[pos:stop])
+            cut[2].extend(cofs[pos:stop])
+            pos = end
+        counts, exps, cofs = cut
+    while counts and not counts[-1] and (
+            precs is None or precs[len(counts) - 1] == INF):
         counts.pop()
+    if precs is not None:
+        precs = precs[:len(counts)]
+        if all(p == INF for p in precs):
+            precs = None
     f = object.__new__(Polynomial)
     setfield(f, "center", center)
-    setfield(f, "_flat", (counts, exps, cofs, lat, cden, None))
+    setfield(f, "_flat", (counts, exps, cofs, lat, cden, precs))
     return f
 
 
 def _kernel_product(fld, factors) -> tuple:
-    """The flat form (counts, exps, cofs, lat, cden) of the product of the
-    polynomials ``factors``, as one kernel chain.
+    """The flat form (counts, exps, cofs, lat, cden, precs) of the product
+    of the polynomials ``factors``, as one kernel chain.
 
     Every factor's flat form goes on one lattice, the lcm of theirs, its
     exponents scaled when that lattice is larger (``_encoded``).  Each
     kernel output is the next left operand as it stands and the common
-    denominators multiply.  The kernel is called through the module
-    attribute, which ``perfbench/tracing.py`` patches.
+    denominators multiply; output k's precision is the least
+    ``_product_prec`` of its pairs i + j = k.  The kernel is called through
+    the module attribute, which ``perfbench/tracing.py`` patches.
     """
     flats = [f._flat for f in factors]
     lat = math.lcm(*(flat[3] for flat in flats))
     *acc, cden = _encoded(flats[0], lat)
+    precs = flats[0][5]
     for flat in flats[1:]:
         *k, c = _encoded(flat, lat)
+        if precs is not None or flat[5] is not None:
+            xs = _knowns(*acc[:2], lat, precs)
+            ys = _knowns(*k[:2], lat, flat[5])
+            precs = [INF] * (len(xs) + len(ys) - 1)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    precs[i + j] = min(precs[i + j], _product_prec(x, y))
         acc = kernel.poly_mul_modp(*acc, *k, fld.char)
         cden *= c
-    return (*acc, lat, cden)
+    return (*acc, lat, cden, precs)
+
+
+def _known(first, prec, lat) -> tuple:
+    """(prec, min(first exponent on (1/lat)Z, prec)), as ``_product_prec``
+    reads a coefficient: its bound once cut; ``first`` None for no term."""
+    return prec, prec if first is None else min(Fraction(first, lat), prec)
+
+
+def _knowns(counts, exps, lat, precs) -> list:
+    """``_known`` of each coefficient of a flat form on (1/lat)Z."""
+    return [_known(exps[pos] if c else None, p, lat) for c, pos, p in zip(
+        counts, accumulate(counts, initial=0), precs or [INF] * len(counts))]
 
 
 def _encoded(flat, lat):
@@ -419,10 +408,9 @@ def _encoded(flat, lat):
 
 
 def _shift(fld, f: Polynomial, d) -> tuple:
-    """Horner's Taylor shift of the exact polynomial f by the exact d, on
-    the ints of their flat forms, put on one lattice by ``_encoded``;
-    returns the flat form (counts, exps, cofs, lat, cden) that
-    ``_flat_poly`` takes.
+    """Horner's Taylor shift of the polynomial f by d, on the ints of their
+    flat forms, put on one lattice by ``_encoded``; returns the flat form
+    (counts, exps, cofs, lat, cden, precs) that ``_flat_poly`` takes.
 
     With X = T - center - d, d = D/E and coefficients B_i/L,
     sum B_i/L (X + D/E)**i has X**j-coefficient
@@ -430,7 +418,8 @@ def _shift(fld, f: Polynomial, d) -> tuple:
     scaled by E**j onto the one denominator L E**n, and its terms are
     sorted with the zeros dropped, as the kernel gives its output.  Over
     Q_p every series is one term at exponent 0, so the rule runs on the
-    numerators themselves.
+    numerators themselves.  Each step b_j += d b_{j+1} lowers prec_j to
+    the ``_product_prec`` of d and b_{j+1}.
     """
     d_flat = _series(fld, (d,))
     lat = math.lcm(d_flat[3], f._flat[3])
@@ -448,17 +437,26 @@ def _shift(fld, f: Polynomial, d) -> tuple:
             for j in range(n - 1, i - 1, -1):
                 b[j] += big_d * b[j + 1]
         cofs = [x * big_e ** j for j, x in enumerate(b) if x]
-        return [1 if x else 0 for x in b], [0] * len(cofs), cofs, lat, cden
+        return ([1 if x else 0 for x in b], [0] * len(cofs), cofs, lat, cden,
+                None)
     terms = zip(exps, cofs)
     b = []
     for i, c in enumerate(counts):
         w = big_e ** (n - i)
         t = islice(terms, c)
         b.append(dict(t) if w == 1 else {e: x * w for e, x in t})
+    precs = f._flat[5]
+    if precs is not None or not d.is_exact:
+        precs = list(precs or [INF] * (n + 1))
+        known_d = (d.prec, d.valuation_lower_bound())
     p = fld.char
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             acc = b[j]
+            if precs is not None:
+                first = min((e for e, x in b[j + 1].items() if x), default=None)
+                precs[j] = min(precs[j], _product_prec(
+                    known_d, _known(first, precs[j + 1], lat)))
             for e2, c2 in b[j + 1].items():
                 if not c2:
                     continue
@@ -474,7 +472,7 @@ def _shift(fld, f: Polynomial, d) -> tuple:
         exps += keys
         cofs += [acc[e] for e in keys] if w == 1 else [acc[e] * w for e in keys]
         w *= big_e
-    return counts, exps, cofs, lat, cden
+    return counts, exps, cofs, lat, cden, precs
 
 
 class RationalFunction(Record):

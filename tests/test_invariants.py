@@ -24,7 +24,11 @@ mathematics instead:
 * the Gauss side against the root side: for f = lead * prod(T - z), the
   Gauss valuation at the disc D(a, 2**(-s)) is v(lead) + sum_z min(v(z - a),
   s), and the closed and open disc counts are those of the root list, read
-  off the coefficients whether f is a flat product or built from elements.
+  off the coefficients whether f is a flat product or built from elements;
+  and for a certified f at a type-2 point zeta(a, s), each direction slope
+  is the eps part of the change of v_f toward that direction, from
+  zeta(a, s) to zeta(b, s + eps), or to zeta(a, s - eps) for "up" (the
+  slope formula).
 
 Each relation runs on seeded cases over F_2((t)), F_3((t)), Q((t)), Q_2 and
 Q_3, half of them with truncated Puiseux coefficients and shifts (p-adic
@@ -418,6 +422,66 @@ def test_gauss_side_matches_root_side(fld):
             seen["open differs"] += closed != opened
     assert seen["probes"] == CASES * 4
     assert min(seen.values()) > CASES // 10, seen
+
+
+def slope_case(rng, fld):
+    """(f, x, directions): f = lead * prod(T - z) / prod(T - w) with exact,
+    certified root lists drawn from one cluster, so that several roots lie
+    at one distance from each other; x = zeta(a, s), a a root or a random
+    point and s a distance from a to a root or a random radius; directions
+    None (the lists found them) or some roots and random points."""
+    cluster = [elem(rng, fld)]
+    for _ in range(rng.randint(1, 5)):
+        cluster.append(rng.choice(cluster) + mono(rng, fld, rng.randint(0, 3)))
+    zs = [rng.choice(cluster) for _ in range(rng.randint(1, 4))]
+    ws = [rng.choice(cluster) for _ in range(rng.randint(0, 3))]
+    center = rng.choice([fld.zero(), cluster[0]])
+    f = RationalFunction(
+        Polynomial.from_roots(fld, zs, center, mono(rng, fld, rng.randint(-1, 1))),
+        Polynomial.from_roots(fld, ws, center), num_roots=tuple(zs),
+        den_roots=tuple(ws))
+    a = rng.choice(cluster) if rng.random() < 0.8 else elem(rng, fld)
+    dists = [(z - a).valuation() for z in zs + ws if not z.agrees_with(a)]
+    s = rng.choice(dists) if dists and rng.random() < 0.8 \
+        else Fraction(rng.randint(-1, 4))
+    directions = None if rng.random() < 0.5 else \
+        rng.sample(cluster, rng.randint(0, len(cluster))) + [elem(rng, fld)]
+    return f, DiscPoint(a, LogValue(s)), directions
+
+
+def v_f(f, b, s):
+    return gauss_valuation(f.num, b, s) - gauss_valuation(f.den, b, s)
+
+
+@pytest.mark.parametrize("fld", ROOT_FIELDS, ids=ROOT_IDS)
+def test_direction_slopes_are_eps_slopes_of_gauss_valuations(fld):
+    """For a certified f at the type-2 point zeta(a, s), the slope toward
+    direction b is the eps part of v_f(zeta(b, s + eps)) - v_f(zeta(a, s)),
+    and "up" that of v_f(zeta(a, s - eps)) - v_f(zeta(a, s)), while the
+    plain parts agree: the slope formula read through the eps part of
+    ``LogValue``."""
+    rng = random.Random(3012)
+    seen = Counter()
+    for _ in range(CASES):
+        f, x, directions = slope_case(rng, fld)
+        assert f.certified_roots is not None
+        named = {f"dir:{b.canonical_str()}": b
+                 for b in (*f.num_roots, *f.den_roots, *(directions or ()))}
+        slopes = direction_slopes(f, x, directions)
+        here = v_f(f, x.center, x.s)
+        for key, slope in slopes.items():
+            if key == "other":
+                continue
+            b, e = (x.center, -1) if key == "up" else (named[key], 1)
+            step = v_f(f, b, LogValue(x.s.q, e)) - here
+            assert step.q == 0 and step.e == slope, (f, x, directions, key)
+            seen["nonzero"] += slope != 0
+        seen["two or more directions"] += sum(
+            key.startswith("dir:") and slope != 0
+            for key, slope in slopes.items()) > 1
+    print(dict(seen))
+    assert seen["nonzero"] > CASES and \
+        seen["two or more directions"] > CASES // 10, seen
 
 
 # -- completions of truncated polynomials -------------------------------------

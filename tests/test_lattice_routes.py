@@ -1,22 +1,22 @@
 """Polynomial products and Taylor shifts on int series, against element-wise loops.
 
-``Polynomial.__mul__`` always goes through the convolution kernel, truncated
-coefficients included; with every coefficient and the center exact,
-``Polynomial.recenter`` goes through an int-series Horner shift.
-``elementwise_mul`` and ``elementwise_recenter`` below are the loops on field
-elements that define both results: every product, and every exact shift,
-must equal theirs in value and in each coefficient's precision, over F_2,
-F_3, Q((t)), Q_3 and Q_5.  ``Polynomial.from_roots`` with exact inputs
-multiplies all its factors in one kernel chain; ``sequential_from_roots``
-is the loop of binary products it replaces, and the two must agree in every
-stored field.  Evaluation, ``divide_linear`` and a truncated shift share one
-synthetic division; ``horner_call``, ``elementwise_divide_linear`` and
-``elementwise_recenter`` are the three loops it replaces.  A polynomial has
+``Polynomial.__mul__`` always goes through the convolution kernel, and
+``Polynomial.recenter`` through an int-series Horner shift, truncated
+coefficients and centers included.  ``elementwise_mul`` and
+``elementwise_recenter`` below are the loops on field elements that define
+both results: every product and every shift must equal theirs in value and
+in each coefficient's precision, over F_2, F_3, Q((t)), Q_3 and Q_5.
+``Polynomial.from_roots`` multiplies all its factors in one kernel chain;
+``sequential_from_roots`` is the loop of binary products it replaces, and
+the two must agree in every stored field.  Evaluation and ``divide_linear``
+share one synthetic division; ``horner_call`` and
+``elementwise_divide_linear`` are the loops it replaces.  A polynomial has
 one form with two views, its elements and its flat int-series encoding,
-each computed from the other on first read.  An exact product stays flat
-until its coefficients are read; ``eager_twin`` is the same polynomial
+each computed from the other on first read.  A product or a shift stays
+flat until its coefficients are read; ``eager_twin`` is the same polynomial
 built from its decoded coefficients, and every question asked of the flat
-product must get the twin's answer.  So does an exact shift: its leading
+product must get the twin's answer, its term counts, precisions and points
+included, truncated products and shifts too.  An exact shift's leading
 forms, root counts, witness discs, leading classes and homotopy verdicts,
 read off the flat form, must be those read off the elements.  Every reader
 takes the coefficient points of ``gauss._coeff_values``, read off the flat
@@ -379,7 +379,7 @@ def test_truncated_products_take_the_kernel(char, monkeypatch):
     want = elementwise_mul(f, g)
     assert got == want
     assert precs(got) == precs(want) == [INF, 3, Fraction(5, 2), INF]
-    # shifts with a truncated coefficient or center keep the element loop
+    # shifts with a truncated coefficient or center, on the flat form too
     a = fld.elem([(Fraction(1, 3), 1)])
     got = f.recenter(a)
     want = elementwise_recenter(f, a)
@@ -723,13 +723,20 @@ def test_from_roots_without_a_lead_starts_at_the_first_factor(fld, monkeypatch):
 
 @pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
 def test_truncated_from_roots_multiplies_one_factor_at_a_time(fld, monkeypatch):
-    """A truncated root, lead or center keeps the loop through
-    ``_try_kernel_mul``, whose precisions are the element-wise loop's."""
+    """A truncated root, lead or center takes the one kernel chain, each
+    factor after the first multiplied in by one kernel call and none by
+    ``_try_kernel_mul``; values and precisions are the element-wise
+    loop's."""
     rng = random.Random(1702)
+
+    def refuse(f, g):
+        raise AssertionError("from_roots called _try_kernel_mul")
+
+    monkeypatch.setattr(poly_mod, "_try_kernel_mul", refuse)
     calls = []
-    mul = poly_mod._try_kernel_mul
-    monkeypatch.setattr(poly_mod, "_try_kernel_mul",
-                        lambda f, g: calls.append(1) or mul(f, g))
+    mul = _purekernel.poly_mul_modp
+    monkeypatch.setattr(poly_mod.kernel, "poly_mul_modp",
+                        lambda *a: calls.append(1) or mul(*a))
     truncated = 0
     for k in range(400):
         center = rand_trunc(rng, fld, True) if k % 4 == 0 else fld.zero()
@@ -737,14 +744,14 @@ def test_truncated_from_roots_multiplies_one_factor_at_a_time(fld, monkeypatch):
         lead, _ = rand_lead(rng, fld, rand_trunc)
         calls.clear()
         got = Polynomial.from_roots(fld, roots, center, lead)
+        factors = len(roots) + (lead is not None or not roots)
+        assert len(calls) == factors - 1
         want = sequential_from_roots(fld, roots, center, lead,
                                      mul=elementwise_mul)
         assert got == want
         assert precs(got) == precs(want)
         inputs = [center, *roots] + ([] if lead is None else [lead])
-        if not all(x.is_exact for x in inputs):
-            truncated += 1
-            assert len(calls) == len(roots)
+        truncated += not all(x.is_exact for x in inputs)
     assert truncated > 150
 
 
@@ -863,14 +870,18 @@ def gauss_answers(f):
 
 def assert_flat_matches_twin(f):
     """f is flat; the Gauss facts leave it undecoded and equal its twin's,
-    read off the twin's elements and off its own encoding, and once decoded
-    f equals its twin as a record in every respect."""
+    read off the twin's elements and off its own encoding; f's term counts,
+    precisions and points equal those of the twin's encoding, so no term of
+    f lies at or above its precision; and once decoded f equals its twin as
+    a record in every respect."""
     assert is_flat(f)
     facts = gauss_answers(f)
     assert is_flat(f)
     copy = pickle.loads(pickle.dumps(f))
     assert is_flat(copy)
     twin = eager_twin(f)
+    assert f._flat[0] == twin._flat[0] and f._flat[5] == twin._flat[5]
+    assert points(f) == points(twin)
     with pytest.MonkeyPatch.context() as m:
         read_elements(m)
         assert facts == gauss_answers(twin)
@@ -889,9 +900,27 @@ def assert_flat_matches_twin(f):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)
 def test_flat_products_match_their_eager_twins(fld):
-    """Products, scalings, exact from_roots and powers, and chains of them
-    with flat operands, over random exact inputs."""
+    """Products, scalings, from_roots and powers, and chains of them with
+    flat operands, over random exact inputs; over Puiseux series also over
+    truncated inputs, with shifts by exact and truncated centers."""
     rng = random.Random(3201)
+    truncated = Counter()
+    for k in range(60 if isinstance(fld, PuiseuxField) else 0):
+        center = fld.zero() if k % 3 else rand_trunc(rng, fld, True)
+        f = rand_poly(rng, fld, rng.randint(0, 4), center, rand_trunc)
+        g = rand_poly(rng, fld, rng.randint(0, 3), center, rand_trunc)
+        exact = rand_poly(rng, fld, rng.randint(1, 3), center)
+        roots, _ = rand_roots(rng, fld, center, rand_trunc)
+        lead, _ = rand_lead(rng, fld, rand_trunc)
+        for p in (f * g, f * exact, f.scale(rand_trunc(rng, fld)), f ** 2,
+                  Polynomial.from_roots(fld, roots, center, lead),
+                  f.recenter(center + rand_elem(rng, fld, True)),
+                  f.recenter(center + rand_trunc(rng, fld, True)),
+                  exact.recenter(center + rand_trunc(rng, fld, True)),
+                  (f * g).recenter(rand_trunc(rng, fld, True))):
+            truncated[p._flat[5] is not None] += 1
+            assert_flat_matches_twin(p)
+    assert truncated[True] > 400 or not isinstance(fld, PuiseuxField)
     for k in range(25):
         center = fld.zero() if k % 3 else rand_elem(rng, fld, True)
         f = rand_poly(rng, fld, rng.randint(0, 3), center)
@@ -970,22 +999,33 @@ def test_flat_zero_products(fld):
 
 
 @pytest.mark.parametrize("fld", FIELDS[:3], ids=IDS[:3])
-def test_truncated_inputs_stay_eager(fld):
-    """A truncated coefficient, lead, root or center keeps the eager route,
-    a flat operand included: the product is decoded at once, and its flat
-    form, read later, carries each coefficient's precision."""
+def test_truncated_inputs_stay_flat(fld):
+    """A truncated coefficient, lead, root or center takes the flat route,
+    a flat operand included: the product holds its flat form undecoded,
+    with each coefficient's precision, and equals the element-wise loop."""
     rng = random.Random(3203)
     trunc = fld.elem([(Fraction(1, 2), 1)], prec=3)
     f = rand_poly(rng, fld, 3)
     g = Polynomial.from_coeffs(fld, [trunc, fld.one()])
     flat = f * f
-    for p in (f * g, g * f, flat * g, g * flat, f.scale(trunc), g ** 2,
-              Polynomial.from_roots(fld, [trunc, fld.one()]),
-              Polynomial.from_roots(fld, [fld.one()], lead=trunc)):
-        assert "_flat" not in vars(p)
+    lin = Polynomial.from_coeffs(fld, [-fld.one(), fld.one()])
+    for p, want in ((f * g, elementwise_mul(f, g)),
+                    (g * f, elementwise_mul(g, f)),
+                    (flat * g, elementwise_mul(flat, g)),
+                    (g * flat, elementwise_mul(g, flat)),
+                    (f.scale(trunc), elementwise_mul(
+                        f, Polynomial.from_coeffs(fld, [trunc]))),
+                    (g ** 2, elementwise_mul(g, g)),
+                    (Polynomial.from_roots(fld, [trunc, fld.one()]),
+                     elementwise_mul(Polynomial.from_coeffs(
+                         fld, [-trunc, fld.one()]), lin)),
+                    (Polynomial.from_roots(fld, [fld.one()], lead=trunc),
+                     elementwise_mul(Polynomial.from_coeffs(fld, [trunc]),
+                                     lin))):
+        assert "_flat" in vars(p) and "coeffs" not in vars(p)
+        assert p._flat[5] is not None and p._flat[5] == precs(p)
         assert not all(c.is_exact for c in p.coeffs)
-        assert p._flat[5] == precs(p)
-    assert flat * g == elementwise_mul(flat, g)
+        assert p == want and precs(p) == precs(want)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=IDS)

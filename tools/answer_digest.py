@@ -26,6 +26,14 @@ and ``reduced_unit`` on domains with holes, at finite, eps and infinite
 radii.  Each outcome is hashed as its ``repr``, or as the error's
 ``repr((type name, message, witness))``.
 
+The ``truncated_routes`` line hashes products and shifts of truncated
+polynomials over F_2((t)), F_3((t)) and Q((t)), which the ``library`` line
+never forms: ``f * g``, ``scale``, ``**``, ``from_roots`` with truncated
+roots, lead and center, and ``recenter`` of a polynomial and of a product
+by truncated centers.  For each result it hashes the ``repr`` and the
+precision of every coefficient, its ``gauss_valuation`` at the same radii
+and its ``newton_polygon``, each outcome as above.
+
 Two trees answer alike on these items when they print the same digests.
 ``tools/answer_digest.txt`` holds what this tree prints, on Python 3.10 to
 3.13 alike; CI compares the output with it, so a change that changes
@@ -160,6 +168,63 @@ def library_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def truncated_routes_digest(seed: int) -> str:
+    from berkline import (INFINITY, LogValue, Polynomial, PuiseuxField,
+                          gauss_valuation, newton_polygon)
+
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    exps = [Fraction(n, d) for n in range(-3, 5) for d in (1, 2, 3)]
+    radii = [LogValue(q, e) for q in (Fraction(-3, 2), 0, Fraction(1, 3), 2)
+             for e in (-1, 0, 1)] + [INFINITY]
+
+    def elem(fld, nonzero=False):
+        while True:
+            if rng.random() < 0.1:
+                return fld.elem([], prec=rng.choice(exps))
+            x = fld.elem([(rng.choice(exps), rng.randrange(1, fld.char)
+                           if fld.char else Fraction(rng.choice([1, -2, 7]),
+                                                     rng.choice([1, 3, 4])))
+                          for _ in range(rng.randint(0, 3))])
+            if rng.random() < 0.5:
+                x = x.truncated(rng.choice(exps) + rng.randint(0, 3))
+            if x or not nonzero:
+                return x
+
+    def poly(fld, center, deg):
+        return Polynomial.from_coeffs(
+            fld, [elem(fld) for _ in range(deg)] + [elem(fld, True)], center)
+
+    def put(fn, *args):
+        try:
+            text = repr(fn(*args))
+        except Exception as e:
+            text = repr((type(e).__name__, str(e), getattr(e, "witness", None)))
+        h.update(text.encode())
+        h.update(b"\n")
+
+    for fld in (PuiseuxField(2), PuiseuxField(3), PuiseuxField(0)):
+        zero = fld.zero()
+        for k in range(100):
+            center = zero if k % 3 == 0 else elem(fld, True)
+            f = poly(fld, center, rng.randint(0, 4))
+            g = poly(fld, center, rng.randint(0, 3))
+            roots = [elem(fld) for _ in range(rng.randint(0, 4))]
+            lead = None if k % 4 == 0 else elem(fld, True)
+            outs = [f * g, f.scale(elem(fld)), f ** rng.randint(2, 3),
+                    Polynomial.from_roots(fld, roots, center, lead),
+                    f.recenter(center + elem(fld, True)),
+                    (f * g).recenter(elem(fld, True))]
+            for p in outs:
+                h.update(repr([(repr(c), str(c.prec)) for c in p.coeffs])
+                         .encode())
+                h.update(b"\n")
+                for s in radii:
+                    put(gauss_valuation, p, None, s)
+                put(newton_polygon, p)
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=305)
@@ -173,6 +238,7 @@ def main(argv=None) -> int:
         print(f"{name}  {digest(ALL[name](), args.seed, args.n)}")
     print(f"cli_corpus  {cli_digest()}")
     print(f"library  {library_digest(args.seed)}")
+    print(f"truncated_routes  {truncated_routes_digest(args.seed)}")
     return 0
 
 
