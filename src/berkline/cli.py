@@ -1,30 +1,33 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
 Exit codes: 0 success, 2 malformed input (argument, JSON, or schema errors,
-JSON nested too deeply to decode, a problem file or payload that is not a
-JSON object, a problem version other than the JSON number 1, and rationals
-with a zero denominator), 3 domain errors, which print a machine-readable
-{"error": ..., "witness": ...} object (``resource_limit`` among them, when a
-computation would exceed a documented size cap: ``field.INVERSE_TERM_CAP``
-terms in an inverse, ``cancel.Y1_ENTRY_CAP`` entries in Y1), 1 when stdout
-is closed before the output is written (say, piped into `head`), and 4 for
-any other exception, a defect in berkline itself, reported as
-{"error": "internal", "detail": "<type>: <message>"} on stderr instead of a
-traceback.
+JSON nested too deeply to decode or to word, a problem file or payload that
+is not a JSON object, a problem version other than the JSON number 1, and
+rationals with a zero denominator), 3 domain errors, which print a
+machine-readable {"error": ..., "witness": ...} object (``resource_limit``
+among them, when a computation would exceed a documented size cap:
+``field.INVERSE_TERM_CAP`` terms in an inverse, ``cancel.Y1_ENTRY_CAP``
+entries in Y1), 1 when stdout is closed before the output is written (say,
+piped into `head`), and 4 for any other exception, a defect in berkline
+itself, reported as {"error": "internal", "detail": "<type>: <message>"} on
+stderr instead of a traceback.
 
 Payloads are validated before dispatch against the command's entry in
 ``schemas/berkline.schema.json``, shipped with the package; the entry's
 top-level ``properties`` are also the command's flags.  Each flag's value is
 ``-`` (JSON on stdin), ``@path`` (JSON in that file) or inline JSON, kept as
 the string itself where it is not JSON; stdin is read once, so at most one
-of ``--problem`` and the flags may be ``-``.  A built-in acceptor alone decides
-validity, over exactly the keywords that document uses (``type``, ``$ref``,
-``required``, ``properties``, ``additionalProperties``, ``items``,
-``prefixItems``, ``minItems``, ``maxItems``, ``const``, ``enum``,
-``minimum``, ``pattern``, ``oneOf``, ``anyOf``; ``description``, ``title``,
-``$schema`` and ``$id`` are ignored) and raises on any other.  A rejection
-is worded by ``_wording``, imported then only, as jsonschema 4.26.0's
-``best_match`` words it; no call imports jsonschema.
+of ``--problem`` and the flags may be ``-``.  One walk of that entry, in
+the order of jsonschema 4.26.0's ``Draft202012Validator.iter_errors``, both
+decides and words: a payload is valid exactly when the walk finds no error,
+and a rejection's detail is the message of the error ``best_match`` would
+pick.  The walk knows exactly the keywords the document uses (``type``,
+``$ref``, ``required``, ``properties``, ``additionalProperties``,
+``items``, ``prefixItems``, ``minItems``, ``maxItems``, ``const``,
+``enum``, ``minimum``, ``pattern``, ``oneOf``, ``anyOf``; ``description``,
+``title``, ``$schema`` and ``$id`` are ignored); the whole document is
+checked once per process, and any other keyword, ``type`` name or ``$ref``
+is an internal error on every command.  No call imports jsonschema.
 
 Dispatch imports ``serialize``, decodes the field once and hands it to the
 command's ``_cmd_*``, which imports its compute modules when it runs, so a
@@ -48,7 +51,7 @@ class SchemaError(Exception):
 
 
 class UnsupportedSchema(Exception):
-    """The schema document uses a keyword the acceptor does not know: a
+    """The schema document uses a keyword or value the walk does not know: a
     defect in berkline, not in the input."""
 
 
@@ -88,151 +91,228 @@ def _json_equal(a, b):
     return a == b
 
 
-class _Acceptor:
-    """Decides whether a payload is valid against a ``$defs`` document, and
-    nothing else.
-
-    Every schema in the document is compiled once into a predicate, so the
-    whole document is walked on construction, and a keyword outside the
-    supported set raises ``UnsupportedSchema`` there instead of passing
-    unchecked.
-
-    Each keyword follows JSON Schema 2020-12: keywords about objects, arrays,
-    strings or numbers ignore instances of other types, ``pattern`` searches
-    rather than matches, and ``items`` covers what ``prefixItems`` leaves.
-    """
-
-    def __init__(self, defs):
-        self._defs = defs
-        self._compiled = {name: self._compile(schema)
-                          for name, schema in defs.items()}
-
-    def accepts(self, name, payload) -> bool:
-        return self._compiled[name](payload)
-
-    def _compile(self, schema):
-        if isinstance(schema, bool):
-            return lambda x: schema
-        if not isinstance(schema, dict):
-            raise UnsupportedSchema(f"schema {schema!r} is not an object")
-        checks = []
-        for key, value in schema.items():
-            if key in _ANNOTATIONS:
-                continue
-            make = self._KEYWORDS.get(key)
-            if make is None:
-                raise UnsupportedSchema(f"schema keyword {key!r} is not supported")
-            checks.append(make(self, value, schema))
-        return lambda x: all(check(x) for check in checks)
-
-    def _kw_type(self, value, schema):
-        names = [value] if isinstance(value, str) else value
-        unknown = set(names) - _TYPES.keys()
-        if unknown:
-            raise UnsupportedSchema(f"schema type {sorted(unknown)!r} is not supported")
-        tests = [_TYPES[n] for n in names]
-        return lambda x: any(test(x) for test in tests)
-
-    def _kw_ref(self, value, schema):
-        name = value.removeprefix("#/$defs/")
-        if not value.startswith("#/$defs/") or name not in self._defs:
-            raise UnsupportedSchema(f"schema $ref {value!r} is not supported")
-        # looked up on use: a definition may refer to one compiled later
-        return lambda x: self._compiled[name](x)
-
-    def _kw_required(self, value, schema):
-        return lambda x: not isinstance(x, dict) or all(k in x for k in value)
-
-    def _kw_properties(self, value, schema):
-        props = [(k, self._compile(s)) for k, s in value.items()]
-        return lambda x: not isinstance(x, dict) or all(
-            check(x[k]) for k, check in props if k in x)
-
-    def _kw_additionalProperties(self, value, schema):
-        known = set(schema.get("properties", ()))
-        check = self._compile(value)
-        return lambda x: not isinstance(x, dict) or all(
-            check(v) for k, v in x.items() if k not in known)
-
-    def _kw_items(self, value, schema):
-        start = len(schema.get("prefixItems", ()))
-        check = self._compile(value)
-        return lambda x: not isinstance(x, list) or all(map(check, x[start:]))
-
-    def _kw_prefixItems(self, value, schema):
-        checks = [self._compile(s) for s in value]
-        return lambda x: not isinstance(x, list) or all(
-            check(v) for check, v in zip(checks, x))
-
-    def _kw_minItems(self, value, schema):
-        return lambda x: not isinstance(x, list) or len(x) >= value
-
-    def _kw_maxItems(self, value, schema):
-        return lambda x: not isinstance(x, list) or len(x) <= value
-
-    def _kw_const(self, value, schema):
-        return lambda x: _json_equal(x, value)
-
-    def _kw_enum(self, value, schema):
-        return lambda x: any(_json_equal(x, v) for v in value)
-
-    def _kw_minimum(self, value, schema):
-        # "not less than" rather than ">=", so that NaN passes, as in jsonschema
-        return lambda x: not (_is_number(x) and x < value)
-
-    def _kw_pattern(self, value, schema):
-        search = re.compile(value).search
-        return lambda x: not isinstance(x, str) or search(x) is not None
-
-    def _kw_oneOf(self, value, schema):
-        checks = [self._compile(s) for s in value]
-        return lambda x: sum(1 for check in checks if check(x)) == 1
-
-    def _kw_anyOf(self, value, schema):
-        checks = [self._compile(s) for s in value]
-        return lambda x: any(check(x) for check in checks)
-
-    _KEYWORDS = {
-        "type": _kw_type, "$ref": _kw_ref, "required": _kw_required,
-        "properties": _kw_properties,
-        "additionalProperties": _kw_additionalProperties,
-        "items": _kw_items, "prefixItems": _kw_prefixItems,
-        "minItems": _kw_minItems, "maxItems": _kw_maxItems,
-        "const": _kw_const, "enum": _kw_enum, "minimum": _kw_minimum,
-        "pattern": _kw_pattern, "oneOf": _kw_oneOf, "anyOf": _kw_anyOf,
-    }
+def _type_names(value):
+    return [value] if isinstance(value, str) else value
 
 
-@functools.cache
-def _acceptor():
-    return _Acceptor(_schema_defs())
+# the keywords without subschemas: (whether x passes, the wording if not).
+# Keywords about objects, arrays, strings or numbers pass instances of other
+# types, and pattern searches rather than matches, as in JSON Schema 2020-12
+_LEAVES = {
+    "type": (lambda v, x: any(_TYPES[n](x) for n in _type_names(v)),
+             lambda v, x: f"{x!r} is not of type "
+                          + ", ".join(map(repr, _type_names(v)))),
+    "const": (lambda v, x: _json_equal(x, v),
+              lambda v, x: f"{v!r} was expected"),
+    "enum": (lambda v, x: any(_json_equal(x, e) for e in v),
+             lambda v, x: f"{x!r} is not one of {v!r}"),
+    # "not less than" rather than ">=", so that NaN passes, as in jsonschema
+    "minimum": (lambda v, x: not (_is_number(x) and x < v),
+                lambda v, x: f"{x!r} is less than the minimum of {v!r}"),
+    "pattern": (lambda v, x: not isinstance(x, str) or re.search(v, x) is not None,
+                lambda v, x: f"{x!r} does not match {v!r}"),
+    "minItems": (lambda v, x: not isinstance(x, list) or len(x) >= v,
+                 lambda v, x: f"{x!r} " + ("should be non-empty" if v == 1
+                                           else "is too short")),
+    "maxItems": (lambda v, x: not isinstance(x, list) or len(x) <= v,
+                 lambda v, x: f"{x!r} " + ("is expected to be empty" if v == 0
+                                           else "is too long")),
+}
+
+# best_match's weak keywords; it has no strong ones
+_WEAK = ("anyOf", "oneOf")
 
 
 def _validate(name, payload):
-    acceptor = _acceptor()
-    if acceptor.accepts(name, payload):
+    """Raise SchemaError with best_match's message where the walk of
+    ``$defs/<name>`` finds any error in payload."""
+    defs = _checked_defs()
+    errors = _walk(defs, defs[name], payload, ())
+    if not errors:
         return
-    # the acceptor's rejection stands; a walk of the same document words it
-    from . import _wording
+    # the most relevant error; then, while it has context, the least
+    # relevant error of that, unless the two least relevant tie
+    best = max(errors, key=_key)
+    while best[2]:
+        low = sorted(best[2], key=_key)[:2]
+        if len(low) == 2 and low[0][0] == low[1][0]:
+            break
+        best = low[0]
+    raise SchemaError(f"{name}: {best[1]()}")
 
-    detail = _wording.detail(acceptor, name, payload)
-    raise SchemaError(f"{name}: {detail or 'payload does not match the schema'}")
+
+@functools.cache
+def _checked_defs():
+    """``_schema_defs()`` once every schema in it is checked: a keyword,
+    ``type`` name or ``$ref`` the walk does not know raises here, on every
+    call, and not only where some payload reaches it."""
+    defs = _schema_defs()
+    schemas = list(defs.values())
+    while schemas:
+        schema = schemas.pop()
+        if isinstance(schema, bool):
+            continue
+        if not isinstance(schema, dict):
+            raise UnsupportedSchema(f"schema {schema!r} is not an object")
+        for key, value in schema.items():
+            if key == "type":
+                unknown = set(_type_names(value)) - _TYPES.keys()
+                if unknown:
+                    raise UnsupportedSchema(
+                        f"schema type {sorted(unknown)!r} is not supported")
+            elif key == "$ref":
+                if not value.startswith("#/$defs/") or value[8:] not in defs:
+                    raise UnsupportedSchema(f"schema $ref {value!r} is not supported")
+            elif key == "properties":
+                schemas += value.values()
+            elif key in ("additionalProperties", "items"):
+                schemas.append(value)
+            elif key in ("prefixItems", "anyOf", "oneOf"):
+                schemas += value
+            elif key not in _LEAVES and key not in _APPLY and key not in _ANNOTATIONS:
+                raise UnsupportedSchema(f"schema keyword {key!r} is not supported")
+    return defs
 
 
-def _loads(text):
-    """json.loads; nesting too deep for the decoder is malformed input."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise SchemaError("JSON nested too deeply") from None
+def _key(error):
+    return error[0]
+
+
+def _error(path, keyword, x, schema, word, *args, context=()):
+    """(relevance key, message thunk, context).  The key is best_match's:
+    deeper, then later in path order, then not weak, then not of its
+    schema's type, ranks higher.  Only the error best_match picks is
+    worded."""
+    expected = schema.get("type") if isinstance(schema, dict) else None
+    typed = expected is not None and _LEAVES["type"][0](expected, x)
+    return ((-len(path), path, keyword not in _WEAK, not typed),
+            functools.partial(word, *args), context)
+
+
+def _walk(defs, schema, x, path):
+    """x's errors under schema, in ``Draft202012Validator.iter_errors``'
+    order (the schema's key order); path is x's place below the instance
+    the walk started from.  The branch errors of anyOf and oneOf are their
+    context."""
+    if schema is True:
+        return []
+    if schema is False:
+        return [_error(path, None, x, schema,
+                       "False schema does not allow {!r}".format, x)]
+    errors = []
+    for key, value in schema.items():
+        if key in _LEAVES:
+            passes, word = _LEAVES[key]
+            if not passes(value, x):
+                errors.append(_error(path, key, x, schema, word, value, x))
+        elif key in _APPLY:
+            errors += _APPLY[key](defs, value, x, path, schema)
+        # any other key is an annotation: _checked_defs refused the rest
+    return errors
+
+
+def _ref(defs, value, x, path, schema):
+    return _walk(defs, defs[value.removeprefix("#/$defs/")], x, path)
+
+
+def _required(defs, value, x, path, schema):
+    if not isinstance(x, dict):
+        return []
+    return [_error(path, "required", x, schema,
+                   "{!r} is a required property".format, k)
+            for k in value if k not in x]
+
+
+def _properties(defs, value, x, path, schema):
+    if not isinstance(x, dict):
+        return []
+    return [e for k, sub in value.items() if k in x
+            for e in _walk(defs, sub, x[k], path + (k,))]
+
+
+def _unexpected(extras):
+    return ("Additional properties are not allowed (%s %s unexpected)"
+            % (", ".join(map(repr, sorted(extras))),
+               "was" if len(extras) == 1 else "were"))
+
+
+def _additional(defs, value, x, path, schema):
+    if not isinstance(x, dict):
+        return []
+    # in the instance's order; jsonschema takes them as a set, but errors
+    # under different keys have different paths and never tie
+    extras = [k for k in x if k not in schema.get("properties", {})]
+    if value is False:
+        return [_error(path, "additionalProperties", x, schema,
+                       _unexpected, extras)] if extras else []
+    return [e for k in extras for e in _walk(defs, value, x[k], path + (k,))]
+
+
+def _items(defs, value, x, path, schema):
+    if not isinstance(x, list):
+        return []
+    start = len(schema.get("prefixItems", ()))
+    extra = len(x) - start
+    if value is False and extra > 0:
+        return [_error(path, "items", x, schema,
+                       "Expected at most {} {} but found {} extra: {!r}".format,
+                       start, "item" if start == 1 else "items", extra,
+                       x[start] if extra == 1 else x[start:])]
+    return [e for i in range(start, len(x))
+            for e in _walk(defs, value, x[i], path + (i,))]
+
+
+def _prefix_items(defs, value, x, path, schema):
+    if not isinstance(x, list):
+        return []
+    return [e for i, (sub, item) in enumerate(zip(value, x))
+            for e in _walk(defs, sub, item, path + (i,))]
+
+
+_NO_BRANCH = "{!r} is not valid under any of the given schemas".format
+
+
+def _any_of(defs, value, x, path, schema):
+    # each branch is walked from x itself: its errors' paths start there
+    context = []
+    for sub in value:
+        errors = _walk(defs, sub, x, ())
+        if not errors:
+            return []
+        context += errors
+    return [_error(path, "anyOf", x, schema, _NO_BRANCH, x, context=context)]
+
+
+def _one_of(defs, value, x, path, schema):
+    context = []
+    for i, sub in enumerate(value):
+        errors = _walk(defs, sub, x, ())
+        if not errors:
+            break
+        context += errors
+    else:
+        return [_error(path, "oneOf", x, schema, _NO_BRANCH, x, context=context)]
+    more = [sub for sub in value[i + 1:] if not _walk(defs, sub, x, ())]
+    if not more:
+        return []
+    return [_error(path, "oneOf", x, schema, "{!r} is valid under each of {}".format,
+                   x, ", ".join(map(repr, [*more, value[i]])))]
+
+
+# the keywords with subschemas, or whose errors name the member that fails
+_APPLY = {
+    "$ref": _ref, "required": _required, "properties": _properties,
+    "additionalProperties": _additional, "items": _items,
+    "prefixItems": _prefix_items, "anyOf": _any_of, "oneOf": _one_of,
+}
 
 
 def _read_json_arg(text):
     """The JSON document at @path, or on stdin for '-'."""
     if text == "-":
-        return _loads(sys.stdin.read())
+        return json.loads(sys.stdin.read())
     with open(text[1:]) as fh:
-        return _loads(fh.read())
+        return json.loads(fh.read())
 
 
 def _emit(obj):
@@ -456,7 +536,7 @@ def _assemble_payload(args):
             payload[flag] = _read_json_arg(raw)
         else:
             try:
-                payload[flag] = _loads(raw)
+                payload[flag] = json.loads(raw)
             except json.JSONDecodeError:
                 payload[flag] = raw
     payload.setdefault("field", _DEFAULT_FIELD)
@@ -484,6 +564,9 @@ def _run(args) -> int:
         _validate(args.command, payload)
     except (SchemaError, OSError, ValueError) as exc:
         return _schema_error(exc)
+    except RecursionError:
+        # too deep for the decoder, or for repr in a rejection's wording
+        return _schema_error(SchemaError("JSON nested too deeply"))
     except UnsupportedSchema as exc:
         return _internal_error(exc)
     try:

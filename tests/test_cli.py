@@ -390,6 +390,36 @@ class TestErrors:
         assert json.loads(err) == {"error": "schema",
                                    "detail": "JSON nested too deeply"}
 
+    def test_nesting_just_under_the_decoders_limit_exit_2(self):
+        # the decoder takes these depths, or most of them; the repr that
+        # words the rejection once raised RecursionError at 980 to 990,
+        # a traceback with exit 1.  A child's stack is as shallow as the
+        # console script's, so the depths there are the ones a user meets
+        code = ("import contextlib, io, json, sys\n"
+                "from berkline import cli\n"
+                "calls = []\n"
+                "for depth in range(900, 1001, 5):\n"
+                "    poly = ('{\"center\":0,\"coeffs\":' + '[' * depth + '1'\n"
+                "            + ']' * depth + '}')\n"
+                "    out, err = io.StringIO(), io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out), "
+                "contextlib.redirect_stderr(err):\n"
+                "        try:\n"
+                "            code = cli.main(['np', '--poly', poly])\n"
+                "        except BaseException as exc:\n"
+                "            code = repr(exc)\n"
+                "    calls.append([depth, code, out.getvalue(), err.getvalue()])\n"
+                "print(json.dumps(calls))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=CHILD_ENV)
+        calls = json.loads(proc.stdout)
+        assert len(calls) == 21
+        for depth, code, out, err in calls:
+            assert (code, out) == (2, ""), depth
+            report = json.loads(err)
+            assert report.keys() == {"error", "detail"}, depth
+            assert report["error"] == "schema", depth
+
     def test_flag_reads_file_and_stdin(self, capsys, monkeypatch, tmp_path):
         poly = '{"center":0,"coeffs":[2,1]}'
         want = run(capsys, ["np", "--poly", poly])

@@ -1,19 +1,22 @@
 """Every payload of the mutation corpus that the schema accepts, run through
 ``cli.main`` end to end.
 
-``tests/corpus.py`` makes 20,800 payloads; the acceptor takes about 2,800
-of them.  Each goes to ``cli.main`` as a problem file on stdin.  No call may
-end in exit 4 or a traceback, and every exit-2 detail must come from a
-``raise`` in berkline or from one of the classes of messages that Python
-writes listed below.  Each exit-0 answer of a command listed in
-``EXIT0_CHECKS`` is checked against the library by a relation that does not
-read the command's own code path:
+``tests/corpus.py`` makes 20,800 payloads; ``cli._validate`` accepts about
+2,800 of them.  Each goes to ``cli.main`` as a problem file on stdin.  No
+call may end in exit 4 or a traceback, and every exit-2 detail must come
+from a ``raise`` in berkline or from one of the classes of messages that
+Python writes listed below.  Each exit-0 answer of a command listed in
+``EXIT0_CHECKS`` is checked by a relation that the command's own code path
+does not enforce:
 
 - ``np``: the segment widths sum to ``degree - mult0``;
 - ``balance`` on a domain: the boundary degrees sum to minus
-  ``units.exterior_degree``, which counts the bounding disc alone.
+  ``units.exterior_degree``, which counts the bounding disc alone;
+- ``homotopy``: with f0 and f1 swapped, the call exits 0 with the same
+  verdict.
 """
 
+import contextlib
 import io
 import json
 import linecache
@@ -22,6 +25,7 @@ import sys
 from pathlib import Path
 
 from berkline import cli, serialize
+from berkline.cli import SchemaError
 from berkline.units import exterior_degree
 from corpus import corpus
 
@@ -42,6 +46,28 @@ PYTHON_WRITTEN = {
     "iterating a scalar": r"'\w+' object is not iterable",
     "indexing a scalar": r"'\w+' object is not subscriptable",
 }
+
+
+def _main(command, payload):
+    """cli.main on payload, sent as a problem file on stdin: (exit code,
+    stdout, stderr)."""
+    doc = {"version": 1, "command": command, "payload": payload}
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--problem", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _accepted(command, payload):
+    try:
+        cli._validate(command, payload)
+    except SchemaError:
+        return False
+    return True
 
 
 def _raised_by_berkline(exc) -> bool:
@@ -74,11 +100,17 @@ def _check_balance(payload, fld, out):
     return sum(out["boundary_degrees"]) == -exterior_degree(f, dom)
 
 
-EXIT0_CHECKS = {"np": _check_np, "balance": _check_balance}
+def _check_homotopy(payload, fld, out):
+    swapped = {**payload, "f0": payload["f1"], "f1": payload["f0"]}
+    code, swapped_out, _ = _main("homotopy", swapped)
+    return code == 0 and json.loads(swapped_out) == out
 
 
-def test_accepted_corpus_end_to_end(capsys, monkeypatch):
-    acceptor = cli._acceptor()
+EXIT0_CHECKS = {"np": _check_np, "balance": _check_balance,
+                "homotopy": _check_homotopy}
+
+
+def test_accepted_corpus_end_to_end(monkeypatch):
     rejected, real = [], cli._schema_error
 
     def recording(exc):
@@ -91,13 +123,10 @@ def test_accepted_corpus_end_to_end(capsys, monkeypatch):
     python_classes = set()
     unexplained = []
     for command, payload in corpus():
-        if not acceptor.accepts(command, payload):
+        if not _accepted(command, payload):
             continue
-        doc = {"version": 1, "command": command, "payload": payload}
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         del rejected[:]
-        code = cli.main([command, "--problem", "-"])
-        out, err = capsys.readouterr()
+        code, out, err = _main(command, payload)
         codes[code] = codes.get(code, 0) + 1
         case = (command, payload, code, err)
         if code in (0, 3):

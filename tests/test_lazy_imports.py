@@ -105,21 +105,15 @@ def _problems():
     return sorted(p for p in PROBLEMS.glob("*.json") if p.name != "golden.json")
 
 
-# the problem files the schema rejects; the other two are refused before
-# validation, as JSON that does not parse and as a problem of version 2
-SCHEMA_REJECTED = {"classify__bad_schema", "sheaf__bad_missing_n"}
-
-
 @pytest.mark.parametrize("path", _problems(), ids=lambda p: p.stem)
 def test_command_loads_only_its_modules(path):
     command = path.stem.split("__")[0]
     code, loaded, std = _fresh_main([command, "--problem", str(path)])
     assert "jsonschema" not in std
     if "__bad_" in path.stem:
-        # rejected before dispatch: not even the decoders are loaded; a
-        # schema rejection loads the walk that words it
-        wording = {"_wording"} if path.stem in SCHEMA_REJECTED else set()
-        assert (code, loaded) == (2, {"cli", "errors"} | wording)
+        # rejected before dispatch: not even the decoders are loaded, and
+        # the schema check that words a rejection is in cli
+        assert (code, loaded) == (2, {"cli", "errors"})
         return
     assert loaded - COMPUTE == DISPATCH
     loaded &= COMPUTE
@@ -145,10 +139,9 @@ def test_accepted_call_loads_no_dataclasses_or_resources(path):
     ["cancel", "--g", "t"],
 ], ids=["bad_json", "schema_error", "missing_N"])
 def test_rejected_payload_loads_no_compute_module(argv):
-    # each is a schema rejection (bad JSON in a flag is the string itself),
-    # and loads the walk that words it
+    # each is a schema rejection (bad JSON in a flag is the string itself)
     code, loaded, std = _fresh_main(argv)
-    assert (code, loaded) == (2, {"cli", "errors", "_wording"})
+    assert (code, loaded) == (2, {"cli", "errors"})
     assert "jsonschema" not in std
 
 

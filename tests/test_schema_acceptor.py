@@ -1,12 +1,13 @@
-"""The CLI's built-in schema acceptor and rejection wording against
-jsonschema.
+"""The CLI's schema check against jsonschema.
 
-The acceptor in ``berkline.cli`` decides validity on its own, and the walk
-in ``berkline._wording`` words a rejection; neither loads jsonschema.  These
-tests hold them to ``Draft202012Validator`` and ``best_match`` (jsonschema
-4.26.0) on the seeded mutation corpus of ``tests/corpus.py`` and on hand
-cases for each place where JSON and Python semantics part, and check that
-the acceptor fails loudly on a schema keyword it does not know.
+One walk of the schema document in ``berkline.cli`` both decides validity
+and words a rejection, without loading jsonschema: ``cli._validate`` accepts
+a payload exactly when the walk finds no error.  These tests hold its
+verdict to ``Draft202012Validator`` and its wording to ``best_match``
+(jsonschema 4.26.0) on the seeded mutation corpus of ``tests/corpus.py`` and
+on hand cases for each place where JSON and Python semantics part, and check
+that the check of the whole document fails loudly on a schema keyword or
+value it does not know, wherever that sits.
 """
 
 import json
@@ -19,8 +20,8 @@ import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from berkline import _wording, cli
-from berkline.cli import COMMANDS, UnsupportedSchema, _Acceptor
+from berkline import cli
+from berkline.cli import COMMANDS, SchemaError, UnsupportedSchema
 from corpus import PROBLEMS, corpus, problem_payloads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,30 +41,44 @@ def test_problem_files_cover_every_command():
     assert len(problem_payloads()) == 26
 
 
+@pytest.fixture
+def use_document(monkeypatch):
+    """Make a ``$defs`` dict the CLI's schema document for one test."""
+    def use(defs):
+        monkeypatch.setattr(cli, "_schema_defs", lambda: defs)
+        cli._checked_defs.cache_clear()
+    yield use
+    cli._checked_defs.cache_clear()
+
+
+def _detail(name, instance):
+    """The message of the SchemaError that ``cli._validate`` raises, or None
+    where it accepts."""
+    try:
+        cli._validate(name, instance)
+    except SchemaError as exc:
+        return str(exc).removeprefix(f"{name}: ")
+    return None
+
+
 def _wording_of(defs, name, instance):
-    """(the acceptor's verdict, the walk's detail, best_match's message)."""
-    acceptor = _Acceptor(defs)
+    """(cli's detail, best_match's message), each None where valid."""
     error = best_match(_validator(defs, name).iter_errors(instance))
-    return (acceptor.accepts(name, instance),
-            _wording.detail(acceptor, name, instance),
-            None if error is None else error.message)
+    return _detail(name, instance), None if error is None else error.message
 
 
 def test_mutation_corpus_agrees_with_jsonschema():
-    """The acceptor decides as jsonschema does, the walk finds an error
-    exactly when the acceptor rejects, and words it as best_match does."""
-    defs = _defs()
-    acceptor = _Acceptor(defs)
-    validators = {name: _validator(defs, name) for name in COMMANDS}
+    """The walk accepts exactly what jsonschema accepts, and words each
+    rejection as best_match does."""
+    validators = {name: _validator(_defs(), name) for name in COMMANDS}
     seen = {True: 0, False: 0}
     disagree = []
     for command, payload in corpus():
         error = best_match(validators[command].iter_errors(payload))
         want = None if error is None else error.message
         seen[want is None] += 1
-        got = (acceptor.accepts(command, payload),
-               _wording.detail(acceptor, command, payload))
-        if got != (want is None, want):
+        got = _detail(command, payload)
+        if got != want:
             disagree.append((command, payload, got, want))
     assert not disagree[:5]
     assert sum(seen.values()) >= 20_000
@@ -138,7 +153,7 @@ SHIPPED_CASES = [
 def test_shipped_schema_hand_cases(command, payload, valid):
     defs = _defs()
     assert _validator(defs, command).is_valid(payload) is valid
-    assert _Acceptor(defs).accepts(command, payload) is valid
+    assert (_detail(command, payload) is None) is valid
 
 
 # (schema, instance, valid): small schemas for traps the document only
@@ -192,11 +207,12 @@ CUSTOM_CASES = [
 
 
 @pytest.mark.parametrize("schema,instance,valid", CUSTOM_CASES)
-def test_custom_schema_hand_cases(schema, instance, valid):
+def test_custom_schema_hand_cases(use_document, schema, instance, valid):
     defs = {"case": schema}
+    use_document(defs)
     assert _validator(defs, "case").is_valid(instance) is valid
-    accepts, detail, message = _wording_of(defs, "case", instance)
-    assert accepts is valid
+    detail, message = _wording_of(defs, "case", instance)
+    assert (detail is None) is valid
     assert detail == message
 
 
@@ -239,15 +255,12 @@ WORDING_CASES = [
 
 
 @pytest.mark.parametrize("schema,instance", WORDING_CASES)
-def test_wording_hand_cases(schema, instance):
+def test_wording_hand_cases(use_document, schema, instance):
     defs = {"case": schema, "other": {"type": ["string", "integer"]}}
-    accepts, detail, message = _wording_of(defs, "case", instance)
-    assert (accepts, detail) == (False, message)
-
-
-def test_walk_knows_the_acceptors_keywords():
-    assert _wording._WORDS.keys() | _wording._APPLY.keys() == _Acceptor._KEYWORDS.keys()
-    assert not _wording._WORDS.keys() & _wording._APPLY.keys()
+    use_document(defs)
+    detail, message = _wording_of(defs, "case", instance)
+    assert message is not None
+    assert detail == message
 
 
 def _unused_branch(defs):
@@ -255,33 +268,62 @@ def _unused_branch(defs):
     return defs["element"]["oneOf"][0]["properties"]["prec"]["oneOf"][1]
 
 
+BAD = {"uniqueItems": True}
+
+
 @pytest.mark.parametrize("keyword,value", [
-    ("uniqueItems", True), ("maximum", 10), ("format", "uri")])
-def test_unknown_keyword_raises(keyword, value):
+    ("uniqueItems", True), ("maximum", 10), ("format", "uri"),
+    # uniqueItems one level down, under each keyword with subschemas
+    ("properties", {"a": BAD}), ("additionalProperties", BAD), ("items", BAD),
+    ("prefixItems", [{}, BAD]), ("anyOf", [{}, BAD]), ("oneOf", [{}, BAD]),
+    # a definition that nothing refers to
+    ("$defs", BAD),
+], ids=["uniqueItems-True", "maximum-10", "format-uri", "under-properties",
+        "under-additionalProperties", "under-items", "under-prefixItems",
+        "under-anyOf", "under-oneOf", "unreferenced-definition"])
+def test_unknown_keyword_raises(capsys, use_document, keyword, value):
     defs = _defs()
-    _unused_branch(defs)[keyword] = value
-    with pytest.raises(UnsupportedSchema, match=keyword):
-        _Acceptor(defs)
+    if keyword == "$defs":
+        defs["unreferenced"] = value
+    else:
+        _unused_branch(defs)[keyword] = value
+    unknown = keyword if keyword in ("uniqueItems", "maximum", "format") \
+        else "uniqueItems"
+    use_document(defs)
+    with pytest.raises(UnsupportedSchema, match=f"^schema keyword '{unknown}' "):
+        cli._checked_defs()
+    # every command, though no payload of any reaches the keyword
+    for command in COMMANDS:
+        assert cli.main([command]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"] == "internal"
 
 
 @pytest.mark.parametrize("schema", [
     {"type": "float"}, {"$ref": "#/$defs/nowhere"},
     {"$ref": "other.json#/$defs/rational"}, {"items": [{}]}])
-def test_unsupported_schema_values_raise(schema):
+def test_unsupported_schema_values_raise(use_document, schema):
+    use_document({**_defs(), "case": schema})
     with pytest.raises(UnsupportedSchema):
-        _Acceptor({**_defs(), "case": schema})
+        cli._checked_defs()
 
 
-def test_unknown_keyword_is_an_internal_error(capsys, monkeypatch):
+def test_unknown_keyword_is_an_internal_error(capsys, use_document):
     defs = _defs()
     _unused_branch(defs)["uniqueItems"] = True
-    monkeypatch.setattr(cli, "_acceptor", lambda: _Acceptor(defs))
+    use_document(defs)
     code = cli.main(["skeleton", "--centers", "[0]"])
     out = capsys.readouterr()
     assert (code, out.out) == (4, "")
     assert json.loads(out.err) == {
         "error": "internal",
         "detail": "UnsupportedSchema: schema keyword 'uniqueItems' is not supported"}
+    # the parser reads the same document unchecked: --help still answers
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["skeleton", "--help"])
+    assert exit_.value.code == 0
+    assert "--centers" in capsys.readouterr().out
 
 
 def _fresh_main(argv):
@@ -310,21 +352,7 @@ def test_invalid_payload_imports_no_jsonschema():
         ["np", "--poly", '{"center":0,"coeffs":[0,1]}',
          "--count", '{"lo":"1/2","hi_open":"yes"}'])
     assert (code, imported) == (2, False)
-    # the wording recorded before the acceptor, as in test_invalid_payload_detail
+    # the wording recorded before berkline worded its own rejections, as in
+    # test_invalid_payload_detail
     assert json.loads(err) == {"error": "schema",
                                "detail": "np: 'yes' is not of type 'boolean'"}
-
-
-def test_the_acceptor_alone_decides(capsys, monkeypatch):
-    class Rejecting(_Acceptor):
-        def accepts(self, name, payload):
-            return name != "skeleton" and super().accepts(name, payload)
-
-    # the walk finds no error in this payload, yet the rejection stands
-    monkeypatch.setattr(cli, "_acceptor", lambda: Rejecting(_defs()))
-    code = cli.main(["skeleton", "--centers", "[0]"])
-    out = capsys.readouterr()
-    assert (code, out.out) == (2, "")
-    assert json.loads(out.err) == {
-        "error": "schema",
-        "detail": "skeleton: payload does not match the schema"}
